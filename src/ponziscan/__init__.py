@@ -1,7 +1,7 @@
 """Ponzi-scheme detection for Ethereum smart contracts.
 
 Pipeline: Solidity source -> tokens -> AST -> data-flow graph -> encoded
-model input with a graph-guided attention mask -> transformer encoder ->
+model input -> transformer encoder under a graph-guided attention mask ->
 binary Ponzi/benign prediction. Everything is seeded and deterministic;
 the numerics are plain float64 numpy.
 """

@@ -1,10 +1,16 @@
 """Vocabulary, model-input assembly, and the graph-guided attention mask.
 
-The model consumes X = [CLS] + code tokens + [SEP] + graph nodes, padded to
-a fixed length L = 1 + code_len + 1 + flow_len. The mask permits attention
-only along: classifier/separator queries (any non-pad key), code-to-code
-pairs, graph edges (a node attends the nodes its value comes from, plus
-itself), and node<->code alignment pairs.
+The model input is X = [CLS] + code tokens + [SEP] + graph nodes, laid out
+contiguously from slot 0 and padded to a fixed length
+L = 1 + code_len + 1 + flow_len. Every real slot lies in the prefix of
+length n = 2 + n_code + n_nodes, which is all the encoder runs over.
+
+The attention mask is not stored: `build_mask` derives it at any length
+from the segments, the graph edges, the alignment and the input's withdrawn
+entries. It permits attention only along: classifier/separator queries (any
+non-pad key), code-to-code pairs, graph edges (a node attends the nodes its
+value comes from, plus itself), and node<->code alignment pairs, minus the
+withdrawn (query, key) entries.
 """
 
 from __future__ import annotations
@@ -121,14 +127,17 @@ def build_vocab(training_contracts: Iterable, cap: int) -> Vocabulary:
 @dataclass
 class ModelInput:
     """Fixed-length encoder input. node_alignment and dfg_edges hold
-    positions within the padded sequence, not graph indices."""
+    positions within the padded sequence, not graph indices. withdrawn
+    lists (query, key) entries that the mask forbids after its rules have
+    been applied; the pre-training samplers use it to hide the relations a
+    batch asks the model to predict."""
 
     token_ids: np.ndarray        # (L,) int64
     position_ids: np.ndarray     # (L,) int64
     segments: np.ndarray         # (L,) int8, SEG_* role per slot
     node_alignment: list[tuple[int, int]] = field(default_factory=list)
     dfg_edges: list[tuple[int, int]] = field(default_factory=list)
-    mask: np.ndarray | None = None   # (L, L) bool, True = allow
+    withdrawn: tuple[tuple[int, int], ...] = ()
     truncated: bool = False
     n_code: int = 0
     n_nodes: int = 0
@@ -136,11 +145,16 @@ class ModelInput:
     def __len__(self) -> int:
         return int(self.token_ids.shape[0])
 
+    @property
+    def real_len(self) -> int:
+        """Length of the prefix holding [CLS], code, [SEP] and nodes."""
+        return 2 + self.n_code + self.n_nodes
+
 
 def encode_input(tokens: list[Token], dfg: DataFlowGraph, vocab: Vocabulary,
                  code_len: int = DEFAULT_CODE_LEN,
                  flow_len: int = DEFAULT_FLOW_LEN) -> ModelInput:
-    """Assemble the padded input sequence and its attention mask.
+    """Assemble the padded input sequence.
 
     Code keeps its first code_len tokens and the graph its first flow_len
     nodes (source order); edges and alignment are restricted to surviving
@@ -182,25 +196,28 @@ def encode_input(tokens: list[Token], dfg: DataFlowGraph, vocab: Vocabulary,
     node_alignment = [(node_pos(n), 1 + c)
                       for n, c in dfg.alignment if n < n_nodes and c < n_code]
 
-    inp = ModelInput(token_ids=token_ids, position_ids=position_ids,
-                     segments=segments, node_alignment=node_alignment,
-                     dfg_edges=dfg_edges, mask=None, truncated=truncated,
-                     n_code=n_code, n_nodes=n_nodes)
-    inp.mask = build_mask(inp)
-    return inp
+    return ModelInput(token_ids=token_ids, position_ids=position_ids,
+                      segments=segments, node_alignment=node_alignment,
+                      dfg_edges=dfg_edges, truncated=truncated,
+                      n_code=n_code, n_nodes=n_nodes)
 
 
-def build_mask(inp: ModelInput) -> np.ndarray:
-    """(L, L) boolean permission matrix, rows = queries, columns = keys.
+def build_mask(inp: ModelInput, length: int | None = None) -> np.ndarray:
+    """(length, length) boolean permission matrix over the first `length`
+    slots, rows = queries, columns = keys; `length` defaults to the padded
+    length L and must be at least `inp.real_len`.
 
     Allowed pairs: [CLS]/[SEP] query over any key, code query with code
     key, node i over node j when an edge j->i exists or i == j, and
     node/code pairs that are aligned (both directions). Pad rows and
     columns are forbidden, which also silences [CLS]/[SEP] over padding.
+    The input's withdrawn entries are forbidden last, whatever the rules
+    above granted.
     """
-    seg = inp.segments
-    L = seg.shape[0]
-    allow = np.zeros((L, L), dtype=bool)
+    if length is None:
+        length = len(inp)
+    seg = inp.segments[:length]
+    allow = np.zeros((length, length), dtype=bool)
 
     wide = (seg == SEG_CLS) | (seg == SEG_SEP)
     allow[wide, :] = True
@@ -217,4 +234,6 @@ def build_mask(inp: ModelInput) -> np.ndarray:
     pad = seg == SEG_PAD
     allow[pad, :] = False
     allow[:, pad] = False
+    for query, key in inp.withdrawn:
+        allow[query, key] = False
     return allow

@@ -6,6 +6,11 @@ additive mask (-1e9 on forbidden pairs) before the row softmax. The
 classifier reads the [CLS] row of the final layer. Backward passes are
 analytic, written to mirror each forward step, and are validated against
 central finite differences in the test suite.
+
+The encoder runs over the real prefix of an input only: its n = real_len
+slots ([CLS], code, [SEP], nodes), so hidden states are (n, d_h) and the
+mask is derived at n x n for each pass. Padding never enters the
+computation; an input encoded at any padded length gives the same result.
 """
 
 from __future__ import annotations
@@ -81,12 +86,18 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def mask_additive(allow: np.ndarray) -> np.ndarray:
-    return np.where(allow, 0.0, MASK_FORBID)
+    """0 on allowed pairs, MASK_FORBID on forbidden ones. A row with no
+    allowed key is left at 0: a constant row shift does not change its
+    softmax, and adding -1e9 would round its scores to the 1.2e-7 spacing
+    of doubles near 1e9, which finite differences can see."""
+    return np.where(allow | ~allow.any(axis=-1, keepdims=True), 0.0, MASK_FORBID)
 
 
 def embed(inp: ModelInput, params: Params) -> np.ndarray:
+    """(n, d_h) embeddings of the input's real prefix."""
     tok_emb, pos_emb = params["tok_emb"], params["pos_emb"]
-    ids, pos = inp.token_ids, inp.position_ids
+    n = inp.real_len
+    ids, pos = inp.token_ids[:n], inp.position_ids[:n]
     if ids.min() < 0 or ids.max() >= tok_emb.shape[0]:
         raise IdOutOfRange(f"token id outside embedding table of {tok_emb.shape[0]}")
     if pos.min() < 0 or pos.max() >= pos_emb.shape[0]:
@@ -163,10 +174,9 @@ def layer_backward(dW_out: np.ndarray, cache: dict, params: Params,
 
 
 def forward_hidden(inp: ModelInput, params: Params, config: ModelConfig):
-    """Run embedding + all layers; returns final hidden states and the
-    caches needed by backward_hidden."""
-    allow = inp.mask if inp.mask is not None else build_mask(inp)
-    mask_add = mask_additive(allow)
+    """Run embedding + all layers over the real prefix; returns the final
+    (n, d_h) hidden states and the caches needed by backward_hidden."""
+    mask_add = mask_additive(build_mask(inp, inp.real_len))
     W = embed(inp, params)
     caches = []
     for i in range(config.n_layers):
@@ -179,12 +189,14 @@ def forward_hidden(inp: ModelInput, params: Params, config: ModelConfig):
 
 def backward_hidden(dH: np.ndarray, inp: ModelInput, caches: list,
                     params: Params, config: ModelConfig, grads: Params) -> None:
-    """Accumulate parameter gradients given dLoss/dH at the final layer."""
+    """Accumulate parameter gradients given the (n, d_h) dLoss/dH at the
+    final layer."""
     dW = dH
     for i in reversed(range(config.n_layers)):
         dW = layer_backward(dW, caches[i], params, f"layer{i}.", config.n_heads, grads)
-    np.add.at(grads["tok_emb"], inp.token_ids, dW)
-    np.add.at(grads["pos_emb"], inp.position_ids, dW)
+    n = inp.real_len
+    np.add.at(grads["tok_emb"], inp.token_ids[:n], dW)
+    np.add.at(grads["pos_emb"], inp.position_ids[:n], dW)
 
 
 def forward(inp: ModelInput, params: Params, config: ModelConfig,

@@ -39,7 +39,6 @@ from ponziscan.solparse.parser import parse
 
 log = logging.getLogger(__name__)
 
-EVAL_BATCH_SIZE = 32
 TRAIN_PONZI_COUNT = 250
 PARTITION_PONZI_STEP = 50
 
@@ -238,18 +237,16 @@ def evaluate_inputs(inputs: list[ModelInput], labels: list[int], params: Params,
                     config: ModelConfig, threshold: float,
                     split_name: str = "") -> EvalReport:
     tp = fp = fn = tn = 0
-    for start in range(0, len(inputs), EVAL_BATCH_SIZE):
-        chunk = slice(start, start + EVAL_BATCH_SIZE)
-        for inp, label in zip(inputs[chunk], labels[chunk]):
-            pred = forward(inp, params, config, threshold=threshold)
-            if pred.label == 1 and label == 1:
-                tp += 1
-            elif pred.label == 1 and label == 0:
-                fp += 1
-            elif pred.label == 0 and label == 1:
-                fn += 1
-            else:
-                tn += 1
+    for inp, label in zip(inputs, labels):
+        pred = forward(inp, params, config, threshold=threshold)
+        if pred.label == 1 and label == 1:
+            tp += 1
+        elif pred.label == 1 and label == 0:
+            fp += 1
+        elif pred.label == 0 and label == 1:
+            fn += 1
+        else:
+            tn += 1
     return compute_metrics(tp, fp, fn, tn, threshold, split_name)
 
 

@@ -3,9 +3,10 @@ prediction, and node-code alignment prediction.
 
 Samplers are pure functions of (input, rng) so a per-sample, per-task
 seeded generator makes every batch reproducible and order-independent.
-Edge and alignment batches carry a modified attention mask with the masked
-relations forbidden, forcing the model to reconstruct them from structure
-rather than read them off the mask.
+Edge and alignment batches carry an input whose `withdrawn` entries name
+the attention entries the masked relations granted, so the mask the
+encoder derives forbids them; the model must reconstruct those relations
+from structure rather than read them off the mask.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from ponziscan.encoding import (
     SEG_CODE,
     SEG_NODE,
     Vocabulary,
-    build_mask,
 )
 from ponziscan.model.adam import DEFAULT_LR, AdamState, adam_step
 from ponziscan.model.config import ModelConfig
@@ -55,7 +55,7 @@ class MlmBatch:
 class PairMaskBatch:
     """Shared shape of the edge-prediction and alignment batches."""
 
-    input: ModelInput                      # carries the modified mask
+    input: ModelInput                      # masked relations withdrawn
     sampled_nodes: list[int]               # node positions drawn
     masked_relations: list[tuple[int, int]]
     positives: list[tuple[int, int]]
@@ -134,11 +134,10 @@ def sample_edge_mask(inp: ModelInput, rng: np.random.Generator) -> PairMaskBatch
     positives = [c for c in candidates if c in masked_set]
     pool = [c for c in candidates if c not in edges]
     positives, negatives = _balance(positives, pool, rng)
-    mask = inp.mask.copy() if inp.mask is not None else None
-    if mask is not None:
-        for s, d in masked:
-            mask[d, s] = False  # the allow entry this edge granted
-    return PairMaskBatch(input=replace(inp, mask=mask), sampled_nodes=sampled,
+    # the allow entry each edge granted; a self-loop's is the diagonal
+    withdrawn = inp.withdrawn + tuple((d, s) for s, d in masked)
+    return PairMaskBatch(input=replace(inp, withdrawn=withdrawn),
+                         sampled_nodes=sampled,
                          masked_relations=masked, positives=positives,
                          negatives=negatives)
 
@@ -157,12 +156,10 @@ def sample_align_mask(inp: ModelInput, rng: np.random.Generator) -> PairMaskBatc
     positives = [c for c in candidates if c in masked_set]
     pool = [c for c in candidates if c not in alignment]
     positives, negatives = _balance(positives, pool, rng)
-    mask = inp.mask.copy() if inp.mask is not None else None
-    if mask is not None:
-        for n, c in masked:
-            mask[n, c] = False
-            mask[c, n] = False
-    return PairMaskBatch(input=replace(inp, mask=mask), sampled_nodes=sampled,
+    withdrawn = inp.withdrawn + tuple(entry for n, c in masked
+                                      for entry in ((n, c), (c, n)))
+    return PairMaskBatch(input=replace(inp, withdrawn=withdrawn),
+                         sampled_nodes=sampled,
                          masked_relations=masked, positives=positives,
                          negatives=negatives)
 
@@ -193,10 +190,6 @@ def pretrain_epoch(inputs: list[ModelInput], vocab: Vocabulary, params: Params,
     flags = flags or PretrainFlags()
     trace: list[dict[str, float]] = []
     for sample_idx, inp in enumerate(inputs):
-        if inp.mask is None:
-            # the relation samplers withdraw entries from the mask, so it
-            # must be materialized rather than rebuilt inside the encoder
-            inp = replace(inp, mask=build_mask(inp))
         grads = zeros_like_params(params)
         record: dict[str, float] = {}
         if flags.mlm and inp.n_code >= 1:

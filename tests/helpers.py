@@ -17,8 +17,10 @@ from ponziscan.encoding import (
     SEG_SEP,
     ModelInput,
     Vocabulary,
+    build_mask,
 )
 from ponziscan.model.config import ModelConfig
+from ponziscan.model.encoder import layer_backward, layer_forward, mask_additive
 
 
 def mask_oracle(inp: ModelInput) -> np.ndarray:
@@ -92,7 +94,7 @@ def random_model_input(rng: np.random.Generator, code_len: int = 8,
 
     return ModelInput(token_ids=token_ids, position_ids=position_ids,
                       segments=segments, node_alignment=alignment,
-                      dfg_edges=sorted(set(edges)), mask=None,
+                      dfg_edges=sorted(set(edges)),
                       n_code=n_code, n_nodes=n_nodes)
 
 
@@ -120,6 +122,31 @@ def attention_oracle(W: np.ndarray, allow: np.ndarray, wq: np.ndarray,
             for k in range(L):
                 out[q, cols] += weights[k] * V[k]
     return out @ wo
+
+
+def padded_forward_hidden(inp: ModelInput, params: dict[str, np.ndarray],
+                          config: ModelConfig):
+    """Reference encoder over all L padded slots with the full (L, L)
+    mask, as forward_hidden ran before it trimmed inputs to their real
+    length. Same signature and return shape convention."""
+    mask_add = mask_additive(build_mask(inp))
+    W = params["tok_emb"][inp.token_ids] + params["pos_emb"][inp.position_ids]
+    caches = []
+    for i in range(config.n_layers):
+        W, cache = layer_forward(W, mask_add, params, f"layer{i}.", config.n_heads)
+        caches.append(cache)
+    return W, caches
+
+
+def padded_backward_hidden(dH: np.ndarray, inp: ModelInput, caches: list,
+                           params: dict[str, np.ndarray], config: ModelConfig,
+                           grads: dict[str, np.ndarray]) -> None:
+    """Backward pass matching padded_forward_hidden, (L, d_h) dH."""
+    dW = dH
+    for i in reversed(range(config.n_layers)):
+        dW = layer_backward(dW, caches[i], params, f"layer{i}.", config.n_heads, grads)
+    np.add.at(grads["tok_emb"], inp.token_ids, dW)
+    np.add.at(grads["pos_emb"], inp.position_ids, dW)
 
 
 def finite_difference_grads(loss_fn, params: dict[str, np.ndarray],

@@ -191,12 +191,31 @@ def test_criterion_02_dfg_matches_hand_derived_graphs():
 
 
 def test_criterion_03_mask_equals_oracle_on_1000_instances():
+    """The padded-length mask equals the oracle. With random withdrawn
+    entries (half drawn from allowed ones), the real-length mask the
+    encoder uses equals the oracle's real-prefix block with those entries
+    cleared, and the oracle allows nothing outside that block."""
     rng = np.random.default_rng(2024)
+    pick = np.random.default_rng(2025)
     started = time.perf_counter()
     mismatched = 0
     for _ in range(1000):
         inp = random_model_input(rng)
-        mismatched += int(np.sum(build_mask(inp) != mask_oracle(inp)))
+        want = mask_oracle(inp)
+        mismatched += int(np.sum(build_mask(inp) != want))
+        n = inp.real_len
+        block = want[:n, :n].copy()
+        mismatched += int(want.sum() - block.sum())
+        allowed = np.argwhere(block)
+        k = int(pick.integers(0, 4))
+        chosen = np.concatenate([
+            allowed[pick.choice(len(allowed), size=k, replace=False)],
+            pick.integers(0, n, size=(k, 2))])
+        withdrawn = tuple((int(q), int(key)) for q, key in chosen)
+        for q, key in withdrawn:
+            block[q, key] = False
+        derived = build_mask(replace(inp, withdrawn=withdrawn), n)
+        mismatched += int(np.sum(derived != block))
     elapsed = time.perf_counter() - started
     assert mismatched == 0
     assert elapsed < 10.0, f"mask oracle sweep took {elapsed:.3f}s"

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ponziscan.encoding import build_mask
 from ponziscan.errors import NoTargets
 from ponziscan.model.config import ModelConfig
 from ponziscan.model.losses import (
@@ -39,7 +38,6 @@ def setup():
     inp = random_model_input(rng, code_len=8, flow_len=2, vocab_size=16)
     while inp.n_code < 3 or inp.n_nodes < 2:
         inp = random_model_input(rng, code_len=8, flow_len=2, vocab_size=16)
-    inp.mask = build_mask(inp)
     return config, params, inp, rng
 
 

@@ -47,14 +47,20 @@ def test_matches_oracle_on_real_encodings():
     ]
     for src in sources:
         inp = encode(src)
-        assert np.array_equal(inp.mask, mask_oracle(inp))
+        want = mask_oracle(inp)
+        n = inp.real_len
+        assert np.array_equal(build_mask(inp), want)
+        # the encoder's mask is the real-prefix block; nothing outside it
+        # is allowed
+        assert np.array_equal(build_mask(inp, n), want[:n, :n])
+        assert want.sum() == want[:n, :n].sum()
 
 
 def test_single_edge_hand_example():
     inp = encode("uint a = b;", code_len=8, flow_len=4)
     node_base = 2 + inp.n_code
     a_pos, b_pos = node_base, node_base + 1
-    allow = inp.mask
+    allow = build_mask(inp)
     assert allow[a_pos, b_pos]          # a's value comes from b
     assert not allow[b_pos, a_pos]      # never the reverse
     assert allow[a_pos, a_pos] and allow[b_pos, b_pos]
@@ -62,9 +68,10 @@ def test_single_edge_hand_example():
 
 def test_alignment_is_mutual():
     inp = encode("uint a = b;", code_len=8, flow_len=4)
+    allow = build_mask(inp)
     for npos, cpos in inp.node_alignment:
-        assert inp.mask[npos, cpos]
-        assert inp.mask[cpos, npos]
+        assert allow[npos, cpos]
+        assert allow[cpos, npos]
 
 
 def test_node_to_unaligned_code_forbidden():
@@ -72,23 +79,25 @@ def test_node_to_unaligned_code_forbidden():
     aligned = set(inp.node_alignment)
     node_rows = np.flatnonzero(inp.segments == SEG_NODE)
     code_cols = np.flatnonzero(inp.segments == SEG_CODE)
+    allow = build_mask(inp)
     for i in node_rows:
         for j in code_cols:
-            assert inp.mask[i, j] == ((int(i), int(j)) in aligned)
+            assert allow[i, j] == ((int(i), int(j)) in aligned)
 
 
 def test_cls_and_sep_see_all_non_pad():
     inp = encode("x = y; z = x;", code_len=16, flow_len=8)
     non_pad = inp.segments != SEG_PAD
+    allow = build_mask(inp)
     for row in (0, 1 + inp.n_code):
-        assert inp.mask[row, non_pad].all()
-        assert not inp.mask[row, ~non_pad].any()
+        assert allow[row, non_pad].all()
+        assert not allow[row, ~non_pad].any()
 
 
 def test_code_block_dense():
     inp = encode("x = y + z;", code_len=8, flow_len=4)
     code = inp.segments == SEG_CODE
-    assert inp.mask[np.ix_(code, code)].all()
+    assert build_mask(inp)[np.ix_(code, code)].all()
 
 
 def test_pad_rows_and_columns_all_forbidden():
@@ -129,9 +138,10 @@ def test_adding_an_edge_only_opens_one_entry():
 def test_zero_node_instance_reduces_to_code_only_rules():
     inp = encode("return 1 + 2;", code_len=8, flow_len=4)
     assert inp.n_nodes == 0
-    assert np.array_equal(inp.mask, mask_oracle(inp))
+    allow = build_mask(inp)
+    assert np.array_equal(allow, mask_oracle(inp))
     code = inp.segments == SEG_CODE
-    assert inp.mask[np.ix_(code, code)].all()
+    assert allow[np.ix_(code, code)].all()
     # code queries still cannot look at the classifier or separator keys
-    assert not inp.mask[code, 0].any()
-    assert not inp.mask[code, 1 + inp.n_code].any()
+    assert not allow[code, 0].any()
+    assert not allow[code, 1 + inp.n_code].any()

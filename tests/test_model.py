@@ -62,10 +62,12 @@ def test_layer_norm_standardizes_rows():
 
 
 def test_mask_additive_values():
-    allow = np.array([[True, False]])
+    allow = np.array([[True, False], [False, False]])
     add = mask_additive(allow)
     assert add[0, 0] == 0.0
     assert add[0, 1] == -1e9
+    # a row with no allowed key is not shifted: same softmax, no rounding
+    assert (add[1] == 0.0).all()
 
 
 # --- attention vs oracle --------------------------------------------------------
@@ -91,25 +93,28 @@ def test_masked_attention_matches_oracle():
 
 
 def test_forbidden_attention_weights_vanish():
+    """Checked on the encoder's real-length mask and embeddings, and on the
+    full padded layout that layer_forward still accepts."""
     rng = np.random.default_rng(3)
     for _ in range(20):
         inp = random_model_input(rng)
         config = ModelConfig(n_layers=1, d_h=8, n_heads=2, d_ff=16,
                              code_len=8, flow_len=4, seed=0)
         params = init_params(config, vocab_size=24)
-        allow = build_mask(inp)
-        inp.mask = allow
-        W = embed(inp, params)
-        _, cache = layer_forward(W, mask_additive(allow), params,
-                                 "layer0.", config.n_heads)
-        A = cache["A"]  # (heads, L, L)
-        forbidden = ~allow
-        rows_with_support = allow.any(axis=1)
-        for h in range(A.shape[0]):
-            weights = A[h][rows_with_support]
-            blocked = forbidden[rows_with_support]
-            assert (weights[blocked] < 1e-12).all()
-            assert np.allclose(weights.sum(axis=-1), 1.0)
+        padded = (params["tok_emb"][inp.token_ids]
+                  + params["pos_emb"][inp.position_ids])
+        for W, allow in ((embed(inp, params), build_mask(inp, inp.real_len)),
+                         (padded, build_mask(inp))):
+            _, cache = layer_forward(W, mask_additive(allow), params,
+                                     "layer0.", config.n_heads)
+            A = cache["A"]  # (heads, n, n)
+            forbidden = ~allow
+            rows_with_support = allow.any(axis=1)
+            for h in range(A.shape[0]):
+                weights = A[h][rows_with_support]
+                blocked = forbidden[rows_with_support]
+                assert (weights[blocked] < 1e-12).all()
+                assert np.allclose(weights.sum(axis=-1), 1.0)
 
 
 def test_node_permutation_leaves_cls_logits_unchanged(tiny_config):
@@ -120,7 +125,6 @@ def test_node_permutation_leaves_cls_logits_unchanged(tiny_config):
                                  flow_len=tiny_config.flow_len)
         if inp.n_nodes < 2:
             continue
-        inp.mask = build_mask(inp)
         node_base = 2 + inp.n_code
         perm = rng.permutation(inp.n_nodes)
         mapping = {node_base + k: node_base + int(perm[k])
@@ -135,8 +139,7 @@ def test_node_permutation_leaves_cls_logits_unchanged(tiny_config):
             segments=inp.segments.copy(),
             node_alignment=[(mapping[n], c) for n, c in inp.node_alignment],
             dfg_edges=[(mapping[s], mapping[d]) for s, d in inp.dfg_edges],
-            mask=None, n_code=inp.n_code, n_nodes=inp.n_nodes)
-        other.mask = build_mask(other)
+            n_code=inp.n_code, n_nodes=inp.n_nodes)
         h1, _ = forward_hidden(inp, params, tiny_config)
         h2, _ = forward_hidden(other, params, tiny_config)
         logits1 = h1[0] @ params["cls_w"]
@@ -152,7 +155,6 @@ def test_zero_classifier_gives_even_split(tiny_config):
     rng = np.random.default_rng(5)
     inp = random_model_input(rng, code_len=tiny_config.code_len,
                              flow_len=tiny_config.flow_len)
-    inp.mask = build_mask(inp)
     pred = forward(inp, params, tiny_config, threshold=0.5)
     assert pred.probabilities[0] == pytest.approx(0.5, abs=1e-12)
     assert pred.probabilities[1] == pytest.approx(0.5, abs=1e-12)
@@ -166,7 +168,6 @@ def test_prediction_is_deterministic(tiny_config):
     rng = np.random.default_rng(6)
     inp = random_model_input(rng, code_len=tiny_config.code_len,
                              flow_len=tiny_config.flow_len)
-    inp.mask = build_mask(inp)
     a = forward(inp, params, tiny_config)
     b = forward(inp, params, tiny_config)
     assert np.array_equal(a.probabilities, b.probabilities)
@@ -179,7 +180,6 @@ def test_probabilities_sum_to_one(tiny_config):
     for _ in range(5):
         inp = random_model_input(rng, code_len=tiny_config.code_len,
                                  flow_len=tiny_config.flow_len)
-        inp.mask = build_mask(inp)
         pred = forward(inp, params, tiny_config)
         assert pred.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -205,7 +205,6 @@ def test_nonfinite_hidden_states_raise(tiny_config):
     rng = np.random.default_rng(9)
     inp = random_model_input(rng, code_len=tiny_config.code_len,
                              flow_len=tiny_config.flow_len)
-    inp.mask = build_mask(inp)
     with np.errstate(all="ignore"), pytest.raises(NonFiniteActivation):
         forward_hidden(inp, params, tiny_config)
 
@@ -274,7 +273,6 @@ def test_pad_rows_cannot_influence_real_rows(tiny_config):
     while inp.n_code >= tiny_config.code_len:
         inp = random_model_input(rng, code_len=tiny_config.code_len,
                                  flow_len=tiny_config.flow_len)
-    inp.mask = build_mask(inp)
     pred = forward(inp, params, tiny_config)
     poked = inp.token_ids.copy()
     pad_slots = np.flatnonzero(inp.segments == SEG_PAD)
@@ -282,7 +280,7 @@ def test_pad_rows_cannot_influence_real_rows(tiny_config):
     from ponziscan.encoding import ModelInput
     other = ModelInput(token_ids=poked, position_ids=inp.position_ids,
                        segments=inp.segments, node_alignment=inp.node_alignment,
-                       dfg_edges=inp.dfg_edges, mask=inp.mask,
+                       dfg_edges=inp.dfg_edges,
                        n_code=inp.n_code, n_nodes=inp.n_nodes)
     pred2 = forward(other, params, tiny_config)
     assert np.allclose(pred.probabilities, pred2.probabilities, atol=1e-12)

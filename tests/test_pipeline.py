@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from ponziscan.encoding import build_mask
 from ponziscan.errors import (
     DuplicateIdx,
     EmptyDataset,
@@ -334,4 +335,4 @@ def test_use_dataflow_false_changes_encoding(small_vocab, tiny_config, small_cor
     assert without.n_nodes == 0
     assert without.dfg_edges == []
     assert with_flow.n_nodes > 0
-    assert not np.array_equal(with_flow.mask, without.mask)
+    assert not np.array_equal(build_mask(with_flow), build_mask(without))

@@ -16,12 +16,14 @@ from ponziscan.encoding import (
 )
 from ponziscan.model.adam import AdamState
 from ponziscan.model.config import ModelConfig
+from ponziscan.model.losses import pair_bce_loss_and_grads
 from ponziscan.model.params import init_params
 from ponziscan.pretrain import (
     CORRUPT_KEPT,
     CORRUPT_MASKED,
     CORRUPT_RANDOMIZED,
     MLM_FRACTION,
+    TASK_EDGEPRED,
     PretrainFlags,
     _round_half_up,
     pretrain_epoch,
@@ -144,9 +146,10 @@ def test_edge_batch_balance_and_masking(encoded):
             assert (s, d) not in edges
             assert s in sampled or d in sampled
         # attention entries granted by masked edges are withdrawn
+        before, after = build_mask(inp), build_mask(batch.input)
         for s, d in batch.masked_relations:
-            assert inp.mask[d, s]
-            assert not batch.input.mask[d, s]
+            assert before[d, s]
+            assert not after[d, s]
 
 
 def test_edge_candidates_brute_force():
@@ -154,7 +157,6 @@ def test_edge_candidates_brute_force():
     inp = random_model_input(rng, code_len=6, flow_len=4)
     while inp.n_nodes < 3 or not inp.dfg_edges:
         inp = random_model_input(rng, code_len=6, flow_len=4)
-    inp.mask = build_mask(inp)
     batch = sample_edge_mask(inp, np.random.default_rng(6))
     nodes = np.flatnonzero(inp.segments == SEG_NODE).tolist()
     sampled = set(batch.sampled_nodes)
@@ -181,16 +183,17 @@ def test_align_batch_balance_and_masking(encoded):
         for n, c in batch.negatives:
             assert (n, c) not in alignment and n in sampled
             assert inp.segments[c] == SEG_CODE
+        before, after = build_mask(inp), build_mask(batch.input)
         for n, c in batch.masked_relations:
-            assert inp.mask[n, c] and inp.mask[c, n]
-            assert not batch.input.mask[n, c]
-            assert not batch.input.mask[c, n]
+            assert before[n, c] and before[c, n]
+            assert not after[n, c]
+            assert not after[c, n]
 
 
 def test_align_mask_withdraws_both_directions(encoded):
     inp, vocab = encoded
     batch = sample_align_mask(inp, np.random.default_rng(7))
-    diff = inp.mask & ~batch.input.mask
+    diff = build_mask(inp) & ~build_mask(batch.input)
     withdrawn = {(int(i), int(j)) for i, j in zip(*np.nonzero(diff))}
     want = set()
     for n, c in batch.masked_relations:
@@ -210,7 +213,6 @@ def test_balance_subsamples_positives_when_pool_small():
     nodes = [node_base, node_base + 1, node_base + 2]
     inp.dfg_edges = sorted(
         {(i, j) for i in nodes for j in nodes} - {(nodes[0], nodes[1])})
-    inp.mask = build_mask(inp)
     for seed in range(20):
         batch = sample_edge_mask(inp, np.random.default_rng(seed))
         assert len(batch.negatives) == len(batch.positives)
@@ -228,7 +230,8 @@ def test_zero_node_input_yields_empty_batches():
     batch = sample_edge_mask(inp, np.random.default_rng(0))
     assert batch.sampled_nodes == []
     assert batch.pairs == []
-    assert np.array_equal(batch.input.mask, inp.mask)
+    assert batch.input.withdrawn == ()
+    assert np.array_equal(build_mask(batch.input), build_mask(inp))
 
 
 # --- epoch loop -----------------------------------------------------------------
@@ -272,26 +275,34 @@ def test_epoch_determinism(pretrain_setup):
         assert np.array_equal(p1[name], p2[name])
 
 
-def test_epoch_materializes_missing_masks(pretrain_setup):
-    """An input arriving without a mask must train exactly like one whose
-    mask was built up front; otherwise relation withdrawal silently
-    degrades to no-op."""
+def test_epoch_withdraws_masked_relations(pretrain_setup, monkeypatch):
+    """The epoch's relation losses are computed with the sampled relations
+    withdrawn from attention; a withdrawal that silently degraded to a
+    no-op would give the loss of the unmodified input instead."""
     from dataclasses import replace
 
+    import ponziscan.pretrain as pretrain
+
     inp, vocab, config = pretrain_setup
+    params = init_params(config, len(vocab))
+    flags = PretrainFlags(mlm=False, nodealign=False)
 
-    def run(one):
-        params = init_params(config, len(vocab))
-        state = AdamState.for_params(params)
-        trace = pretrain_epoch([one], vocab, params, state, config,
-                               seed=5, epoch=0, lr=1e-4)
-        return trace, params
+    def edge_loss() -> float:
+        return pretrain_epoch([inp], vocab, params, AdamState.for_params(params),
+                              config, seed=5, epoch=0, flags=flags,
+                              lr=0.0)[0]["edgepred"]
 
-    t1, p1 = run(replace(inp, mask=None))
-    t2, p2 = run(inp)
-    assert t1 == t2
-    for name in p1:
-        assert np.array_equal(p1[name], p2[name])
+    batch = sample_edge_mask(inp, np.random.default_rng([5, 0, 0, TASK_EDGEPRED]))
+    assert batch.masked_relations and batch.input.withdrawn
+    want, _ = pair_bce_loss_and_grads(batch.input, batch.pairs, params, config)
+    assert edge_loss() == want
+
+    def no_withdrawal(one, rng):
+        drawn = sample_edge_mask(one, rng)
+        return replace(drawn, input=replace(drawn.input, withdrawn=()))
+
+    monkeypatch.setattr(pretrain, "sample_edge_mask", no_withdrawal)
+    assert edge_loss() != want
 
 
 def test_epoch_index_changes_draws(pretrain_setup):
