@@ -7,8 +7,8 @@ API. Machine output is sorted-key JSON on stdout; --pretty switches to an
 aligned plain-text rendering. Exit codes: 0 success, 1 domain error,
 2 usage error. All randomness flows from --seed.
 
-An optional --config JSON file supplies argument defaults; explicit flags
-always win.
+An optional --config JSON file supplies argument defaults, type-checked as
+the flags are; explicit flags always win.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from ponziscan import datasynth
@@ -46,38 +45,17 @@ from ponziscan.solparse import lex, parse, to_jsonable as ast_to_jsonable
 
 DEFAULT_VOCAB_CAP = 2048
 DEFAULT_THRESHOLD = 0.5
+SPLITS = ("fixed", "random", "all")
+
+# model-shape flag dest -> ModelConfig field
+_SHAPE_FIELDS = {"layers": "n_layers", "d_h": "d_h", "heads": "n_heads",
+                 "d_ff": "d_ff", "code_len": "code_len", "flow_len": "flow_len"}
 
 
-@dataclass
-class RunConfig:
-    """Everything a subcommand handler needs, lifted out of argparse."""
-
-    command: str
-    dataset: str | None = None
-    checkpoint: str | None = None
-    out: str | None = None
-    source: str | None = None
-    address: str | None = None
-    split: str = "fixed"
-    threshold: float = DEFAULT_THRESHOLD
-    seed: int = 0
-    epochs: int = 1
-    lr: float = DEFAULT_LR
-    vocab_cap: int = DEFAULT_VOCAB_CAP
-    pretty: bool = False
-    use_dataflow: bool = True
-    use_mlm: bool = True
-    use_edgepred: bool = True
-    use_nodealign: bool = True
-    overrides: dict[str, int] = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
-
-
-def _model_config(cfg: RunConfig, seed: int | None = None) -> ModelConfig:
-    base = ModelConfig(seed=cfg.seed if seed is None else seed)
-    merged = base.to_dict()
-    merged.update(cfg.overrides)
-    return ModelConfig.from_dict(merged)
+def _model_config(ns: argparse.Namespace) -> ModelConfig:
+    shape = {name: getattr(ns, dest) for dest, name in _SHAPE_FIELDS.items()
+             if getattr(ns, dest) is not None}
+    return ModelConfig(seed=ns.seed, **shape)
 
 
 def _pretty_lines(obj, indent: int = 0) -> list[str]:
@@ -118,138 +96,121 @@ def _read_source(path: str) -> str:
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_parse(cfg: RunConfig) -> None:
-    tokens = lex(_read_source(cfg.source))
-    _emit(ast_to_jsonable(parse(tokens)), cfg.pretty)
+def _cmd_parse(ns: argparse.Namespace) -> None:
+    tokens = lex(_read_source(ns.source))
+    _emit(ast_to_jsonable(parse(tokens)), ns.pretty)
 
 
-def _cmd_dfg(cfg: RunConfig) -> None:
-    tokens = lex(_read_source(cfg.source))
+def _cmd_dfg(ns: argparse.Namespace) -> None:
+    tokens = lex(_read_source(ns.source))
     graph = extract_dfg(parse(tokens), tokens)
-    if cfg.extra.get("format") == "dot":
+    if ns.format == "dot":
         sys.stdout.write(to_dot(graph))
     else:
-        _emit(dfg_to_jsonable(graph), cfg.pretty)
+        _emit(dfg_to_jsonable(graph), ns.pretty)
 
 
-def _cmd_synth(cfg: RunConfig) -> None:
-    if cfg.extra.get("published_shape"):
-        records = datasynth.generate_published_shape(cfg.seed)
+def _cmd_synth(ns: argparse.Namespace) -> None:
+    if ns.published_shape:
+        records = datasynth.generate_published_shape(ns.seed)
     else:
-        records = datasynth.generate_corpus(cfg.extra["n"], cfg.extra["ponzi"],
-                                            cfg.seed)
-    write_dataset(records, cfg.out)
-    _emit({"path": cfg.out, "records": len(records),
-           "positives": sum(r.label == 1 for r in records)}, cfg.pretty)
+        records = datasynth.generate_corpus(ns.n, ns.ponzi, ns.seed)
+    write_dataset(records, ns.out)
+    _emit({"path": ns.out, "records": len(records),
+           "positives": sum(r.label == 1 for r in records)}, ns.pretty)
 
 
-def _pretrain_flags(cfg: RunConfig) -> PretrainFlags:
-    return PretrainFlags(mlm=cfg.use_mlm, edgepred=cfg.use_edgepred,
-                         nodealign=cfg.use_nodealign)
-
-
-def _cmd_pretrain(cfg: RunConfig) -> None:
-    records = load_dataset(cfg.dataset)
-    vocab = build_vocab(records, cfg.vocab_cap)
-    config = _model_config(cfg)
+def _cmd_pretrain(ns: argparse.Namespace) -> None:
+    records = load_dataset(ns.dataset)
+    vocab = build_vocab(records, ns.vocab_cap)
+    config = _model_config(ns)
     params = init_params(config, len(vocab))
     state = AdamState.for_params(params)
-    inputs = encode_records(records, vocab, config, cfg.use_dataflow)
-    flags = _pretrain_flags(cfg)
+    inputs = encode_records(records, vocab, config, ns.use_dataflow)
+    flags = PretrainFlags(mlm=ns.use_mlm, edgepred=ns.use_edgepred,
+                          nodealign=ns.use_nodealign)
     trace: list[float] = []
-    for epoch in range(cfg.epochs):
+    for epoch in range(ns.epochs):
         samples = pretrain_epoch(inputs, vocab, params, state, config,
-                                 seed=cfg.seed, epoch=epoch, flags=flags,
-                                 lr=cfg.lr)
+                                 seed=ns.seed, epoch=epoch, flags=flags,
+                                 lr=ns.lr)
         trace.append(sum(s["total"] for s in samples) / max(1, len(samples)))
-    save_checkpoint(cfg.out, params, vocab, config,
-                    extra={"stage": "pretrain", "epochs": cfg.epochs,
-                           "seed": cfg.seed, "loss_trace": trace})
-    _emit({"checkpoint": cfg.out, "epochs": cfg.epochs, "loss_trace": trace},
-          cfg.pretty)
+    save_checkpoint(ns.out, params, vocab, config,
+                    extra={"stage": "pretrain", "epochs": ns.epochs,
+                           "seed": ns.seed, "loss_trace": trace})
+    _emit({"checkpoint": ns.out, "epochs": ns.epochs, "loss_trace": trace},
+          ns.pretty)
 
 
-def _train_subsets(cfg: RunConfig, records: list[ContractRecord]):
-    if cfg.split == "fixed":
-        plan = split_fixed(records)
-        return subset_records(records, plan.subsets["train"]), None
-    if cfg.split == "random":
-        plan = split_random(records, cfg.seed)
-        return (subset_records(records, plan.subsets["train"]),
-                subset_records(records, plan.subsets["val"]))
-    return records, None
+def _select_split(records: list[ContractRecord], split: str, seed: int):
+    """(sizes, train, val, test) records under one of SPLITS; val is None
+    unless the split has a validation subset."""
+    if split not in ("fixed", "random"):
+        return {"all": len(records)}, records, None, records
+    plan = split_fixed(records) if split == "fixed" else split_random(records, seed)
+    subsets = {name: subset_records(records, ids)
+               for name, ids in plan.subsets.items()}
+    return plan.sizes(), subsets["train"], subsets.get("val"), subsets["test"]
 
 
-def _cmd_train(cfg: RunConfig) -> None:
-    records = load_dataset(cfg.dataset)
-    train, val = _train_subsets(cfg, records)
-    if cfg.checkpoint:
+def _cmd_train(ns: argparse.Namespace) -> None:
+    records = load_dataset(ns.dataset)
+    _, train, val, _ = _select_split(records, ns.split, ns.seed)
+    if ns.checkpoint:
         # warm start: the checkpoint's vocabulary and shape win
-        params, vocab, config, _ = load_checkpoint(cfg.checkpoint)
+        params, vocab, config, _ = load_checkpoint(ns.checkpoint)
     else:
-        vocab = build_vocab(train, cfg.vocab_cap)
-        config = _model_config(cfg)
+        vocab = build_vocab(train, ns.vocab_cap)
+        config = _model_config(ns)
         params = None
-    result = finetune(train, vocab, config, epochs=cfg.epochs, lr=cfg.lr,
-                      seed=cfg.seed, params=params, val_records=val,
-                      threshold=cfg.threshold, use_dataflow=cfg.use_dataflow)
-    save_checkpoint(cfg.out, result.params, vocab, config,
-                    extra={"stage": "train", "epochs": cfg.epochs,
-                           "seed": cfg.seed, "best_epoch": result.best_epoch,
+    result = finetune(train, vocab, config, epochs=ns.epochs, lr=ns.lr,
+                      seed=ns.seed, params=params, val_records=val,
+                      threshold=ns.threshold, use_dataflow=ns.use_dataflow)
+    save_checkpoint(ns.out, result.params, vocab, config,
+                    extra={"stage": "train", "epochs": ns.epochs,
+                           "seed": ns.seed, "best_epoch": result.best_epoch,
                            "epoch_losses": result.epoch_losses})
-    _emit({"checkpoint": cfg.out, "epochs": cfg.epochs,
+    _emit({"checkpoint": ns.out, "epochs": ns.epochs,
            "best_epoch": result.best_epoch,
-           "epoch_losses": result.epoch_losses}, cfg.pretty)
+           "epoch_losses": result.epoch_losses}, ns.pretty)
 
 
-def _cmd_eval(cfg: RunConfig) -> None:
-    records = load_dataset(cfg.dataset)
-    params, vocab, config, _ = load_checkpoint(cfg.checkpoint)
-    if cfg.split == "fixed":
-        plan = split_fixed(records)
-        subset = subset_records(records, plan.subsets["test"])
-        sizes = plan.sizes()
-    elif cfg.split == "random":
-        plan = split_random(records, cfg.seed)
-        subset = subset_records(records, plan.subsets["test"])
-        sizes = plan.sizes()
-    else:
-        subset = records
-        sizes = {"all": len(records)}
-    report = evaluate(subset, vocab, params, config, threshold=cfg.threshold,
-                      split_name=cfg.split, use_dataflow=cfg.use_dataflow)
-    payload = {"split": cfg.split, "sizes": sizes, "report": report.to_dict()}
-    if cfg.out:
-        Path(cfg.out).write_text(json.dumps(payload, sort_keys=True) + "\n",
-                                 encoding="utf-8")
-    _emit(payload, cfg.pretty)
+def _cmd_eval(ns: argparse.Namespace) -> None:
+    records = load_dataset(ns.dataset)
+    params, vocab, config, _ = load_checkpoint(ns.checkpoint)
+    sizes, _, _, test = _select_split(records, ns.split, ns.seed)
+    report = evaluate(test, vocab, params, config, threshold=ns.threshold,
+                      split_name=ns.split, use_dataflow=ns.use_dataflow)
+    payload = {"split": ns.split, "sizes": sizes, "report": report.to_dict()}
+    if ns.out:
+        Path(ns.out).write_text(json.dumps(payload, sort_keys=True) + "\n",
+                                encoding="utf-8")
+    _emit(payload, ns.pretty)
 
 
-def _cmd_predict(cfg: RunConfig) -> None:
-    params, vocab, config, _ = load_checkpoint(cfg.checkpoint)
-    pred = predict_one(_read_source(cfg.source), vocab, params, config,
-                       threshold=cfg.threshold, use_dataflow=cfg.use_dataflow)
+def _cmd_predict(ns: argparse.Namespace) -> None:
+    params, vocab, config, _ = load_checkpoint(ns.checkpoint)
+    pred = predict_one(_read_source(ns.source), vocab, params, config,
+                       threshold=ns.threshold, use_dataflow=ns.use_dataflow)
     _emit({"label": pred.label, "probability": float(pred.probabilities[1])},
-          cfg.pretty)
+          ns.pretty)
 
 
-def _cmd_fetch(cfg: RunConfig) -> None:
-    api = ApiConfig(api_key=cfg.extra.get("api_key") or "",
-                    base_url=cfg.extra.get("base_url") or
-                    "https://api.etherscan.io/api",
-                    timeout=cfg.extra.get("timeout", 10.0),
-                    delay=cfg.extra.get("delay", 0.2),
-                    cache_dir=cfg.extra.get("cache_dir"))
-    record = fetch_verified_source(cfg.address, api)
-    if cfg.out:
-        with open(cfg.out, "a", encoding="utf-8") as fh:
+def _cmd_fetch(ns: argparse.Namespace) -> None:
+    api = ApiConfig(api_key=ns.api_key or "",
+                    base_url=ns.base_url or "https://api.etherscan.io/api",
+                    timeout=ns.timeout, delay=ns.delay,
+                    cache_dir=ns.cache_dir)
+    record = fetch_verified_source(ns.address, api)
+    if ns.out:
+        with open(ns.out, "a", encoding="utf-8") as fh:
             fh.write(json.dumps({"idx": record.idx, "source": record.source,
                                  "label": None}) + "\n")
-        _emit({"address": cfg.address, "idx": record.idx, "path": cfg.out,
-               "chars": len(record.source)}, cfg.pretty)
+        _emit({"address": ns.address, "idx": record.idx, "path": ns.out,
+               "chars": len(record.source)}, ns.pretty)
     else:
-        _emit({"address": cfg.address, "idx": record.idx,
-               "source": record.source}, cfg.pretty)
+        _emit({"address": ns.address, "idx": record.idx,
+               "source": record.source}, ns.pretty)
 
 
 _HANDLERS = {
@@ -337,8 +298,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--init", dest="checkpoint",
                    help="warm-start checkpoint (its vocab and shape win)")
-    p.add_argument("--split", choices=("fixed", "random", "all"),
-                   default="fixed")
+    p.add_argument("--split", choices=SPLITS, default="fixed")
     p.add_argument("--epochs", type=int, default=3)
     p.add_argument("--lr", type=float, default=DEFAULT_LR)
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
@@ -351,8 +311,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = subs.add_parser("eval", help="score a checkpoint on a dataset split")
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", choices=("fixed", "random", "all"),
-                   default="fixed")
+    p.add_argument("--split", choices=SPLITS, default="fixed")
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--out", help="also write the JSON report here")
     p.add_argument("--no-dataflow", action="store_false", dest="use_dataflow")
@@ -378,10 +337,14 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     _add_common(p)
 
     # subparsers parse into a fresh namespace, so pre-seeding the outer one
-    # cannot carry config-file values; per-subparser defaults can
+    # cannot carry config-file values; per-subparser defaults can. A value
+    # for a typed option goes in as text: argparse then converts and checks
+    # it as it would the flag's argument, and a bad one is a usage error.
     if defaults:
         for sub in subs.choices.values():
-            sub.set_defaults(**defaults)
+            typed = {a.dest for a in sub._actions if a.type is not None}
+            sub.set_defaults(**{k: str(v) if k in typed and v is not None else v
+                                for k, v in defaults.items()})
 
     return parser
 
@@ -393,30 +356,6 @@ def _config_path(argv: list[str]) -> str | None:
         if tok.startswith("--config="):
             return tok.split("=", 1)[1]
     return None
-
-
-_OVERRIDE_KEYS = ("layers", "d_h", "heads", "d_ff", "code_len", "flow_len")
-_OVERRIDE_DESTS = {"layers": "n_layers", "d_h": "d_h", "heads": "n_heads",
-                   "d_ff": "d_ff", "code_len": "code_len",
-                   "flow_len": "flow_len"}
-
-
-def _to_run_config(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=ns.command)
-    for name in ("dataset", "checkpoint", "out", "source", "address", "split",
-                 "threshold", "seed", "epochs", "lr", "vocab_cap", "pretty",
-                 "use_dataflow", "use_mlm", "use_edgepred", "use_nodealign"):
-        if hasattr(ns, name):
-            setattr(cfg, name, getattr(ns, name))
-    for key in _OVERRIDE_KEYS:
-        value = getattr(ns, key, None)
-        if value is not None:
-            cfg.overrides[_OVERRIDE_DESTS[key]] = value
-    for key in ("published_shape", "n", "ponzi", "api_key", "base_url",
-                "timeout", "delay", "cache_dir", "format"):
-        if hasattr(ns, key):
-            cfg.extra[key] = getattr(ns, key)
-    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -440,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _HANDLERS[ns.command](_to_run_config(ns))
+        _HANDLERS[ns.command](ns)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

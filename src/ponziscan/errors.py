@@ -73,6 +73,10 @@ class NoTargets(DomainError):
     pass
 
 
+class CorruptCheckpoint(DomainError):
+    pass
+
+
 # --- dataset --------------------------------------------------------------
 
 class MalformedRecord(DomainError):

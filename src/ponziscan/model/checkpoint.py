@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from ponziscan.encoding import Vocabulary
-from ponziscan.errors import ShapeMismatch
+from ponziscan.errors import CorruptCheckpoint, ShapeMismatch
 from ponziscan.model.config import ModelConfig
-from ponziscan.model.params import Params
+from ponziscan.model.params import Params, param_shapes
 
 FORMAT_VERSION = 1
 _MAGIC = b"PSCT"
@@ -87,10 +87,28 @@ def save_checkpoint(path: str | Path, params: Params, vocab: Vocabulary,
 
 
 def load_checkpoint(path: str | Path):
-    """Returns (params, vocab, config, extra)."""
-    with zipfile.ZipFile(path, "r") as zf:
-        meta = json.loads(zf.read("meta.json").decode())
-        vocab = Vocabulary.from_lines(zf.read("vocab.txt").decode().splitlines())
-        params = _unpack_tensors(zf.read("tensors.bin"))
-    config = ModelConfig.from_dict(meta["config"])
+    """Returns (params, vocab, config, extra). Raises CorruptCheckpoint for
+    anything but an archive of this format holding exactly the tensors its
+    config and vocabulary imply; OSError if the file cannot be read."""
+    try:
+        with zipfile.ZipFile(path, "r") as zf:
+            meta = json.loads(zf.read("meta.json").decode())
+            vocab = Vocabulary.from_lines(zf.read("vocab.txt").decode().splitlines())
+            params = _unpack_tensors(zf.read("tensors.bin"))
+        if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
+            raise CorruptCheckpoint(f"{path}: meta.json has no config object")
+        if meta.get("format_version") != FORMAT_VERSION:
+            raise CorruptCheckpoint(f"{path}: unsupported format_version "
+                                    f"{meta.get('format_version')!r}")
+        config = ModelConfig.from_dict(meta["config"])
+    except (zipfile.BadZipFile, KeyError, struct.error, TypeError, ValueError,
+            OverflowError) as exc:
+        raise CorruptCheckpoint(f"{path}: not a valid checkpoint ({exc})") from exc
+    expected = param_shapes(config, len(vocab))
+    actual = {name: arr.shape for name, arr in params.items()}
+    wrong = sorted(n for n in expected.keys() | actual.keys()
+                   if expected.get(n) != actual.get(n))
+    if wrong:
+        raise CorruptCheckpoint(f"{path}: tensors do not match the config: "
+                                + ", ".join(wrong))
     return params, vocab, config, meta.get("extra", {})

@@ -7,8 +7,7 @@ Three split protocols over creation-ordered records:
     (P5 holds rank 251 onward and equals the fixed test set), evaluated as
     cumulative-train/next-test pairs.
   - random: seeded shuffle into 7:1:2 train/validation/test, remainder to
-    train; validation picks the best epoch; many-seed runs are summarized
-    with mean and standard deviation.
+    train; validation picks the best epoch.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ponziscan.dfg import DataFlowGraph, extract_dfg
-from ponziscan.encoding import ModelInput, Vocabulary, build_vocab, encode_input
+from ponziscan.encoding import ModelInput, Vocabulary, encode_input
 from ponziscan.errors import (
     DuplicateIdx,
     EmptyDataset,
@@ -324,30 +323,3 @@ def finetune(records: list[ContractRecord], vocab: Vocabulary,
     return FinetuneResult(params=params, epoch_losses=epoch_losses,
                           best_epoch=best_epoch, val_reports=val_reports)
 
-
-def run_random_protocol(records: list[ContractRecord], vocab_cap: int,
-                        config: ModelConfig, epochs: int, seeds: list[int],
-                        lr: float = DEFAULT_LR, threshold: float = 0.5,
-                        use_dataflow: bool = True) -> dict:
-    """Shuffle/train/validate/test once per seed; summarize with mean and
-    standard deviation over the per-seed test reports."""
-    per_seed = []
-    for seed in seeds:
-        plan = split_random(records, seed)
-        train = subset_records(records, plan.subsets["train"])
-        val = subset_records(records, plan.subsets["val"])
-        test = subset_records(records, plan.subsets["test"])
-        vocab = build_vocab(train, vocab_cap)
-        result = finetune(train, vocab, config, epochs, lr=lr, seed=seed,
-                          val_records=val, threshold=threshold,
-                          use_dataflow=use_dataflow)
-        report = evaluate(test, vocab, result.params, config, threshold,
-                          split_name=f"random/seed={seed}",
-                          use_dataflow=use_dataflow)
-        per_seed.append(report)
-    summary = {}
-    for metric in ("precision", "recall", "f_score"):
-        values = np.array([getattr(r, metric) for r in per_seed], dtype=np.float64)
-        summary[metric] = {"mean": float(values.mean()),
-                           "std": float(values.std(ddof=0))}
-    return {"reports": [r.to_dict() for r in per_seed], "summary": summary}

@@ -11,7 +11,7 @@ from structure rather than read them off the mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -174,9 +174,6 @@ class PretrainFlags:
     mlm: bool = True
     edgepred: bool = True
     nodealign: bool = True
-    w_mlm: float = 1.0
-    w_edgepred: float = 1.0
-    w_nodealign: float = 1.0
 
 
 def pretrain_epoch(inputs: list[ModelInput], vocab: Vocabulary, params: Params,
@@ -185,8 +182,8 @@ def pretrain_epoch(inputs: list[ModelInput], vocab: Vocabulary, params: Params,
                    lr: float = DEFAULT_LR) -> list[dict[str, float]]:
     """One pass over the corpus: per sample, run each enabled task as its
     own forward/backward (so disabling one task never changes another's
-    step-0 value), sum the losses and gradients unweighted by default, and
-    take one Adam step. Returns the per-sample loss records."""
+    step-0 value), sum the losses and gradients unweighted, and take one
+    Adam step. Returns the per-sample loss records."""
     flags = flags or PretrainFlags()
     trace: list[dict[str, float]] = []
     for sample_idx, inp in enumerate(inputs):
@@ -196,22 +193,19 @@ def pretrain_epoch(inputs: list[ModelInput], vocab: Vocabulary, params: Params,
             rng = np.random.default_rng([seed, epoch, sample_idx, TASK_MLM])
             batch = sample_mlm(inp, vocab, rng)
             loss, g = mlm_loss_and_grads(batch.input, batch.targets, params, config)
-            record["mlm"] = flags.w_mlm * loss
-            _scale(g, flags.w_mlm)
+            record["mlm"] = loss
             add_grads(grads, g)
         if flags.edgepred and inp.n_nodes >= 1:
             rng = np.random.default_rng([seed, epoch, sample_idx, TASK_EDGEPRED])
             batch = sample_edge_mask(inp, rng)
             loss, g = pair_bce_loss_and_grads(batch.input, batch.pairs, params, config)
-            record["edgepred"] = flags.w_edgepred * loss
-            _scale(g, flags.w_edgepred)
+            record["edgepred"] = loss
             add_grads(grads, g)
         if flags.nodealign and inp.n_nodes >= 1:
             rng = np.random.default_rng([seed, epoch, sample_idx, TASK_NODEALIGN])
             batch = sample_align_mask(inp, rng)
             loss, g = pair_bce_loss_and_grads(batch.input, batch.pairs, params, config)
-            record["nodealign"] = flags.w_nodealign * loss
-            _scale(g, flags.w_nodealign)
+            record["nodealign"] = loss
             add_grads(grads, g)
         if record:
             record["total"] = sum(record.values())
@@ -219,8 +213,3 @@ def pretrain_epoch(inputs: list[ModelInput], vocab: Vocabulary, params: Params,
         trace.append(record)
     return trace
 
-
-def _scale(grads: Params, w: float) -> None:
-    if w != 1.0:
-        for g in grads.values():
-            g *= w

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import time
 import zipfile
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from ponziscan.encoding import build_vocab
-from ponziscan.errors import ShapeMismatch
+from ponziscan.errors import DomainError, ShapeMismatch
 from ponziscan.model.checkpoint import (
     _pack_tensors,
     _unpack_tensors,
@@ -99,9 +100,82 @@ def test_bad_magic_rejected():
 def test_non_contiguous_tensors_survive(tmp_path, payload):
     params, vocab, config = payload
     params = dict(params)
-    base = np.arange(64, dtype=np.float64).reshape(8, 8)
-    params["view"] = base[::2, ::2]  # strided view
+    rows, cols = params["tok_emb"].shape
+    base = np.arange(4 * rows * cols, dtype=np.float64).reshape(2 * rows, 2 * cols)
+    params["tok_emb"] = base[::2, ::2]  # strided view of the right shape
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, vocab, config)
     p2, *_ = load_checkpoint(path)
-    assert np.array_equal(p2["view"], base[::2, ::2])
+    assert np.array_equal(p2["tok_emb"], base[::2, ::2])
+
+
+def _entries(mutate):
+    """A corruption that applies mutate(entries) to the archive's
+    {name: bytes} and writes the archive back."""
+    def corrupt(path):
+        with zipfile.ZipFile(path) as zf:
+            entries = {name: zf.read(name) for name in zf.namelist()}
+        mutate(entries)
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, data in entries.items():
+                zf.writestr(name, data)
+    return corrupt
+
+
+def _meta(edit):
+    def mutate(entries):
+        meta = json.loads(entries["meta.json"])
+        edit(meta)
+        entries["meta.json"] = json.dumps(meta).encode()
+    return _entries(mutate)
+
+
+def _tensors(edit):
+    def mutate(entries):
+        params = _unpack_tensors(entries["tensors.bin"])
+        edit(params)
+        entries["tensors.bin"] = _pack_tensors(params)
+    return _entries(mutate)
+
+
+def _set(name, data):
+    return _entries(lambda e: e.update({name: data(e[name]) if callable(data)
+                                        else data}))
+
+
+CORRUPTIONS = {
+    "not_a_zip": lambda path: path.write_bytes(b"not a zip archive"),
+    "missing_meta": _entries(lambda e: e.pop("meta.json")),
+    "missing_vocab": _entries(lambda e: e.pop("vocab.txt")),
+    "missing_tensors": _entries(lambda e: e.pop("tensors.bin")),
+    "meta_not_json": _set("meta.json", b"{not json"),
+    "meta_not_utf8": _set("meta.json", b"\xff\xfe"),
+    "meta_not_object": _set("meta.json", b"[1, 2]"),
+    "vocab_not_utf8": _set("vocab.txt", b"\xff\xfe"),
+    "vocab_bad_line": _set("vocab.txt", b"no-tab-here\n"),
+    "tensors_truncated_header": _set("tensors.bin", b"PSCT\x01"),
+    "tensors_short_data": _set("tensors.bin", lambda blob: blob[:-8]),
+    "tensors_bad_magic": _set("tensors.bin", lambda blob: b"NOPE" + blob[4:]),
+    "config_not_object": _meta(lambda m: m.update(config=[1, 8])),
+    "config_bad_value": _meta(lambda m: m["config"].update(d_h="wide")),
+    "config_unknown_key": _meta(lambda m: m["config"].update(depth=3)),
+    "format_version_newer": _meta(lambda m: m.update(format_version=2)),
+    "format_version_missing": _meta(lambda m: m.pop("format_version")),
+    "tensor_missing": _tensors(lambda p: p.pop("cls_w")),
+    "tensor_extra": _tensors(lambda p: p.update(extra=np.zeros(2))),
+    "tensor_wrong_shape": _tensors(lambda p: p.update(cls_w=np.zeros((3, 2)))),
+    # one more well-formed entry: tok_emb no longer has a row per token
+    "vocab_size_mismatch": _set("vocab.txt", lambda text: text + b'"zzz"\t%d\n'
+                                % len(text.splitlines())),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_corrupt_checkpoint_is_domain_error(tmp_path, payload, case):
+    params, vocab, config = payload
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, vocab, config)
+    load_checkpoint(path)  # intact before the corruption
+    CORRUPTIONS[case](path)
+    with pytest.raises(DomainError):
+        load_checkpoint(path)

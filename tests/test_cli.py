@@ -17,7 +17,12 @@ from ponziscan.cli import main
 from ponziscan.dfg import extract_dfg, to_dot
 from ponziscan.dfg import to_jsonable as dfg_to_jsonable
 from ponziscan.model.checkpoint import load_checkpoint
-from ponziscan.pipeline import load_dataset
+from ponziscan.pipeline import (
+    ContractRecord,
+    load_dataset,
+    split_fixed,
+    write_dataset,
+)
 from ponziscan.solparse import lex
 from ponziscan.solparse import parse as parse_tokens
 from ponziscan.solparse import to_jsonable as ast_to_jsonable
@@ -178,6 +183,54 @@ def test_eval_random_split_reports_sizes(workspace, capsys):
     assert payload["sizes"] == {"train": 17, "val": 2, "test": 5}
 
 
+def test_train_random_split_selects_on_validation(workspace, tmp_path,
+                                                  capsys):
+    out = tmp_path / "random.ckpt"
+    assert run(["train", "--dataset", str(workspace["data"]), "--out",
+                str(out), "--split", "random", "--epochs", "2", "--seed", "1",
+                *TINY]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    # the random split has a validation subset, so an epoch is selected
+    assert 0 <= payload["best_epoch"] < 2
+    *_, extra = load_checkpoint(str(out))
+    assert extra["best_epoch"] == payload["best_epoch"]
+
+
+@pytest.fixture(scope="module")
+def fixed_workspace(tmp_path_factory):
+    """One-line records, every other one positive: 300 positives, enough for
+    the fixed split's 250-scheme training boundary, trained once."""
+    root = tmp_path_factory.mktemp("cli_fixed")
+    records = [ContractRecord(idx=k + 1, source=f"contract K{k} {{ uint v{k}; }}",
+                              label=k % 2) for k in range(600)]
+    data = root / "data.jsonl"
+    write_dataset(records, data)
+    model = root / "model.ckpt"
+    assert run(["train", "--dataset", str(data), "--out", str(model),
+                "--split", "fixed", "--epochs", "1", "--seed", "2",
+                "--layers", "1", "--d-h", "4", "--heads", "1", "--d-ff", "4",
+                "--code-len", "8", "--flow-len", "2"]) == 0
+    return {"records": records, "data": data, "model": model}
+
+
+def test_train_fixed_split_has_no_validation(fixed_workspace):
+    *_, extra = load_checkpoint(str(fixed_workspace["model"]))
+    assert extra["best_epoch"] == -1
+    assert len(extra["epoch_losses"]) == 1
+
+
+def test_eval_fixed_split_reports_plan_sizes(fixed_workspace, capsys):
+    assert run(["eval", "--dataset", str(fixed_workspace["data"]),
+                "--checkpoint", str(fixed_workspace["model"]),
+                "--split", "fixed"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    sizes = split_fixed(fixed_workspace["records"]).sizes()
+    assert payload["split"] == "fixed"
+    assert payload["sizes"] == sizes == {"train": 500, "test": 100}
+    report = payload["report"]
+    assert report["tp"] + report["fp"] + report["tn"] + report["fn"] == 100
+
+
 def test_predict_reports_probability(workspace, capsys):
     assert run(["predict", "--source", str(workspace["source"]),
                 "--checkpoint", str(workspace["model"])]) == 0
@@ -236,6 +289,36 @@ def test_explicit_flag_beats_config_file(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["records"] == 14
     assert payload["positives"] == 3
+
+
+def test_config_shape_and_task_keys_act_like_flags(workspace, tmp_path,
+                                                   capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"layers": 1, "d-h": 8, "heads": 2, "d_ff": 16,
+                               "code_len": 48, "flow_len": 12,
+                               "use_mlm": False, "seed": 4}),
+                   encoding="utf-8")
+    a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    base = ["pretrain", "--dataset", str(workspace["data"])]
+    assert run([*base, "--out", str(a), "--config", str(cfg)]) == 0
+    assert run([*base, "--out", str(b), "--no-mlm", "--seed", "4",
+                *TINY]) == 0
+    capsys.readouterr()
+    assert a.read_bytes() == b.read_bytes()
+    _, _, config, _ = load_checkpoint(str(a))
+    assert (config.n_layers, config.d_h, config.n_heads) == (1, 8, 2)
+
+
+@pytest.mark.parametrize("key, value", [("epochs", [1]), ("seed", True),
+                                        ("layers", 1.5)])
+def test_wrong_typed_config_value_is_usage_error(workspace, tmp_path, capsys,
+                                                 key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    assert run(["train", "--dataset", str(workspace["data"]), "--out",
+                str(tmp_path / "m.ckpt"), "--split", "all",
+                "--config", str(cfg)]) == 2
+    assert "invalid" in capsys.readouterr().err
 
 
 def test_unreadable_config_is_usage_error(tmp_path, capsys):
@@ -305,6 +388,15 @@ def test_unparseable_source_exits_1(tmp_path, capsys):
                    encoding="utf-8")
     assert run(["parse", "--source", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_corrupt_checkpoint_exits_1(workspace, tmp_path, capsys):
+    garbage = tmp_path / "garbage.ckpt"
+    garbage.write_bytes(b"not a checkpoint")
+    assert run(["predict", "--source", str(workspace["source"]),
+                "--checkpoint", str(garbage)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not a valid checkpoint" in err
 
 
 def test_missing_subcommand_exits_2(capsys):

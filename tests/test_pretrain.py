@@ -337,21 +337,6 @@ def test_disabling_a_task_preserves_others_at_step_zero(pretrain_setup):
     assert only_mlm["mlm"] == pytest.approx(full["mlm"], abs=1e-12)
 
 
-def test_task_weights_scale_losses(pretrain_setup):
-    inp, vocab, config = pretrain_setup
-
-    def run(flags):
-        params = init_params(config, len(vocab))
-        state = AdamState.for_params(params)
-        return pretrain_epoch([inp], vocab, params, state, config,
-                              seed=7, epoch=0, flags=flags, lr=0.0)[0]
-
-    base = run(None)
-    doubled = run(PretrainFlags(w_mlm=2.0))
-    assert doubled["mlm"] == pytest.approx(2.0 * base["mlm"], rel=1e-12)
-    assert doubled["edgepred"] == pytest.approx(base["edgepred"], abs=1e-12)
-
-
 def test_epoch_moves_parameters(pretrain_setup):
     inp, vocab, config = pretrain_setup
     params = init_params(config, len(vocab))
