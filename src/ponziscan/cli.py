@@ -7,8 +7,8 @@ API. Machine output is sorted-key JSON on stdout; --pretty switches to an
 aligned plain-text rendering. Exit codes: 0 success, 1 domain error,
 2 usage error. All randomness flows from --seed.
 
-An optional --config JSON file supplies argument defaults, type-checked as
-the flags are; explicit flags always win.
+An optional --config JSON file supplies argument defaults, keyed by option
+dest and checked as the flags are; explicit flags always win.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 from ponziscan import datasynth
 from ponziscan.dfg import extract_dfg, to_dot, to_jsonable as dfg_to_jsonable
 from ponziscan.encoding import build_vocab
-from ponziscan.errors import DomainError
+from ponziscan.errors import DomainError, UnlabeledRecord
 from ponziscan.ingest import ApiConfig, fetch_verified_source
 from ponziscan.model.adam import DEFAULT_LR, AdamState
 from ponziscan.model.checkpoint import load_checkpoint, save_checkpoint
@@ -144,7 +144,10 @@ def _cmd_pretrain(ns: argparse.Namespace) -> None:
 
 def _select_split(records: list[ContractRecord], split: str, seed: int):
     """(sizes, train, val, test) records under one of SPLITS; val is None
-    unless the split has a validation subset."""
+    unless the split has a validation subset. Every record needs a label."""
+    for r in records:
+        if r.label is None:
+            raise UnlabeledRecord(f"record idx {r.idx} has no label")
     if split not in ("fixed", "random"):
         return {"all": len(records)}, records, None, records
     plan = split_fixed(records) if split == "fixed" else split_random(records, seed)
@@ -253,13 +256,31 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file of argument defaults")
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """argparse checks choices only on given arguments; this also checks
+    the values that --config defaults left in place."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        ns, extras = super().parse_known_args(args, namespace)
+        for action in self._actions:
+            value = getattr(ns, action.dest, None)
+            if action.choices is not None and value not in action.choices:
+                choices = ", ".join(map(repr, action.choices))
+                self.error(f"argument {action.option_strings[0]}: invalid --config"
+                           f" value {value!r} (choose from {choices})")
+        return ns, extras
+
+
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """defaults (from a --config file) override argument defaults on every
-    subcommand but still lose to explicit flags."""
+    """defaults (from a --config file, keyed by option dest, "-" read as
+    "_") override argument defaults on every subcommand but still lose to
+    explicit flags. A key that names no option of any subcommand is a usage
+    error."""
     parser = argparse.ArgumentParser(
         prog="ponziscan",
         description="Ponzi-scheme detection for Solidity contracts.")
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 parser_class=_SubcommandParser)
 
     p = subs.add_parser("parse", help="tokenize and parse one source file")
     p.add_argument("--source", required=True)
@@ -341,10 +362,15 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     # for a typed option goes in as text: argparse then converts and checks
     # it as it would the flag's argument, and a bad one is a usage error.
     if defaults:
+        known = {a.dest for sub in subs.choices.values() for a in sub._actions}
+        for key in defaults:
+            if key.replace("-", "_") not in known:
+                parser.error(f"--config key {key!r} names no option")
+        values = {key.replace("-", "_"): v for key, v in defaults.items()}
         for sub in subs.choices.values():
             typed = {a.dest for a in sub._actions if a.type is not None}
             sub.set_defaults(**{k: str(v) if k in typed and v is not None else v
-                                for k, v in defaults.items()})
+                                for k, v in values.items()})
 
     return parser
 
@@ -364,18 +390,16 @@ def main(argv: list[str] | None = None) -> int:
     config_file = _config_path(argv)
     if config_file:
         try:
-            raw = json.loads(Path(config_file).read_text(encoding="utf-8"))
+            defaults = json.loads(Path(config_file).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config file: {exc}", file=sys.stderr)
             return 2
-        if not isinstance(raw, dict):
+        if not isinstance(defaults, dict):
             print("error: cannot read config file: expected a JSON object",
                   file=sys.stderr)
             return 2
-        defaults = {str(k).replace("-", "_"): v for k, v in raw.items()}
-    parser = build_parser(defaults)
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser(defaults).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from ponziscan.solparse import astnodes as a
 from ponziscan.solparse.astnodes import AstNode
-from ponziscan.solparse.lexer import KIND_COMMENT, Token
+from ponziscan.solparse.lexer import Token, code_tokens
 from ponziscan.solparse.parser import leaf_identifiers, occurrence_name
 
 Env = dict[str, set[int]]
@@ -55,16 +55,11 @@ class DataFlowGraph:
     edges: list[DfEdge] = field(default_factory=list)
     alignment: list[tuple[int, int]] = field(default_factory=list)
 
-    @property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset((e.src, e.dst) for e in self.edges)
-
 
 def extract_dfg(ast: AstNode, tokens: list[Token]) -> DataFlowGraph:
     """Build the graph. code_token_index values index the comment-stripped
     token sequence (the sequence the model consumes)."""
-    code = [t for t in tokens if t.kind != KIND_COMMENT]
-    code_pos = {t.index: i for i, t in enumerate(code)}
+    code_pos = {t.index: i for i, t in enumerate(code_tokens(tokens))}
     vars_: list[VarNode] = []
     counts: dict[str, int] = {}
     token_to_node: dict[int, int] = {}

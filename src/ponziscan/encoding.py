@@ -1,15 +1,14 @@
 """Vocabulary, model-input assembly, and the graph-guided attention mask.
 
-The model input is X = [CLS] + code tokens + [SEP] + graph nodes, laid out
-contiguously from slot 0 and padded to a fixed length
-L = 1 + code_len + 1 + flow_len. Every real slot lies in the prefix of
-length n = 2 + n_code + n_nodes, which is all the encoder runs over.
+The model input is X = [CLS] + code tokens + [SEP] + graph nodes, one slot
+each, so an input of n_code tokens and n_nodes nodes has length
+2 + n_code + n_nodes; there is no padding.
 
-The attention mask is not stored: `build_mask` derives it at any length
-from the segments, the graph edges, the alignment and the input's withdrawn
+The attention mask is not stored: `build_mask` derives it from the
+segments, the graph edges, the alignment and the input's withdrawn
 entries. It permits attention only along: classifier/separator queries (any
-non-pad key), code-to-code pairs, graph edges (a node attends the nodes its
-value comes from, plus itself), and node<->code alignment pairs, minus the
+key), code-to-code pairs, graph edges (a node attends the nodes its value
+comes from, plus itself), and node<->code alignment pairs, minus the
 withdrawn (query, key) entries.
 """
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from ponziscan.dfg import DataFlowGraph
 from ponziscan.errors import CapTooSmall, EmptyCorpus, IdOutOfRange
-from ponziscan.solparse.lexer import KIND_COMMENT, Token, lex
+from ponziscan.solparse.lexer import Token, code_tokens, lex
 
 DEFAULT_CODE_LEN = 256
 DEFAULT_FLOW_LEN = 64
@@ -33,9 +32,10 @@ SEG_CLS = 0
 SEG_CODE = 1
 SEG_SEP = 2
 SEG_NODE = 3
+# no input slot has this role; kept because perfbench/tracer.py imports it
 SEG_PAD = 4
 
-# position id 0 is reserved: shared by every NODE slot, also used for PAD
+# position id 0 is reserved: shared by every NODE slot
 NODE_POSITION_ID = 0
 
 
@@ -112,9 +112,7 @@ def build_vocab(training_contracts: Iterable, cap: int) -> Vocabulary:
     n_contracts = 0
     for item in training_contracts:
         n_contracts += 1
-        for tok in lex(_source_of(item)):
-            if tok.kind != KIND_COMMENT:
-                counts[tok.text] += 1
+        counts.update(tok.text for tok in code_tokens(lex(_source_of(item))))
     if n_contracts == 0:
         raise EmptyCorpus("no training contracts to build a vocabulary from")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -126,15 +124,16 @@ def build_vocab(training_contracts: Iterable, cap: int) -> Vocabulary:
 
 @dataclass
 class ModelInput:
-    """Fixed-length encoder input. node_alignment and dfg_edges hold
-    positions within the padded sequence, not graph indices. withdrawn
-    lists (query, key) entries that the mask forbids after its rules have
-    been applied; the pre-training samplers use it to hide the relations a
-    batch asks the model to predict."""
+    """Encoder input: one slot each for [CLS], the code tokens, [SEP] and
+    the graph nodes, so len() is 2 + n_code + n_nodes. node_alignment and
+    dfg_edges hold slot positions, not graph indices. withdrawn lists
+    (query, key) entries that the mask forbids after its rules have been
+    applied; the pre-training samplers use it to hide the relations a batch
+    asks the model to predict."""
 
-    token_ids: np.ndarray        # (L,) int64
-    position_ids: np.ndarray     # (L,) int64
-    segments: np.ndarray         # (L,) int8, SEG_* role per slot
+    token_ids: np.ndarray        # (n,) int64
+    position_ids: np.ndarray     # (n,) int64
+    segments: np.ndarray         # (n,) int8, SEG_* role per slot
     node_alignment: list[tuple[int, int]] = field(default_factory=list)
     dfg_edges: list[tuple[int, int]] = field(default_factory=list)
     withdrawn: tuple[tuple[int, int], ...] = ()
@@ -145,55 +144,34 @@ class ModelInput:
     def __len__(self) -> int:
         return int(self.token_ids.shape[0])
 
-    @property
-    def real_len(self) -> int:
-        """Length of the prefix holding [CLS], code, [SEP] and nodes."""
-        return 2 + self.n_code + self.n_nodes
-
 
 def encode_input(tokens: list[Token], dfg: DataFlowGraph, vocab: Vocabulary,
                  code_len: int = DEFAULT_CODE_LEN,
                  flow_len: int = DEFAULT_FLOW_LEN) -> ModelInput:
-    """Assemble the padded input sequence.
+    """Assemble the input sequence.
 
     Code keeps its first code_len tokens and the graph its first flow_len
     nodes (source order); edges and alignment are restricted to surviving
     endpoints. A node whose aligned code token was truncated away stays in
     the sequence but loses its alignment pair.
     """
-    code = [t for t in tokens if t.kind != KIND_COMMENT]
+    code = code_tokens(tokens)
     truncated = len(code) > code_len or len(dfg.vars) > flow_len
     code = code[:code_len]
     nodes = dfg.vars[:flow_len]
     n_code, n_nodes = len(code), len(nodes)
-    L = 1 + code_len + 1 + flow_len
+    node_base = 2 + n_code
 
-    token_ids = np.full(L, Vocabulary.PAD_ID, dtype=np.int64)
-    position_ids = np.full(L, NODE_POSITION_ID, dtype=np.int64)
-    segments = np.full(L, SEG_PAD, dtype=np.int8)
-
-    token_ids[0] = Vocabulary.CLS_ID
-    position_ids[0] = 1
-    segments[0] = SEG_CLS
-    for i, tok in enumerate(code):
-        token_ids[1 + i] = vocab.id_of(tok.text)
-        position_ids[1 + i] = 2 + i
-        segments[1 + i] = SEG_CODE
-    sep_at = 1 + n_code
-    token_ids[sep_at] = Vocabulary.SEP_ID
-    position_ids[sep_at] = 2 + n_code
-    segments[sep_at] = SEG_SEP
-    node_base = sep_at + 1
-    for i, var in enumerate(nodes):
-        token_ids[node_base + i] = vocab.id_of(var.name)
-        segments[node_base + i] = SEG_NODE
-
-    def node_pos(i: int) -> int:
-        return node_base + i
-
-    dfg_edges = [(node_pos(e.src), node_pos(e.dst))
+    token_ids = np.array([Vocabulary.CLS_ID, *(vocab.id_of(t.text) for t in code),
+                          Vocabulary.SEP_ID, *(vocab.id_of(v.name) for v in nodes)],
+                         dtype=np.int64)
+    position_ids = np.array([*range(1, node_base + 1), *[NODE_POSITION_ID] * n_nodes],
+                            dtype=np.int64)
+    segments = np.array([SEG_CLS, *[SEG_CODE] * n_code, SEG_SEP, *[SEG_NODE] * n_nodes],
+                        dtype=np.int8)
+    dfg_edges = [(node_base + e.src, node_base + e.dst)
                  for e in dfg.edges if e.src < n_nodes and e.dst < n_nodes]
-    node_alignment = [(node_pos(n), 1 + c)
+    node_alignment = [(node_base + n, 1 + c)
                       for n, c in dfg.alignment if n < n_nodes and c < n_code]
 
     return ModelInput(token_ids=token_ids, position_ids=position_ids,
@@ -202,22 +180,17 @@ def encode_input(tokens: list[Token], dfg: DataFlowGraph, vocab: Vocabulary,
                       n_code=n_code, n_nodes=n_nodes)
 
 
-def build_mask(inp: ModelInput, length: int | None = None) -> np.ndarray:
-    """(length, length) boolean permission matrix over the first `length`
-    slots, rows = queries, columns = keys; `length` defaults to the padded
-    length L and must be at least `inp.real_len`.
+def build_mask(inp: ModelInput) -> np.ndarray:
+    """(n, n) boolean permission matrix, n = len(inp), rows = queries,
+    columns = keys.
 
     Allowed pairs: [CLS]/[SEP] query over any key, code query with code
     key, node i over node j when an edge j->i exists or i == j, and
-    node/code pairs that are aligned (both directions). Pad rows and
-    columns are forbidden, which also silences [CLS]/[SEP] over padding.
-    The input's withdrawn entries are forbidden last, whatever the rules
-    above granted.
+    node/code pairs that are aligned (both directions). The input's
+    withdrawn entries are forbidden last, whatever the rules above granted.
     """
-    if length is None:
-        length = len(inp)
-    seg = inp.segments[:length]
-    allow = np.zeros((length, length), dtype=bool)
+    seg = inp.segments
+    allow = np.zeros((len(inp), len(inp)), dtype=bool)
 
     wide = (seg == SEG_CLS) | (seg == SEG_SEP)
     allow[wide, :] = True
@@ -230,10 +203,6 @@ def build_mask(inp: ModelInput, length: int | None = None) -> np.ndarray:
     for npos, cpos in inp.node_alignment:
         allow[npos, cpos] = True
         allow[cpos, npos] = True
-
-    pad = seg == SEG_PAD
-    allow[pad, :] = False
-    allow[:, pad] = False
     for query, key in inp.withdrawn:
         allow[query, key] = False
     return allow

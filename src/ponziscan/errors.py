@@ -93,6 +93,10 @@ class EmptyDataset(DomainError):
     pass
 
 
+class UnlabeledRecord(DomainError):
+    pass
+
+
 class TooFewPositives(DomainError):
     pass
 

@@ -32,12 +32,8 @@ class ModelConfig:
         return self.d_h // self.n_heads
 
     @property
-    def seq_len(self) -> int:
-        return 1 + self.code_len + 1 + self.flow_len
-
-    @property
     def n_positions(self) -> int:
-        # 0 shared node/pad slot, 1 for [CLS], 2..code_len+1 code, code_len+2 [SEP]
+        # 0 shared by node slots, 1 for [CLS], 2..code_len+1 code, code_len+2 [SEP]
         return self.code_len + 3
 
     def to_dict(self) -> dict:

@@ -7,10 +7,9 @@ classifier reads the [CLS] row of the final layer. Backward passes are
 analytic, written to mirror each forward step, and are validated against
 central finite differences in the test suite.
 
-The encoder runs over the real prefix of an input only: its n = real_len
-slots ([CLS], code, [SEP], nodes), so hidden states are (n, d_h) and the
-mask is derived at n x n for each pass. Padding never enters the
-computation; an input encoded at any padded length gives the same result.
+An input holds exactly its n = len(inp) slots ([CLS], code, [SEP],
+nodes), so hidden states are (n, d_h) and the mask is derived at n x n for
+each pass.
 """
 
 from __future__ import annotations
@@ -94,10 +93,9 @@ def mask_additive(allow: np.ndarray) -> np.ndarray:
 
 
 def embed(inp: ModelInput, params: Params) -> np.ndarray:
-    """(n, d_h) embeddings of the input's real prefix."""
+    """(n, d_h) embeddings of the input's slots."""
     tok_emb, pos_emb = params["tok_emb"], params["pos_emb"]
-    n = inp.real_len
-    ids, pos = inp.token_ids[:n], inp.position_ids[:n]
+    ids, pos = inp.token_ids, inp.position_ids
     if ids.min() < 0 or ids.max() >= tok_emb.shape[0]:
         raise IdOutOfRange(f"token id outside embedding table of {tok_emb.shape[0]}")
     if pos.min() < 0 or pos.max() >= pos_emb.shape[0]:
@@ -174,9 +172,9 @@ def layer_backward(dW_out: np.ndarray, cache: dict, params: Params,
 
 
 def forward_hidden(inp: ModelInput, params: Params, config: ModelConfig):
-    """Run embedding + all layers over the real prefix; returns the final
-    (n, d_h) hidden states and the caches needed by backward_hidden."""
-    mask_add = mask_additive(build_mask(inp, inp.real_len))
+    """Run embedding + all layers; returns the final (n, d_h) hidden states
+    and the caches needed by backward_hidden."""
+    mask_add = mask_additive(build_mask(inp))
     W = embed(inp, params)
     caches = []
     for i in range(config.n_layers):
@@ -194,9 +192,8 @@ def backward_hidden(dH: np.ndarray, inp: ModelInput, caches: list,
     dW = dH
     for i in reversed(range(config.n_layers)):
         dW = layer_backward(dW, caches[i], params, f"layer{i}.", config.n_heads, grads)
-    n = inp.real_len
-    np.add.at(grads["tok_emb"], inp.token_ids[:n], dW)
-    np.add.at(grads["pos_emb"], inp.position_ids[:n], dW)
+    np.add.at(grads["tok_emb"], inp.token_ids, dW)
+    np.add.at(grads["pos_emb"], inp.position_ids, dW)
 
 
 def forward(inp: ModelInput, params: Params, config: ModelConfig,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -72,18 +72,12 @@ class EvalReport:
     precision_defined: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn,
-            "precision": self.precision, "recall": self.recall,
-            "f_score": self.f_score, "threshold": self.threshold,
-            "split_name": self.split_name,
-            "precision_defined": self.precision_defined,
-        }
+        return asdict(self)
 
 
 def load_dataset(path: str | Path) -> list[ContractRecord]:
     """Line-delimited JSON objects with integer idx, source text, and a
-    0/1 label; returned sorted by idx."""
+    0/1 label, or null for an unlabeled record; returned sorted by idx."""
     records: list[ContractRecord] = []
     seen: set[int] = set()
     with open(path, "r", encoding="utf-8") as fh:
@@ -102,8 +96,8 @@ def load_dataset(path: str | Path) -> list[ContractRecord]:
                 raise MalformedRecord("idx must be an integer", line_no)
             if not isinstance(source, str):
                 raise MalformedRecord("source must be a string", line_no)
-            if label not in (0, 1):
-                raise MalformedRecord("label must be 0 or 1", line_no)
+            if "label" not in obj or label not in (0, 1, None):
+                raise MalformedRecord("label must be 0, 1 or null", line_no)
             if idx in seen:
                 raise DuplicateIdx(f"idx {idx} appears more than once")
             seen.add(idx)
@@ -111,9 +105,8 @@ def load_dataset(path: str | Path) -> list[ContractRecord]:
     if not records:
         raise EmptyDataset(f"no records in {path}")
     records.sort(key=lambda r: r.idx)
-    n_pos = sum(r.label == 1 for r in records)
-    log.info("loaded %d records (%d positive, %d negative)",
-             len(records), n_pos, len(records) - n_pos)
+    log.info("loaded %d records (%d positive, %d negative)", len(records),
+             sum(r.label == 1 for r in records), sum(r.label == 0 for r in records))
     return records
 
 

@@ -62,9 +62,6 @@ class Token:
     index: int  # ordinal position in the token stream (comments included)
 
 
-TokenStream = list
-
-
 def is_type_keyword(text: str) -> bool:
     """True for elementary type names (uint, uint8, bytes32, address, ...)."""
     return text in {"address", "bool", "string", "bytes", "byte", "var"} or bool(

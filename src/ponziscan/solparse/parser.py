@@ -20,13 +20,13 @@ from ponziscan.errors import ParseError, UnbalancedBrackets
 from ponziscan.solparse import astnodes as a
 from ponziscan.solparse.astnodes import AstNode, AstPath, leaf
 from ponziscan.solparse.lexer import (
-    KIND_COMMENT,
     KIND_IDENTIFIER,
     KIND_KEYWORD,
     KIND_NUMBER,
     KIND_PUNCT,
     KIND_STRING,
     Token,
+    code_tokens,
     is_type_keyword,
 )
 
@@ -55,7 +55,7 @@ _STMT_KWS = frozenset({"if", "for", "while", "return", "emit", "throw",
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.toks = [t for t in tokens if t.kind != KIND_COMMENT]
+        self.toks = code_tokens(tokens)
         self.pos = 0
 
     # -- token navigation ---------------------------------------------
@@ -108,11 +108,6 @@ class _Parser:
         if not self.at_punct(text):
             raise self.error(f"expected {text!r}", frozenset({text}))
         return self.take(a.LEAF_PUNCT)
-
-    def expect_kw(self, text: str) -> AstNode:
-        if not self.at_kw(text):
-            raise self.error(f"expected keyword {text!r}", frozenset({text}))
-        return self.take(a.LEAF_KW)
 
     def expect_name(self) -> AstNode:
         if not self.at_ident():

@@ -13,7 +13,6 @@ from ponziscan.encoding import (
     SEG_CLS,
     SEG_CODE,
     SEG_NODE,
-    SEG_PAD,
     SEG_SEP,
     ModelInput,
     Vocabulary,
@@ -32,9 +31,7 @@ def mask_oracle(inp: ModelInput) -> np.ndarray:
     out = np.zeros((L, L), dtype=bool)
     for i in range(L):          # query
         for j in range(L):      # key
-            if seg[i] == SEG_PAD or seg[j] == SEG_PAD:
-                allowed = False
-            elif seg[i] in (SEG_CLS, SEG_SEP):
+            if seg[i] in (SEG_CLS, SEG_SEP):
                 allowed = True
             elif seg[i] == SEG_CODE and seg[j] == SEG_CODE:
                 allowed = True
@@ -58,11 +55,11 @@ def random_model_input(rng: np.random.Generator, code_len: int = 8,
     random edges (self loops included) and at most one alignment per node."""
     n_code = int(rng.integers(0, code_len + 1))
     n_nodes = int(rng.integers(0, flow_len + 1))
-    L = 1 + code_len + 1 + flow_len
+    n = 2 + n_code + n_nodes
 
-    token_ids = np.full(L, Vocabulary.PAD_ID, dtype=np.int64)
-    position_ids = np.full(L, NODE_POSITION_ID, dtype=np.int64)
-    segments = np.full(L, SEG_PAD, dtype=np.int8)
+    token_ids = np.empty(n, dtype=np.int64)
+    position_ids = np.full(n, NODE_POSITION_ID, dtype=np.int64)
+    segments = np.empty(n, dtype=np.int8)
     token_ids[0] = Vocabulary.CLS_ID
     position_ids[0] = 1
     segments[0] = SEG_CLS
@@ -124,13 +121,27 @@ def attention_oracle(W: np.ndarray, allow: np.ndarray, wq: np.ndarray,
     return out @ wo
 
 
+def padded_layout(inp: ModelInput, config: ModelConfig):
+    """The input padded to the budget length L = code_len + flow_len + 2:
+    (token_ids, position_ids, allow). Pad slots hold the [PAD] token at
+    position id 0, and the (L, L) mask forbids every pad row and column,
+    with build_mask(inp) as its top-left block."""
+    n, L = len(inp), config.code_len + config.flow_len + 2
+    token_ids = np.full(L, Vocabulary.PAD_ID, dtype=np.int64)
+    position_ids = np.full(L, NODE_POSITION_ID, dtype=np.int64)
+    token_ids[:n], position_ids[:n] = inp.token_ids, inp.position_ids
+    allow = np.zeros((L, L), dtype=bool)
+    allow[:n, :n] = build_mask(inp)
+    return token_ids, position_ids, allow
+
+
 def padded_forward_hidden(inp: ModelInput, params: dict[str, np.ndarray],
                           config: ModelConfig):
-    """Reference encoder over all L padded slots with the full (L, L)
-    mask, as forward_hidden ran before it trimmed inputs to their real
-    length. Same signature and return shape convention."""
-    mask_add = mask_additive(build_mask(inp))
-    W = params["tok_emb"][inp.token_ids] + params["pos_emb"][inp.position_ids]
+    """Reference encoder over all L slots of padded_layout with the full
+    (L, L) mask. Same signature as forward_hidden; returns (L, d_h)."""
+    token_ids, position_ids, allow = padded_layout(inp, config)
+    mask_add = mask_additive(allow)
+    W = params["tok_emb"][token_ids] + params["pos_emb"][position_ids]
     caches = []
     for i in range(config.n_layers):
         W, cache = layer_forward(W, mask_add, params, f"layer{i}.", config.n_heads)
@@ -145,8 +156,9 @@ def padded_backward_hidden(dH: np.ndarray, inp: ModelInput, caches: list,
     dW = dH
     for i in reversed(range(config.n_layers)):
         dW = layer_backward(dW, caches[i], params, f"layer{i}.", config.n_heads, grads)
-    np.add.at(grads["tok_emb"], inp.token_ids, dW)
-    np.add.at(grads["pos_emb"], inp.position_ids, dW)
+    token_ids, position_ids, _ = padded_layout(inp, config)
+    np.add.at(grads["tok_emb"], token_ids, dW)
+    np.add.at(grads["pos_emb"], position_ids, dW)
 
 
 def finite_difference_grads(loss_fn, params: dict[str, np.ndarray],

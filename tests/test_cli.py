@@ -327,6 +327,59 @@ def test_unreadable_config_is_usage_error(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["epoch", "no-mlm", "init"])
+def test_config_key_naming_no_option_is_usage_error(workspace, tmp_path,
+                                                    capsys, key):
+    """Keys are option dests: a typo, a flag spelling like no-mlm (dest
+    use_mlm) or init (dest checkpoint) would otherwise be ignored."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 1, key: 5}), encoding="utf-8")
+    out = tmp_path / "m.ckpt"
+    assert run(["train", "--dataset", str(workspace["data"]), "--out",
+                str(out), "--split", "all", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"--config key {key!r} names no option" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["eval", "--checkpoint", "unused.ckpt", "--dataset", "unused.jsonl"],
+     "split", "bogus"),
+    (["dfg", "--source", "unused.sol"], "format", "xml"),
+])
+def test_config_value_outside_choices_is_usage_error(tmp_path, capsys, argv,
+                                                     key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    assert run([*argv, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --{key}: invalid --config value {value!r}" in captured.err
+
+
+def test_explicit_flag_overrides_config_value_outside_choices(workspace,
+                                                              tmp_path,
+                                                              capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"split": "bogus"}), encoding="utf-8")
+    assert run(["eval", "--dataset", str(workspace["data"]), "--checkpoint",
+                str(workspace["model"]), "--split", "all",
+                "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["split"] == "all"
+
+
+def test_config_keys_of_other_subcommands_are_accepted(tmp_path, capsys):
+    """One file can serve several subcommands: keys, and values, for
+    options the running subcommand lacks are left alone."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 10, "ponzi": 3, "epochs": 2,
+                               "use_mlm": False, "split": "random",
+                               "format": "xml"}), encoding="utf-8")
+    assert run(["synth", "--out", str(tmp_path / "a.jsonl"),
+                "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["records"] == 10
+
+
 # -- fetch (offline via cache) ------------------------------------------------
 
 
@@ -372,6 +425,61 @@ def test_fetch_bad_address_is_domain_error(tmp_path, capsys):
     assert run(["fetch", "--address", "not-an-address",
                 "--cache-dir", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# -- unlabeled records --------------------------------------------------------
+
+
+def _write_unlabeled(src: Path, dst: Path, keep_label=lambda idx: False) -> int:
+    """Copy a dataset with labels set to null, except where keep_label(idx);
+    returns the smallest idx left unlabeled."""
+    records = [json.loads(line) for line in src.read_text().splitlines()]
+    for r in records:
+        if not keep_label(r["idx"]):
+            r["label"] = None
+    dst.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return min(r["idx"] for r in records if r["label"] is None)
+
+
+def test_pretrain_reads_unlabeled_records(workspace, tmp_path, capsys):
+    """Pre-training ignores labels: an unlabeled copy of the dataset gives
+    the same checkpoint bytes as the labeled one."""
+    data = tmp_path / "unlabeled.jsonl"
+    _write_unlabeled(workspace["data"], data)
+    out = tmp_path / "pre.ckpt"
+    assert run(["pretrain", "--dataset", str(data), "--out", str(out),
+                "--epochs", "1", "--seed", "3", *TINY]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == workspace["pre"].read_bytes()
+
+
+def test_pretrain_reads_fetched_records(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    _seed_cache(cache, "contract C { uint x; function f() public { x = x + 1; } }")
+    data = tmp_path / "fetched.jsonl"
+    assert run(["fetch", "--address", ADDRESS, "--cache-dir", str(cache),
+                "--api-key", "unused", "--out", str(data)]) == 0
+    assert run(["pretrain", "--dataset", str(data), "--out",
+                str(tmp_path / "pre.ckpt"), "--epochs", "1", *TINY]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--out", "unused.ckpt", "--split", "fixed"],
+    ["train", "--out", "unused.ckpt", "--split", "random"],
+    ["eval", "--checkpoint", "model", "--split", "fixed"],
+    ["eval", "--checkpoint", "model", "--split", "all"],
+])
+def test_labeled_stages_reject_unlabeled_records(workspace, tmp_path, capsys,
+                                                 argv):
+    data = tmp_path / "mixed.jsonl"
+    idx = _write_unlabeled(workspace["data"], data, lambda i: i % 2 == 0)
+    argv = [str(workspace["model"]) if a == "model" else a for a in argv]
+    argv = [str(tmp_path / a) if a.startswith("unused") else a for a in argv]
+    assert run([*argv, "--dataset", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: record idx {idx} has no label\n"
 
 
 # -- exit codes ---------------------------------------------------------------

@@ -11,7 +11,6 @@ from ponziscan.encoding import (
     SEG_CLS,
     SEG_CODE,
     SEG_NODE,
-    SEG_PAD,
     SEG_SEP,
     ModelInput,
     Vocabulary,
@@ -120,8 +119,9 @@ def test_vocab_ignores_comments():
 def test_packed_layout():
     v = build_vocab(["uint a = b;"], cap=64)
     inp = encode("uint a = b;", v, code_len=8, flow_len=4)
-    L = 1 + 8 + 1 + 4
-    assert len(inp) == L
+    # [CLS], five code tokens, [SEP], two nodes: no slot beyond them
+    assert len(inp) == 2 + 5 + 2 == 2 + inp.n_code + inp.n_nodes
+    assert inp.position_ids.shape == inp.segments.shape == (len(inp),)
     assert inp.token_ids[0] == Vocabulary.CLS_ID
     assert inp.segments[0] == SEG_CLS
     assert inp.position_ids[0] == 1
@@ -133,11 +133,8 @@ def test_packed_layout():
     assert inp.segments[sep_at] == SEG_SEP
     assert inp.position_ids[sep_at] == 2 + inp.n_code
     node_base = sep_at + 1
-    assert list(inp.segments[node_base:node_base + 2]) == [SEG_NODE, SEG_NODE]
-    assert all(inp.position_ids[node_base:node_base + 2] == NODE_POSITION_ID)
-    pad = inp.segments == SEG_PAD
-    assert inp.token_ids[pad].tolist() == [Vocabulary.PAD_ID] * int(pad.sum())
-    assert all(inp.position_ids[pad] == NODE_POSITION_ID)
+    assert list(inp.segments[node_base:]) == [SEG_NODE, SEG_NODE]
+    assert all(inp.position_ids[node_base:] == NODE_POSITION_ID)
 
 
 def test_node_token_ids_use_name_lookup():
@@ -165,6 +162,7 @@ def test_code_truncation_sets_flag_and_keeps_layout():
     assert inp.n_code == 8
     assert inp.segments[9] == SEG_SEP
     assert inp.n_nodes == 4
+    assert len(inp) == 2 + 8 + 4
 
 
 def test_truncation_restricts_edges_to_survivors():
@@ -194,7 +192,8 @@ def test_empty_source_still_encodes():
     assert inp.n_code == 0 and inp.n_nodes == 0
     assert inp.token_ids[0] == Vocabulary.CLS_ID
     assert inp.token_ids[1] == Vocabulary.SEP_ID
-    assert list(inp.segments[2:]) == [SEG_PAD] * (len(inp) - 2)
+    assert len(inp) == 2
+    assert list(inp.segments) == [SEG_CLS, SEG_SEP]
 
 
 def test_oov_code_tokens_become_unk():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ponziscan.encoding import SEG_PAD, build_mask
+from ponziscan.encoding import build_mask
 from ponziscan.errors import IdOutOfRange, NonFiniteActivation, ShapeMismatch
 from ponziscan.model.config import ModelConfig
 from ponziscan.model.encoder import (
@@ -26,7 +26,7 @@ from ponziscan.model.params import (
     zeros_like_params,
 )
 
-from helpers import attention_oracle, mask_oracle, random_model_input
+from helpers import attention_oracle, mask_oracle, padded_layout, random_model_input
 
 
 # --- primitives ---------------------------------------------------------------
@@ -93,18 +93,18 @@ def test_masked_attention_matches_oracle():
 
 
 def test_forbidden_attention_weights_vanish():
-    """Checked on the encoder's real-length mask and embeddings, and on the
-    full padded layout that layer_forward still accepts."""
+    """Checked on the encoder's mask and embeddings, and on the padded
+    layout of the same input, which layer_forward also accepts."""
     rng = np.random.default_rng(3)
     for _ in range(20):
         inp = random_model_input(rng)
         config = ModelConfig(n_layers=1, d_h=8, n_heads=2, d_ff=16,
                              code_len=8, flow_len=4, seed=0)
         params = init_params(config, vocab_size=24)
-        padded = (params["tok_emb"][inp.token_ids]
-                  + params["pos_emb"][inp.position_ids])
-        for W, allow in ((embed(inp, params), build_mask(inp, inp.real_len)),
-                         (padded, build_mask(inp))):
+        token_ids, position_ids, padded_allow = padded_layout(inp, config)
+        padded = params["tok_emb"][token_ids] + params["pos_emb"][position_ids]
+        for W, allow in ((embed(inp, params), build_mask(inp)),
+                         (padded, padded_allow)):
             _, cache = layer_forward(W, mask_additive(allow), params,
                                      "layer0.", config.n_heads)
             A = cache["A"]  # (heads, n, n)
@@ -258,29 +258,5 @@ def test_config_validation():
         ModelConfig(n_layers=0)
     cfg = ModelConfig(d_h=12, n_heads=3, code_len=8, flow_len=2)
     assert cfg.d_k == 4
-    assert cfg.seq_len == 12
     assert cfg.n_positions == 11
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
-
-
-def test_pad_rows_cannot_influence_real_rows(tiny_config):
-    """Padding slots change nothing: replacing pad token embeddings' effect
-    by construction, a forward with extra garbage in pad slots must match."""
-    params = init_params(tiny_config, vocab_size=24)
-    rng = np.random.default_rng(10)
-    inp = random_model_input(rng, code_len=tiny_config.code_len,
-                             flow_len=tiny_config.flow_len)
-    while inp.n_code >= tiny_config.code_len:
-        inp = random_model_input(rng, code_len=tiny_config.code_len,
-                                 flow_len=tiny_config.flow_len)
-    pred = forward(inp, params, tiny_config)
-    poked = inp.token_ids.copy()
-    pad_slots = np.flatnonzero(inp.segments == SEG_PAD)
-    poked[pad_slots] = 5
-    from ponziscan.encoding import ModelInput
-    other = ModelInput(token_ids=poked, position_ids=inp.position_ids,
-                       segments=inp.segments, node_alignment=inp.node_alignment,
-                       dfg_edges=inp.dfg_edges,
-                       n_code=inp.n_code, n_nodes=inp.n_nodes)
-    pred2 = forward(other, params, tiny_config)
-    assert np.allclose(pred.probabilities, pred2.probabilities, atol=1e-12)

@@ -1,10 +1,11 @@
-"""The encoder runs over each input's real prefix only.
+"""The encoder runs over each input's real slots only.
 
-The padded computation (all L slots, full (L, L) mask) is kept in helpers
-as a reference; the trimmed encoder must agree with it for the forward
-pass and the gradients of all four losses, padding must not enter the
-computation at all, and the withdrawal corner case of a fully forbidden
-row must stay finite and differentiable.
+The padded computation (the input padded to L slots, full (L, L) mask) is
+kept in helpers as a reference; the encoder must agree with it for the
+forward pass and the gradients of all four losses, the token and node
+budgets must not change the result for an input that fits both, and the
+withdrawal corner case of a fully forbidden row must stay finite and
+differentiable.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import pytest
 
 import ponziscan.model.losses as losses
 from ponziscan import datasynth
-from ponziscan.encoding import SEG_PAD, build_mask, build_vocab
+from ponziscan.encoding import build_mask, build_vocab
 from ponziscan.model.config import ModelConfig
 from ponziscan.model.encoder import forward, forward_hidden
 from ponziscan.model.losses import (
@@ -38,13 +39,14 @@ EQUIVALENCE_TOL = 1e-12
 
 @pytest.fixture(scope="module")
 def corpus_setup():
-    """Default-shape model over synthetic contracts that leave padding."""
+    """Default-shape model over synthetic contracts shorter than the
+    padded length."""
     records = datasynth.generate_corpus(4, 2, seed=0)
     vocab = build_vocab(records, 2048)
     config = ModelConfig(seed=0)
     params = init_params(config, len(vocab))
     inputs = [encode_record(r.source, vocab, config) for r in records]
-    assert all((inp.segments == SEG_PAD).any() for inp in inputs)
+    assert all(len(inp) < 2 + config.code_len + config.flow_len for inp in inputs)
     return inputs, vocab, config, params
 
 
@@ -63,8 +65,8 @@ def test_trimmed_forward_matches_padded(corpus_setup):
     for inp in views:
         H, _ = forward_hidden(inp, params, config)
         ref, _ = padded_forward_hidden(inp, params, config)
-        assert H.shape == (inp.real_len, config.d_h)
-        assert np.max(np.abs(H - ref[:inp.real_len])) <= EQUIVALENCE_TOL
+        assert H.shape == (len(inp), config.d_h)
+        assert np.max(np.abs(H - ref[:len(inp)])) <= EQUIVALENCE_TOL
 
 
 def test_all_four_losses_match_padded_gradients(corpus_setup, monkeypatch):
@@ -94,9 +96,10 @@ def test_all_four_losses_match_padded_gradients(corpus_setup, monkeypatch):
 
 
 def test_padding_never_enters_the_computation():
-    """One source encoded under a short and a long padded layout, scored
-    with the same parameters: hidden states, probabilities and
-    classification gradients are bit-identical."""
+    """One source encoded under a short and a long token budget, both
+    large enough to hold it, and scored with the same parameters: the
+    inputs, hidden states, probabilities and classification gradients are
+    bit-identical."""
     source = ("contract C { uint total; mapping(address => uint) bal;"
               " function put() public payable { bal[msg.sender] += msg.value;"
               " total += msg.value; } function take(uint amount) public {"
@@ -107,7 +110,8 @@ def test_padding_never_enters_the_computation():
     params = init_params(large, len(vocab))
     short, long = (encode_record(source, vocab, c) for c in (small, large))
     assert not short.truncated and not long.truncated
-    assert len(short) < len(long) and short.real_len == long.real_len
+    assert np.array_equal(short.token_ids, long.token_ids)
+    assert np.array_equal(short.position_ids, long.position_ids)
 
     H_short, _ = forward_hidden(short, params, small)
     H_long, _ = forward_hidden(long, params, large)
@@ -140,7 +144,7 @@ def test_fully_forbidden_row_stays_finite_and_differentiable():
     seed = next(s for s in range(100)
                 if sample_edge_mask(inp, np.random.default_rng(s)).sampled_nodes == [node])
     batch = sample_edge_mask(inp, np.random.default_rng(seed))
-    assert not build_mask(batch.input, inp.real_len)[node].any()
+    assert not build_mask(batch.input)[node].any()
     assert batch.pairs
 
     params = init_params(config, len(vocab))

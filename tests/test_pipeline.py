@@ -63,6 +63,14 @@ def test_load_sorts_by_idx(tmp_path):
     assert [r.idx for r in loaded] == [1, 2, 3]
 
 
+def test_load_accepts_unlabeled_records(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"idx": 2, "source": "a;", "label": null}\n'
+                    '{"idx": 1, "source": "b;", "label": 1}\n')
+    loaded = load_dataset(path)
+    assert [(r.idx, r.label) for r in loaded] == [(1, 1), (2, None)]
+
+
 def test_load_skips_blank_lines(tmp_path):
     path = tmp_path / "data.jsonl"
     path.write_text('{"idx": 1, "source": "a;", "label": 0}\n\n'
