@@ -23,7 +23,7 @@ from ponziscan import datasynth
 from ponziscan.dfg import extract_dfg, to_dot, to_jsonable as dfg_to_jsonable
 from ponziscan.encoding import build_vocab
 from ponziscan.errors import DomainError, UnlabeledRecord
-from ponziscan.ingest import ApiConfig, fetch_verified_source
+from ponziscan.ingest import DEFAULT_BASE_URL, MIN_DELAY, ApiConfig, fetch_verified_source
 from ponziscan.model.adam import DEFAULT_LR, AdamState
 from ponziscan.model.checkpoint import load_checkpoint, save_checkpoint
 from ponziscan.model.config import ModelConfig
@@ -35,6 +35,7 @@ from ponziscan.pipeline import (
     finetune,
     load_dataset,
     predict_one,
+    record_line,
     split_fixed,
     split_random,
     subset_records,
@@ -201,14 +202,13 @@ def _cmd_predict(ns: argparse.Namespace) -> None:
 
 def _cmd_fetch(ns: argparse.Namespace) -> None:
     api = ApiConfig(api_key=ns.api_key or "",
-                    base_url=ns.base_url or "https://api.etherscan.io/api",
+                    base_url=ns.base_url or DEFAULT_BASE_URL,
                     timeout=ns.timeout, delay=ns.delay,
                     cache_dir=ns.cache_dir)
     record = fetch_verified_source(ns.address, api)
     if ns.out:
         with open(ns.out, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps({"idx": record.idx, "source": record.source,
-                                 "label": None}) + "\n")
+            fh.write(record_line(record))
         _emit({"address": ns.address, "idx": record.idx, "path": ns.out,
                "chars": len(record.source)}, ns.pretty)
     else:
@@ -233,8 +233,8 @@ _HANDLERS = {
 
 def _positive_delay(text: str) -> float:
     value = float(text)
-    if value < 0.2:
-        raise argparse.ArgumentTypeError("delay must be >= 0.2 seconds")
+    if value < MIN_DELAY:
+        raise argparse.ArgumentTypeError(f"delay must be >= {MIN_DELAY} seconds")
     return value
 
 
@@ -350,10 +350,9 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--out", help="append the record to this JSONL file")
     p.add_argument("--api-key", dest="api_key",
                    default=os.environ.get("ETHERSCAN_API_KEY", ""))
-    p.add_argument("--base-url", dest="base_url",
-                   default="https://api.etherscan.io/api")
+    p.add_argument("--base-url", dest="base_url", default=DEFAULT_BASE_URL)
     p.add_argument("--timeout", type=float, default=10.0)
-    p.add_argument("--delay", type=_positive_delay, default=0.2)
+    p.add_argument("--delay", type=_positive_delay, default=MIN_DELAY)
     p.add_argument("--cache-dir", dest="cache_dir")
     _add_common(p)
 

@@ -28,7 +28,7 @@ from typing import NamedTuple
 from ponziscan.solparse import astnodes as a
 from ponziscan.solparse.astnodes import AstNode
 from ponziscan.solparse.lexer import Token, code_tokens
-from ponziscan.solparse.parser import leaf_identifiers, occurrence_name
+from ponziscan.solparse.parser import var_occurrences
 
 Env = dict[str, set[int]]
 
@@ -63,11 +63,10 @@ def extract_dfg(ast: AstNode, tokens: list[Token]) -> DataFlowGraph:
     vars_: list[VarNode] = []
     counts: dict[str, int] = {}
     token_to_node: dict[int, int] = {}
-    for i, (tok, path) in enumerate(leaf_identifiers(ast)):
-        name = occurrence_name(ast, path)
+    for i, (leaf, name) in enumerate(var_occurrences(ast)):
         counts[name] = counts.get(name, 0) + 1
-        vars_.append(VarNode(name, counts[name], i, code_pos[tok.index]))
-        token_to_node[tok.index] = i
+        vars_.append(VarNode(name, counts[name], i, code_pos[leaf.token.index]))
+        token_to_node[leaf.token.index] = i
     walker = _Walker(token_to_node)
     walker.walk_source_unit(ast)
     edges = [DfEdge(s, d) for s, d in sorted(walker.edges)]
@@ -222,37 +221,24 @@ class _Walker:
 
     def exec_decl(self, node: AstNode, env: Env) -> str | None:
         """Shared by local and state variable declarations (and struct
-        members, which simply have no initializer)."""
+        members, which simply have no initializer): everything after '='
+        is the initializer."""
         declared: AstNode | None = None
-        init_expr: AstNode | None = None
-        seen_eq = False
+        sources: list[int] | None = None  # set at '='
         for child in node.children:
-            if child.is_leaf:
-                if child.kind == a.LEAF_VAR and declared is None:
-                    declared = child
-                elif child.kind == a.LEAF_PUNCT and child.token.text == "=":
-                    seen_eq = True
-                elif seen_eq and child.kind == a.LEAF_VAR:
-                    self.eval_expr(child, env)  # leaf initializer handled below
-                continue
-            if seen_eq and init_expr is None:
-                init_expr = child
+            if sources is not None:
+                sources += self.eval_expr(child, env)
+            elif child.is_leaf and child.token.text == "=":
+                sources = []
+            elif child.kind == a.LEAF_VAR:
+                declared = child
             else:
                 self.eval_expr(child, env)  # type subtree (array sizes)
-        sources: list[int] = []
-        # re-scan for a leaf initializer: "uint a = b;" has a bare var leaf RHS
-        if seen_eq and init_expr is None:
-            for child in node.children:
-                if child.is_leaf and child.kind == a.LEAF_VAR and child is not declared:
-                    sources = [self._node(child)]
-                    break
-        elif init_expr is not None:
-            sources = self.eval_expr(init_expr, env)
         if declared is None:
             return None
         idx = self._node(declared)
         name = declared.token.text
-        for s in sources:
+        for s in sources or ():
             self.edges.add((s, idx))
         env[name] = {idx}
         if self.declared is not None:
@@ -275,31 +261,21 @@ class _Walker:
         env.update(merged)
 
     def _exec_while(self, node: AstNode, env: Env) -> None:
-        cond, body = node.children[2], node.children[4]
-        entry = {k: set(v) for k, v in env.items()}
-        for _ in range(2):
-            self.eval_expr(cond, env)
-            self.exec_stmt(body, env)
-            _merge_into(env, entry)
+        self._loop(node.children[2], node.children[4], None, env)
 
     def _exec_for(self, node: AstNode, env: Env) -> None:
+        # for ( init-statement-or-';' cond? ';' update? ) body
         ch = node.children
-        i = 2
-        init = cond = update = None
-        if not (ch[i].is_leaf and ch[i].token.text == ";"):
-            init = ch[i]
-        i += 1
-        if not (ch[i].is_leaf and ch[i].kind == a.LEAF_PUNCT and ch[i].token.text == ";"):
-            cond = ch[i]
-            i += 1
-        i += 1  # the ';' separator
-        if not (ch[i].is_leaf and ch[i].kind == a.LEAF_PUNCT and ch[i].token.text == ")"):
-            update = ch[i]
-            i += 1
-        i += 1  # the ')'
-        body = ch[i]
-        if init is not None:
-            self.exec_stmt(init, env)
+        header = ch[3:-2]
+        semi = next(i for i, c in enumerate(header) if c.is_leaf and c.token.text == ";")
+        if not ch[2].is_leaf:
+            self.exec_stmt(ch[2], env)
+        self._loop(header[0] if semi else None, ch[-1],
+                   header[-1] if semi < len(header) - 1 else None, env)
+
+    def _loop(self, cond: AstNode | None, body: AstNode,
+              update: AstNode | None, env: Env) -> None:
+        """Two passes, so definitions at body exit reach uses at entry."""
         entry = {k: set(v) for k, v in env.items()}
         for _ in range(2):
             if cond is not None:

@@ -20,7 +20,8 @@ from ponziscan.errors import BadAddress, NetworkError, NotVerified, RateLimited
 from ponziscan.pipeline import ContractRecord
 
 _ADDRESS_RE = re.compile(r"^0x[0-9a-fA-F]{40}$")
-_MIN_DELAY = 0.2
+MIN_DELAY = 0.2    # seconds between requests, at least
+MAX_RETRIES = 3    # attempts after a rate-limit reply
 DEFAULT_BASE_URL = "https://api.etherscan.io/api"
 
 _throttle_lock = threading.Lock()
@@ -44,16 +45,13 @@ class ApiConfig:
     api_key: str = ""
     base_url: str = DEFAULT_BASE_URL
     timeout: float = 10.0
-    delay: float = _MIN_DELAY          # seconds between requests, >= 0.2
-    max_retries: int = 3               # attempts after a rate-limit reply
+    delay: float = MIN_DELAY
     cache_dir: Path | None = None
     http_get: Callable[[str, dict, float], dict] = field(default=_default_http_get)
 
     def __post_init__(self) -> None:
-        if self.delay < _MIN_DELAY:
-            raise ValueError(f"delay must be >= {_MIN_DELAY}s")
-        if not 0 <= self.max_retries <= 3:
-            raise ValueError("max_retries must be between 0 and 3")
+        if self.delay < MIN_DELAY:
+            raise ValueError(f"delay must be >= {MIN_DELAY}s")
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
 
@@ -121,13 +119,13 @@ def fetch_verified_source(address: str, config: ApiConfig) -> ContractRecord:
         "apikey": config.api_key,
     }
     body = None
-    for attempt in range(config.max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         _throttle(config.delay)
         body = config.http_get(config.base_url, params, config.timeout)
         if not isinstance(body, dict):
             raise NetworkError("malformed response body")
         if _is_rate_limit(body):
-            if attempt == config.max_retries:
+            if attempt == MAX_RETRIES:
                 raise RateLimited(f"rate limited after {attempt + 1} attempts")
             time.sleep(config.delay * (attempt + 1))
             continue

@@ -96,7 +96,9 @@ def load_dataset(path: str | Path) -> list[ContractRecord]:
                 raise MalformedRecord("idx must be an integer", line_no)
             if not isinstance(source, str):
                 raise MalformedRecord("source must be a string", line_no)
-            if "label" not in obj or label not in (0, 1, None):
+            # JSON true/false and 1.0 compare equal to 1/0; only ints pass
+            if ("label" not in obj or label not in (0, 1, None)
+                    or isinstance(label, (bool, float))):
                 raise MalformedRecord("label must be 0, 1 or null", line_no)
             if idx in seen:
                 raise DuplicateIdx(f"idx {idx} appears more than once")
@@ -110,11 +112,16 @@ def load_dataset(path: str | Path) -> list[ContractRecord]:
     return records
 
 
+def record_line(record: ContractRecord) -> str:
+    """One dataset line, as load_dataset reads it."""
+    return json.dumps({"idx": record.idx, "source": record.source,
+                       "label": record.label}) + "\n"
+
+
 def write_dataset(records: list[ContractRecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for r in sorted(records, key=lambda r: r.idx):
-            fh.write(json.dumps({"idx": r.idx, "source": r.source,
-                                 "label": r.label}) + "\n")
+            fh.write(record_line(r))
 
 
 def _ponzi_sorted(records: list[ContractRecord]) -> list[ContractRecord]:

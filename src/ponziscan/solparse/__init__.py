@@ -1,7 +1,7 @@
 """Lexing and parsing for the supported Solidity subset."""
 
 from ponziscan.solparse import astnodes
-from ponziscan.solparse.astnodes import AstNode, AstPath, iter_leaves, iter_leaves_with_paths, node_at, to_jsonable
+from ponziscan.solparse.astnodes import AstNode, iter_leaves, to_jsonable
 from ponziscan.solparse.lexer import (
     KIND_COMMENT,
     KIND_IDENTIFIER,
@@ -15,12 +15,11 @@ from ponziscan.solparse.lexer import (
     lex,
     render,
 )
-from ponziscan.solparse.parser import leaf_identifiers, occurrence_name, parse
+from ponziscan.solparse.parser import parse, var_occurrences
 
 __all__ = [
     "astnodes",
     "AstNode",
-    "AstPath",
     "Token",
     "KIND_COMMENT",
     "KIND_IDENTIFIER",
@@ -31,12 +30,9 @@ __all__ = [
     "code_tokens",
     "is_type_keyword",
     "iter_leaves",
-    "iter_leaves_with_paths",
-    "leaf_identifiers",
     "lex",
-    "node_at",
-    "occurrence_name",
     "parse",
     "render",
     "to_jsonable",
+    "var_occurrences",
 ]

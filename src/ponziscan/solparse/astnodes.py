@@ -57,9 +57,6 @@ LEAF_PUNCT = "punct"
 LEAF_NUMBER = "number"
 LEAF_STRING = "string"
 
-AstPath = tuple[int, ...]
-
-
 @dataclass
 class AstNode:
     kind: str
@@ -90,21 +87,6 @@ def iter_leaves(node: AstNode) -> Iterator[AstNode]:
         return
     for child in node.children:
         yield from iter_leaves(child)
-
-
-def iter_leaves_with_paths(node: AstNode, prefix: AstPath = ()) -> Iterator[tuple[AstNode, AstPath]]:
-    if node.is_leaf:
-        yield node, prefix
-        return
-    for i, child in enumerate(node.children):
-        yield from iter_leaves_with_paths(child, prefix + (i,))
-
-
-def node_at(root: AstNode, path: AstPath) -> AstNode:
-    node = root
-    for i in path:
-        node = node.children[i]
-    return node
 
 
 def to_jsonable(node: AstNode) -> dict:

@@ -18,7 +18,7 @@ from typing import Callable
 
 from ponziscan.errors import ParseError, UnbalancedBrackets
 from ponziscan.solparse import astnodes as a
-from ponziscan.solparse.astnodes import AstNode, AstPath, leaf
+from ponziscan.solparse.astnodes import AstNode, leaf
 from ponziscan.solparse.lexer import (
     KIND_IDENTIFIER,
     KIND_KEYWORD,
@@ -49,8 +49,8 @@ _PREFIX_OPS = frozenset({"!", "~", "-", "+", "++", "--"})
 _VISIBILITY_KWS = frozenset({"public", "private", "internal", "external"})
 _MUTABILITY_KWS = frozenset({"pure", "view", "payable", "constant", "immutable", "virtual"})
 _STORAGE_KWS = frozenset({"memory", "storage", "calldata"})
-_STMT_KWS = frozenset({"if", "for", "while", "return", "emit", "throw",
-                       "break", "continue", "unchecked"})
+_STATE_VAR_KWS = frozenset({"public", "private", "internal", "constant",
+                            "immutable", "override"})
 
 
 class _Parser:
@@ -92,6 +92,17 @@ class _Parser:
         t = self.peek()
         return t is not None and t.kind == KIND_IDENTIFIER
 
+    def at_type_kw(self) -> bool:
+        t = self.peek()
+        return t is not None and t.kind == KIND_KEYWORD and is_type_keyword(t.text)
+
+    def _at_builtin_ref(self) -> bool:
+        """At `msg.x`, `block.x` or `tx.x`."""
+        t, dot, member = self.peek(), self.peek(1), self.peek(2)
+        return (t is not None and t.kind == KIND_IDENTIFIER and t.text in BUILTIN_ROOTS
+                and dot is not None and dot.kind == KIND_PUNCT and dot.text == "."
+                and member is not None and member.kind == KIND_IDENTIFIER)
+
     # -- leaf constructors ----------------------------------------------
 
     def take(self, kind: str) -> AstNode:
@@ -99,10 +110,7 @@ class _Parser:
 
     def take_auto(self) -> AstNode:
         """Consume one token as a leaf with a role-free classification."""
-        t = self.peek()
-        if t.kind == KIND_IDENTIFIER:
-            return self.take(a.LEAF_NAME)
-        return self.take(_generic_leaf_kind(t))
+        return self.take(_generic_leaf_kind(self.peek()))
 
     def expect_punct(self, text: str) -> AstNode:
         if not self.at_punct(text):
@@ -191,24 +199,11 @@ class _Parser:
             return self.parse_struct()
         if self.at_kw("enum"):
             return self.parse_enum()
-        if self.at_kw("using"):
-            return self.parse_opaque_statement()
-        decl = self.try_parse(self.parse_state_var)
-        if decl is not None:
-            return decl
-        return self.parse_opaque_statement()
+        # `using ... for ...;` lands here too: it is no type name
+        return self.try_parse(self.parse_state_var) or self.parse_opaque_statement()
 
     def parse_state_var(self) -> AstNode:
-        node = AstNode(a.STATE_VAR)
-        node.add(self.parse_type_name())
-        while self.at_kw("public", "private", "internal", "constant", "immutable", "override"):
-            node.add(self.take(a.LEAF_KW))
-        node.add(self.expect_var())
-        if self.at_punct("="):
-            node.add(self.take(a.LEAF_PUNCT))
-            node.add(self.parse_expression())
-        node.add(self.expect_punct(";"))
-        return node
+        return self._var_decl(a.STATE_VAR, _STATE_VAR_KWS)
 
     def parse_function(self) -> AstNode:
         node = AstNode(a.FUNCTION)
@@ -326,7 +321,7 @@ class _Parser:
             node.add(self.expect_punct("=>"))
             node.add(self.parse_type_name())
             node.add(self.expect_punct(")"))
-        elif self.peek() is not None and self.peek().kind == KIND_KEYWORD and is_type_keyword(self.peek().text):
+        elif self.at_type_kw():
             node.add(self.take(a.LEAF_KW))
             if node.children[-1].token.text == "address" and self.at_kw("payable"):
                 node.add(self.take(a.LEAF_KW))
@@ -355,15 +350,7 @@ class _Parser:
         return node
 
     def parse_statement_or_opaque(self) -> AstNode:
-        save = self.pos
-        try:
-            return self.parse_statement()
-        except ParseError:
-            self.pos = save
-        node = self.parse_opaque_statement()
-        if not node.children and not self.at_end():
-            node.add(self.take_auto())  # guarantee progress on stray tokens
-        return node
+        return self.try_parse(self.parse_statement) or self.parse_opaque_statement()
 
     def parse_statement(self) -> AstNode:
         if self.at_punct("{"):
@@ -397,11 +384,7 @@ class _Parser:
             node.add(self.take(a.LEAF_KW))
             node.add(self.parse_block())
             return node
-        if self.at_kw("var", "mapping") or (
-            self.peek() is not None
-            and self.peek().kind == KIND_KEYWORD
-            and is_type_keyword(self.peek().text)
-        ):
+        if self.at_kw("mapping") or self.at_type_kw():
             return self.parse_var_decl_stmt()
         if self.at_ident():
             decl = self.try_parse(self.parse_var_decl_stmt)
@@ -410,9 +393,13 @@ class _Parser:
         return self.parse_expr_stmt()
 
     def parse_var_decl_stmt(self) -> AstNode:
-        node = AstNode(a.VAR_DECL_STMT)
+        return self._var_decl(a.VAR_DECL_STMT, _STORAGE_KWS)
+
+    def _var_decl(self, kind: str, keywords: frozenset[str]) -> AstNode:
+        """`type keyword* name (= expression)? ;`"""
+        node = AstNode(kind)
         node.add(self.parse_type_name())
-        while self.at_kw("memory", "storage", "calldata"):
+        while self.at_kw(*keywords):
             node.add(self.take(a.LEAF_KW))
         node.add(self.expect_var())
         if self.at_punct("="):
@@ -476,7 +463,9 @@ class _Parser:
         Stops after a ';' at depth 0 or after a balanced '{...}' closes
         (except do-while, which continues to the trailing ';'). Identifier
         leaves are still harvested: callee-looking ones (followed by '(')
-        become plain names, the rest variable occurrences.
+        become plain names, the rest variable occurrences. Unless at the end
+        of input it consumes at least one token, so a stray closer becomes
+        a one-leaf statement and every loop over statements makes progress.
         """
         node = AstNode(a.OPAQUE)
         start_offset = self._offset()
@@ -501,24 +490,26 @@ class _Parser:
                     break
             elif text == ";" and depth == 0:
                 break
+        if not node.children and not self.at_end():
+            node.add(self.take_auto())  # a stray ')', ']' or '}'
         return node
 
     def _consume_opaque_unit(self, node: AstNode) -> None:
-        t = self.peek()
-        if t.kind == KIND_IDENTIFIER:
-            nxt, nxt2 = self.peek(1), self.peek(2)
-            if (t.text in BUILTIN_ROOTS and nxt is not None and nxt.kind == KIND_PUNCT
-                    and nxt.text == "." and nxt2 is not None and nxt2.kind == KIND_IDENTIFIER):
-                ref = AstNode(a.BUILTIN_REF)
-                ref.add(self.take(a.LEAF_VAR), self.take(a.LEAF_PUNCT), self.take(a.LEAF_NAME))
-                node.add(ref)
-                return
-            if nxt is not None and nxt.kind == KIND_PUNCT and nxt.text == "(":
-                node.add(self.take(a.LEAF_NAME))
-                return
-            node.add(self.take(a.LEAF_NAME if t.text == "_" else a.LEAF_VAR))
-            return
-        node.add(self.take(_generic_leaf_kind(t)))
+        t, nxt = self.peek(), self.peek(1)
+        if self._at_builtin_ref():
+            node.add(self._builtin_ref())
+        elif t.kind != KIND_IDENTIFIER:
+            node.add(self.take(_generic_leaf_kind(t)))
+        elif t.text == "_" or (nxt is not None and nxt.kind == KIND_PUNCT and nxt.text == "("):
+            node.add(self.take(a.LEAF_NAME))  # modifier placeholder or callee
+        else:
+            node.add(self.take(a.LEAF_VAR))
+
+    def _builtin_ref(self) -> AstNode:
+        """One dotted variable rooted at msg/block/tx: the root is its leaf."""
+        node = AstNode(a.BUILTIN_REF)
+        node.add(self.take(a.LEAF_VAR), self.take(a.LEAF_PUNCT), self.take(a.LEAF_NAME))
+        return node
 
     # -- expressions --------------------------------------------------------
 
@@ -622,14 +613,10 @@ class _Parser:
         t = self.peek()
         if t is None:
             raise self.error("expected expression", frozenset({"expression"}))
+        if self._at_builtin_ref():
+            return self._builtin_ref()
         if t.kind == KIND_IDENTIFIER:
-            nxt, nxt2 = self.peek(1), self.peek(2)
-            if (t.text in BUILTIN_ROOTS and nxt is not None and nxt.kind == KIND_PUNCT
-                    and nxt.text == "." and nxt2 is not None and nxt2.kind == KIND_IDENTIFIER):
-                node = AstNode(a.BUILTIN_REF)
-                node.add(self.take(a.LEAF_VAR), self.take(a.LEAF_PUNCT), self.take(a.LEAF_NAME))
-                return node
-            return self.take(a.LEAF_NAME if t.text == "_" else a.LEAF_VAR)
+            return self.expect_var()
         if t.kind == KIND_NUMBER:
             num = self.take(a.LEAF_NUMBER)
             if self.at_kw(*UNIT_KEYWORDS):
@@ -678,6 +665,7 @@ class _Parser:
 
 
 def _generic_leaf_kind(t: Token) -> str:
+    """Leaf kind by token kind alone; identifiers are plain names."""
     return {
         KIND_KEYWORD: a.LEAF_KW,
         KIND_NUMBER: a.LEAF_NUMBER,
@@ -691,20 +679,20 @@ def parse(tokens: list[Token]) -> AstNode:
     return _Parser(tokens).parse_source_unit()
 
 
-def leaf_identifiers(ast: AstNode) -> list[tuple[Token, AstPath]]:
-    """Identifier leaves in variable positions, in source order."""
-    out = []
-    for node, path in a.iter_leaves_with_paths(ast):
-        if node.kind == a.LEAF_VAR:
-            out.append((node.token, path))
+def var_occurrences(ast: AstNode) -> list[tuple[AstNode, str]]:
+    """Leaves in variable positions, in source order, each with its variable
+    name: dotted (msg.sender) for the root leaf of a msg/block/tx reference."""
+    out: list[tuple[AstNode, str]] = []
+
+    def visit(node: AstNode) -> None:
+        for child in node.children:
+            if not child.is_leaf:
+                visit(child)
+            elif child.kind == a.LEAF_VAR:
+                name = child.token.text
+                if node.kind == a.BUILTIN_REF:  # children: root, '.', member
+                    name = f"{name}.{node.children[2].token.text}"
+                out.append((child, name))
+
+    visit(ast)
     return out
-
-
-def occurrence_name(ast: AstNode, path: AstPath) -> str:
-    """Variable name for a leaf from leaf_identifiers; dotted for msg/block/tx."""
-    node = a.node_at(ast, path)
-    if path:
-        parent = a.node_at(ast, path[:-1])
-        if parent.kind == a.BUILTIN_REF and path[-1] == 0 and len(parent.children) == 3:
-            return f"{node.token.text}.{parent.children[2].token.text}"
-    return node.token.text

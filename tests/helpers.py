@@ -1,10 +1,14 @@
-"""Independent oracles shared by the unit and acceptance tests.
+"""Independent oracles shared by the unit and acceptance tests, and a time
+limit for tests of inputs that once hung.
 
 Each oracle restates a contract from scratch (per-entry loops, no shared
 code with the implementation) so that agreement is evidence, not tautology.
 """
 
 from __future__ import annotations
+
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -239,3 +243,18 @@ def count_params(config: ModelConfig, vocab_size: int) -> int:
 
     return sum(int(np.prod(shape))
                for shape in param_shapes(config, vocab_size).values())
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Fail with TimeoutError instead of hanging when the body overruns."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -31,6 +31,13 @@ def test_decl_with_initializer():
     assert edges(g) == [(1, 0)]
 
 
+def test_placeholder_named_decl_still_reads_its_initializer():
+    # `_` is never a variable, so nothing is declared, but `b` is a use
+    g = dfg_of("uint b = 1; uint _ = b;")
+    assert names(g) == ["b_1", "b_2"]
+    assert edges(g) == [(0, 1)]
+
+
 def test_assignment_strong_update():
     g = dfg_of("x = y; x = z; w = x;")
     assert names(g) == ["x_1", "y_1", "x_2", "z_1", "w_1", "x_3"]

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from ponziscan.errors import BadAddress, NetworkError, NotVerified, RateLimited
-from ponziscan.ingest import ApiConfig, _flatten_source, fetch_verified_source
+from ponziscan.ingest import MAX_RETRIES, ApiConfig, _flatten_source, fetch_verified_source
 
 ADDRESS = "0x" + "ab12" * 10
 SECRET = "KEY-THAT-MUST-NOT-LEAK"
@@ -77,11 +77,10 @@ def test_rate_limit_then_success_retries():
 
 
 def test_rate_limit_exhaustion():
-    stub = StubHttp([RATE_BODY] * 3)
-    config = make_config(stub, max_retries=2)
+    stub = StubHttp([RATE_BODY] * (MAX_RETRIES + 1))
     with pytest.raises(RateLimited) as err:
-        fetch_verified_source(ADDRESS, config)
-    assert len(stub.calls) == 3
+        fetch_verified_source(ADDRESS, make_config(stub))
+    assert len(stub.calls) == MAX_RETRIES + 1 == 4
     assert SECRET not in str(err.value)
 
 
@@ -152,5 +151,3 @@ def test_requests_spaced_by_delay():
 def test_delay_floor_enforced():
     with pytest.raises(ValueError):
         ApiConfig(delay=0.1)
-    with pytest.raises(ValueError):
-        ApiConfig(max_retries=5)

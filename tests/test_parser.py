@@ -7,7 +7,9 @@ import pytest
 from ponziscan.errors import ParseError, UnbalancedBrackets
 from ponziscan.solparse import astnodes as A
 from ponziscan.solparse.lexer import code_tokens, lex
-from ponziscan.solparse.parser import parse as parse_tokens
+from ponziscan.solparse.parser import parse as parse_tokens, var_occurrences
+
+from helpers import time_limit
 
 
 def parse(source: str):
@@ -179,7 +181,31 @@ def test_to_jsonable_shape():
     assert node["span"] == [0, 4]
 
 
-def test_node_at_follows_paths():
-    ast = parse("contract C { function f() public { a = 1; } }")
-    for leaf, path in A.iter_leaves_with_paths(ast):
-        assert A.node_at(ast, path) is leaf
+@pytest.mark.parametrize("stray", [")", "]"])
+def test_stray_closer_in_contract_body_is_opaque_leaf(stray):
+    with time_limit(2):
+        ast = parse(f"contract C {{ {stray} }}")
+    contract = ast.children[0]
+    opaque = [c for c in contract.children if c.kind == A.OPAQUE]
+    assert len(opaque) == 1
+    assert [(l.kind, l.token.text) for l in leaves(opaque[0])] == [(A.LEAF_PUNCT, stray)]
+    assert [l.token.text for l in leaves(contract)][-1] == "}"
+
+
+def test_var_occurrences_are_the_var_leaves_in_order():
+    ast = parse("contract C { uint a; function f(uint x) public {"
+                " a = x + msg.value; owner.transfer(a); _; } }")
+    found = var_occurrences(ast)
+    assert [leaf for leaf, _ in found] == [l for l in leaves(ast) if l.kind == A.LEAF_VAR]
+    assert [name for _, name in found] == ["a", "x", "a", "x", "msg.value", "owner", "a"]
+
+
+def test_builtin_ref_named_alike_in_expression_and_opaque_code():
+    parsed = parse("function f() public { a = msg.sender; }")
+    opaque = parse("function f() public { assembly { let x := msg.sender } }")
+    assert [n for n in walk(opaque) if n.kind == A.OPAQUE]
+    for ast in (parsed, opaque):
+        refs = [n for n in walk(ast) if n.kind == A.BUILTIN_REF]
+        assert len(refs) == 1
+        assert [name for leaf, name in var_occurrences(ast)
+                if leaf is refs[0].children[0]] == ["msg.sender"]

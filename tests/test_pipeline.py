@@ -85,6 +85,10 @@ def test_load_skips_blank_lines(tmp_path):
     ('{"idx": true, "source": "a;", "label": 0}', "idx"),
     ('{"idx": 1, "source": 5, "label": 0}', "source"),
     ('{"idx": 1, "source": "a;", "label": 2}', "label"),
+    ('{"idx": 1, "source": "a;", "label": true}', "label"),
+    ('{"idx": 1, "source": "a;", "label": false}', "label"),
+    ('{"idx": 1, "source": "a;", "label": 1.0}', "label"),
+    ('{"idx": 1, "source": "a;", "label": 0.0}', "label"),
     ('{"idx": 1, "source": "a;"}', "label"),
 ])
 def test_malformed_records(tmp_path, line, what):
@@ -93,6 +97,7 @@ def test_malformed_records(tmp_path, line, what):
     with pytest.raises(MalformedRecord) as err:
         load_dataset(path)
     assert err.value.line == 1
+    assert what in str(err.value)
 
 
 def test_malformed_record_reports_line_number(tmp_path):
