@@ -1,5 +1,6 @@
-"""Independent oracles shared by the unit and acceptance tests, and a time
-limit for tests of inputs that once hung.
+"""Independent oracles shared by the unit and acceptance tests, a time
+limit for tests of inputs that once hung, and the source mutator that the
+fuzz and golden tests share.
 
 Each oracle restates a contract from scratch (per-entry loops, no shared
 code with the implementation) so that agreement is evidence, not tautology.
@@ -258,3 +259,23 @@ def time_limit(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# stray closers and openers, builtin roots, loop heads, and openers of
+# comments and strings that may never close
+ALPHABET = (")", "]", "}", "{", "(", "msg.", "for(", "do{", "/*", '"',
+            ";", "=", "_", "while(", "++", "[", ".")
+
+
+def mutate(source: str, mutations) -> str:
+    """Span deletes, span copies and single inserts; positions wrap."""
+    for kind, at, length, to, text in mutations:
+        at %= len(source) + 1
+        if kind == "delete":
+            source = source[:at] + source[at + length:]
+        elif kind == "copy":
+            to %= len(source) + 1
+            source = source[:to] + source[at:at + length] + source[to:]
+        else:
+            source = source[:at] + text + source[at:]
+    return source

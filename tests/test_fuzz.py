@@ -17,30 +17,11 @@ from ponziscan.model.encoder import forward
 from ponziscan.model.params import init_params
 from ponziscan.solparse import lex, parse
 
-from helpers import time_limit
-
-# stray closers and openers, builtin roots, loop heads, and openers of
-# comments and strings that may never close
-ALPHABET = (")", "]", "}", "{", "(", "msg.", "for(", "do{", "/*", '"',
-            ";", "=", "_", "while(", "++", "[", ".")
+from helpers import ALPHABET, mutate, time_limit
 
 MUTATION = st.tuples(st.sampled_from(("delete", "copy", "insert")),
                      st.integers(0, 10 ** 6), st.integers(0, 40),
                      st.integers(0, 10 ** 6), st.sampled_from(ALPHABET))
-
-
-def mutate(source: str, mutations) -> str:
-    """Span deletes, span copies and single inserts; positions wrap."""
-    for kind, at, length, to, text in mutations:
-        at %= len(source) + 1
-        if kind == "delete":
-            source = source[:at] + source[at + length:]
-        elif kind == "copy":
-            to %= len(source) + 1
-            source = source[:to] + source[at:at + length] + source[to:]
-        else:
-            source = source[:at] + text + source[at:]
-    return source
 
 
 @st.composite
