@@ -12,13 +12,11 @@ from ponziscan.model.config import ModelConfig
 from ponziscan.pipeline import (
     ContractRecord,
     EvalReport,
-    SplitPlan,
     evaluate,
     finetune,
     load_dataset,
     predict_one,
-    split_fixed,
-    split_partitions,
+    split_chronological,
     split_random,
 )
 from ponziscan.solparse import lex, parse
@@ -32,7 +30,6 @@ __all__ = [
     "EvalReport",
     "ModelConfig",
     "ModelInput",
-    "SplitPlan",
     "VarNode",
     "Vocabulary",
     "build_mask",
@@ -45,8 +42,7 @@ __all__ = [
     "load_dataset",
     "parse",
     "predict_one",
-    "split_fixed",
-    "split_partitions",
+    "split_chronological",
     "split_random",
     "__version__",
 ]

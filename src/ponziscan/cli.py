@@ -36,9 +36,8 @@ from ponziscan.pipeline import (
     load_dataset,
     predict_one,
     record_line,
-    split_fixed,
+    split_chronological,
     split_random,
-    subset_records,
     write_dataset,
 )
 from ponziscan.pretrain import PretrainFlags, pretrain_epoch
@@ -46,7 +45,7 @@ from ponziscan.solparse import lex, parse, to_jsonable as ast_to_jsonable
 
 DEFAULT_VOCAB_CAP = 2048
 DEFAULT_THRESHOLD = 0.5
-SPLITS = ("fixed", "random", "all")
+SPLITS = ("fixed", "P2", "P3", "P4", "random", "all")
 
 # model-shape flag dest -> ModelConfig field
 _SHAPE_FIELDS = {"layers": "n_layers", "d_h": "d_h", "heads": "n_heads",
@@ -145,16 +144,20 @@ def _cmd_pretrain(ns: argparse.Namespace) -> None:
 
 def _select_split(records: list[ContractRecord], split: str, seed: int):
     """(sizes, train, val, test) records under one of SPLITS; val is None
-    unless the split has a validation subset. Every record needs a label."""
+    unless the split has a validation subset. Every record needs a label.
+    fixed is the chronological pair P0..P4 -> P5."""
     for r in records:
         if r.label is None:
             raise UnlabeledRecord(f"record idx {r.idx} has no label")
-    if split not in ("fixed", "random"):
+    if split == "all":
         return {"all": len(records)}, records, None, records
-    plan = split_fixed(records) if split == "fixed" else split_random(records, seed)
-    subsets = {name: subset_records(records, ids)
-               for name, ids in plan.subsets.items()}
-    return plan.sizes(), subsets["train"], subsets.get("val"), subsets["test"]
+    if split == "random":
+        subsets = split_random(records, seed)
+    else:
+        k = 5 if split == "fixed" else int(split[1:])
+        subsets = split_chronological(records, k)
+    sizes = {name: len(part) for name, part in subsets.items()}
+    return sizes, subsets["train"], subsets.get("val"), subsets["test"]
 
 
 def _cmd_train(ns: argparse.Namespace) -> None:
@@ -345,7 +348,10 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--no-dataflow", action="store_false", dest="use_dataflow")
     _add_common(p)
 
-    p = subs.add_parser("fetch", help="download verified source by address")
+    p = subs.add_parser("fetch", help="download verified source by address",
+                        description="A fetched record's idx is int(address, 16)"
+                        " % 10**9, not its creation order, so the fixed and P<k>"
+                        " splits do not apply to fetched records.")
     p.add_argument("--address", required=True)
     p.add_argument("--out", help="append the record to this JSONL file")
     p.add_argument("--api-key", dest="api_key",

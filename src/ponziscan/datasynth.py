@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ponziscan.pipeline import ContractRecord
+from ponziscan.pipeline import TRAIN_PONZI_COUNT, ContractRecord
 
 PUBLISHED_TOTAL = 6498
 PUBLISHED_PONZI = 318
 PUBLISHED_TRAIN = 5990
-_TRAIN_PONZI = 250
 
 _NAME_STEMS = ("Alpha", "Nova", "Orion", "Vault", "Lux", "Apex", "Zen",
                "Echo", "Titan", "Mint", "Delta", "Quint")
@@ -233,11 +232,11 @@ def generate_published_shape(seed: int = 0) -> list[ContractRecord]:
     rng = np.random.default_rng(seed)
     labels = np.zeros(PUBLISHED_TOTAL, dtype=np.int64)
     head = PUBLISHED_TRAIN - 1  # positions 0..5988 hold 249 positives
-    head_pos = rng.choice(head, size=_TRAIN_PONZI - 1, replace=False)
+    head_pos = rng.choice(head, size=TRAIN_PONZI_COUNT - 1, replace=False)
     labels[head_pos] = 1
     labels[PUBLISHED_TRAIN - 1] = 1  # the 250th positive, position 5990 (1-based)
     tail = PUBLISHED_TOTAL - PUBLISHED_TRAIN
-    tail_pos = rng.choice(tail, size=PUBLISHED_PONZI - _TRAIN_PONZI, replace=False)
+    tail_pos = rng.choice(tail, size=PUBLISHED_PONZI - TRAIN_PONZI_COUNT, replace=False)
     labels[PUBLISHED_TRAIN + tail_pos] = 1
     records = []
     for i in range(PUBLISHED_TOTAL):

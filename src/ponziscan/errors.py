@@ -41,6 +41,10 @@ class UnbalancedBrackets(ParseError):
     pass
 
 
+class NestingTooDeep(ParseError):
+    """Nested past parser.MAX_NESTING levels."""
+
+
 # --- vocabulary / encoding ------------------------------------------------
 
 class EmptyCorpus(DomainError):

@@ -1,7 +1,7 @@
 """Loss heads with analytic gradients.
 
-Classification reads the [CLS] row through the linear classifier (mean
-cross-entropy over the batch). The masked-token head is weight-tied to the
+Classification reads the [CLS] row through the linear classifier
+(cross-entropy of one input). The masked-token head is weight-tied to the
 token embedding table (mean cross-entropy over targets). Edge and
 alignment prediction score position pairs with sigmoid(h_i . h_j) and sum
 binary cross-entropy over the sampled candidates.
@@ -28,28 +28,20 @@ def _log_softmax_pick(logits: np.ndarray, target: int) -> tuple[float, np.ndarra
     return float(lse - logits[target]), dlogits
 
 
-def classification_loss_and_grads(batch: list[tuple[ModelInput, int]],
+def classification_loss_and_grads(inp: ModelInput, label: int,
                                   params: Params, config: ModelConfig):
-    """Mean label cross-entropy over the batch, with gradients."""
-    if not batch:
-        raise NoTargets("empty classification batch")
-    grads = zeros_like_params(params)
+    """Label cross-entropy of one input, with gradients."""
+    H, caches = forward_hidden(inp, params, config)
+    h = H[0]
     cls_w = params["cls_w"]
-    total = 0.0
-    for inp, label in batch:
-        H, caches = forward_hidden(inp, params, config)
-        h = H[0]
-        loss, dlogits = _log_softmax_pick(h @ cls_w, label)
-        total += loss
-        grads["cls_w"] += np.outer(h, dlogits)
-        dH = np.zeros_like(H)
-        dH[0] = cls_w @ dlogits
-        backward_hidden(dH, inp, caches, params, config, grads)
-    scale = 1.0 / len(batch)
-    for g in grads.values():
-        g *= scale
+    loss, dlogits = _log_softmax_pick(h @ cls_w, label)
+    grads = zeros_like_params(params)
+    grads["cls_w"] += np.outer(h, dlogits)
+    dH = np.zeros_like(H)
+    dH[0] = cls_w @ dlogits
+    backward_hidden(dH, inp, caches, params, config, grads)
     check_finite(grads, NonFiniteGradient)
-    return total * scale, grads
+    return loss, grads
 
 
 def mlm_loss_and_grads(inp: ModelInput, targets: list[tuple[int, int]],

@@ -1,11 +1,11 @@
 """Dataset handling, split protocols, fine-tuning, and evaluation.
 
-Three split protocols over creation-ordered records:
-  - fixed: train on Ponzi schemes ranked 1-250 plus every non-Ponzi record
-    created before the 250th one; test on the remainder.
-  - partitions: six chronological parts P0..P5 cut every 50 Ponzi schemes
-    (P5 holds rank 251 onward and equals the fixed test set), evaluated as
-    cumulative-train/next-test pairs.
+Two split protocols:
+  - chronological: records in creation (idx) order are cut after every
+    50th Ponzi scheme into P0..P5, P5 holding rank 251 onward. Pair k
+    trains on P0..P(k-1) and tests on Pk, for k = 2..5; k = 5 is the fixed
+    protocol: Ponzi schemes ranked 1-250 plus every earlier non-Ponzi
+    record train, the remainder tests.
   - random: seeded shuffle into 7:1:2 train/validation/test, remainder to
     train; validation picks the best epoch.
 """
@@ -38,8 +38,8 @@ from ponziscan.solparse.parser import parse
 
 log = logging.getLogger(__name__)
 
-TRAIN_PONZI_COUNT = 250
 PARTITION_PONZI_STEP = 50
+TRAIN_PONZI_COUNT = 5 * PARTITION_PONZI_STEP  # the fixed protocol's, P0..P4
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,6 @@ class ContractRecord:
     idx: int
     source: str
     label: int | None  # 1 = Ponzi scheme, 0 = benign, None = unlabeled
-
-
-@dataclass
-class SplitPlan:
-    kind: str
-    subsets: dict[str, list[int]] = field(default_factory=dict)
-
-    def sizes(self) -> dict[str, int]:
-        return {name: len(ids) for name, ids in self.subsets.items()}
 
 
 @dataclass(frozen=True)
@@ -124,76 +115,44 @@ def write_dataset(records: list[ContractRecord], path: str | Path) -> None:
             fh.write(record_line(r))
 
 
-def _ponzi_sorted(records: list[ContractRecord]) -> list[ContractRecord]:
-    return [r for r in sorted(records, key=lambda r: r.idx) if r.label == 1]
-
-
-def split_fixed(records: list[ContractRecord]) -> SplitPlan:
-    ponzi = _ponzi_sorted(records)
-    if len(ponzi) < TRAIN_PONZI_COUNT + 1:
+def split_chronological(records: list[ContractRecord],
+                        k: int = 5) -> dict[str, list[ContractRecord]]:
+    """Pair k of the chronological protocol, 2 <= k <= 5: train on P0..P(k-1),
+    every record up to the (50k)th Ponzi scheme in idx order; test on Pk,
+    the records after it up to the 50(k+1)th (k = 5: to the end). Every
+    pair needs more than 250 positive records, so that P5 is not empty."""
+    if not 2 <= k <= 5:
+        raise ValueError(f"k must be 2..5, got {k}")
+    ordered = sorted(records, key=lambda r: r.idx)
+    ponzi = [r.idx for r in ordered if r.label == 1]
+    if len(ponzi) <= TRAIN_PONZI_COUNT:
+        name = "fixed" if k == 5 else f"P{k}"
         raise TooFewPositives(
-            f"fixed split needs more than {TRAIN_PONZI_COUNT} positive records,"
-            f" got {len(ponzi)}")
-    # everything at or before the 250th Ponzi scheme's idx is training data:
-    # Ponzi ranks 1-250 plus every earlier non-Ponzi record
-    boundary = ponzi[TRAIN_PONZI_COUNT - 1].idx
-    train = sorted(r.idx for r in records if r.idx <= boundary)
-    test = sorted(r.idx for r in records if r.idx > boundary)
-    return SplitPlan(kind="fixed", subsets={"train": train, "test": test})
+            f"{name} split needs more than {TRAIN_PONZI_COUNT} positive"
+            f" records, got {len(ponzi)}")
+    last_train = ponzi[k * PARTITION_PONZI_STEP - 1]
+    last_test = ponzi[(k + 1) * PARTITION_PONZI_STEP - 1] if k < 5 else math.inf
+    return {"train": [r for r in ordered if r.idx <= last_train],
+            "test": [r for r in ordered if last_train < r.idx <= last_test]}
 
 
-def split_partitions(records: list[ContractRecord]) -> SplitPlan:
-    ponzi = _ponzi_sorted(records)
-    if len(ponzi) < 5 * PARTITION_PONZI_STEP + 1:
-        raise TooFewPositives(
-            f"partition split needs more than {5 * PARTITION_PONZI_STEP}"
-            f" positive records, got {len(ponzi)}")
-    boundaries = [ponzi[(k + 1) * PARTITION_PONZI_STEP - 1].idx for k in range(5)]
-    subsets: dict[str, list[int]] = {f"P{k}": [] for k in range(6)}
-    for r in sorted(records, key=lambda r: r.idx):
-        part = 5
-        for k, b in enumerate(boundaries):
-            if r.idx <= b:
-                part = k
-                break
-        subsets[f"P{part}"].append(r.idx)
-    return SplitPlan(kind="partitions", subsets=subsets)
-
-
-def cumulative_pairs(plan: SplitPlan) -> list[tuple[str, list[int], list[int]]]:
-    """(name, train ids, test ids) for P0+P1->P2 through P0..P4->P5."""
-    pairs = []
-    for upto in range(2, 6):
-        train: list[int] = []
-        for k in range(upto):
-            train.extend(plan.subsets[f"P{k}"])
-        name = "+".join(f"P{k}" for k in range(upto)) + f"->P{upto}"
-        pairs.append((name, sorted(train), list(plan.subsets[f"P{upto}"])))
-    return pairs
-
-
-def split_random(records: list[ContractRecord], seed: int) -> SplitPlan:
+def split_random(records: list[ContractRecord],
+                 seed: int) -> dict[str, list[ContractRecord]]:
     """7:1:2 by count: validation floor(n/10), test n/5 rounded half up,
-    remainder to train."""
+    remainder to train; each subset in idx order."""
     n = len(records)
     if n < 10:
         raise EmptyDataset(f"random split needs at least 10 records, got {n}")
     n_val = n // 10
     n_test = int(math.floor(n / 5 + 0.5))
     n_train = n - n_val - n_test
-    ids = [r.idx for r in sorted(records, key=lambda r: r.idx)]
-    perm = np.random.default_rng(seed).permutation(len(ids))
-    shuffled = [ids[i] for i in perm]
-    return SplitPlan(kind="random", subsets={
-        "train": sorted(shuffled[:n_train]),
-        "val": sorted(shuffled[n_train:n_train + n_val]),
-        "test": sorted(shuffled[n_train + n_val:]),
-    })
-
-
-def subset_records(records: list[ContractRecord], ids: list[int]) -> list[ContractRecord]:
-    wanted = set(ids)
-    return [r for r in records if r.idx in wanted]
+    ordered = sorted(records, key=lambda r: r.idx)
+    perm = np.random.default_rng(seed).permutation(n).tolist()
+    parts = {"train": perm[:n_train], "val": perm[n_train:n_train + n_val],
+             "test": perm[n_train + n_val:]}
+    # positions into the idx-ordered list: sorted, they keep idx order
+    return {name: [ordered[i] for i in sorted(part)]
+            for name, part in parts.items()}
 
 
 # -- encoding ---------------------------------------------------------------
@@ -306,7 +265,7 @@ def finetune(records: list[ContractRecord], vocab: Vocabulary,
         total = 0.0
         for i in order.tolist():
             loss, grads = classification_loss_and_grads(
-                [(inputs[i], labels[i])], params, config)
+                inputs[i], labels[i], params, config)
             adam_step(params, grads, state, lr)
             total += loss
         epoch_losses.append(total / len(inputs))

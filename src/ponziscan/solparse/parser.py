@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ponziscan.errors import ParseError, UnbalancedBrackets
+from ponziscan.errors import NestingTooDeep, ParseError, UnbalancedBrackets
 from ponziscan.solparse import astnodes as a
 from ponziscan.solparse.astnodes import AstNode, leaf
 from ponziscan.solparse.lexer import (
@@ -52,11 +52,19 @@ _STORAGE_KWS = frozenset({"memory", "storage", "calldata"})
 _STATE_VAR_KWS = frozenset({"public", "private", "internal", "constant",
                             "immutable", "override"})
 
+# Deepest nesting parse accepts. A statement, expression, operand or type
+# name being parsed is one level, and so is each operator or postfix that
+# wraps an operand. That bounds the parser's recursion and the depth of the
+# tree that the walks after it recurse over (extract_dfg, to_jsonable,
+# iter_leaves) to about 600 of Python's default 1,000 frames.
+MAX_NESTING = 150
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = code_tokens(tokens)
         self.pos = 0
+        self.depth = 0
 
     # -- token navigation ---------------------------------------------
 
@@ -129,13 +137,25 @@ class _Parser:
         kind = a.LEAF_NAME if self.peek().text == "_" else a.LEAF_VAR
         return self.take(kind)
 
+    def nest(self) -> None:
+        """One level deeper, until the enclosing try_parse, parse_expression
+        or parse_type_name call ends."""
+        if self.depth >= MAX_NESTING:
+            raise NestingTooDeep(f"nested deeper than {MAX_NESTING} levels",
+                                 self._offset())
+        self.depth += 1
+
     def try_parse(self, fn: Callable[[], AstNode]) -> AstNode | None:
-        save = self.pos
+        save, depth = self.pos, self.depth
         try:
             return fn()
+        except NestingTooDeep:
+            raise  # no fallback parses what is too deep
         except ParseError:
             self.pos = save
             return None
+        finally:
+            self.depth = depth
 
     # -- top level -------------------------------------------------------
 
@@ -313,31 +333,36 @@ class _Parser:
     # -- types ----------------------------------------------------------
 
     def parse_type_name(self) -> AstNode:
-        node = AstNode(a.TYPE_NAME)
-        if self.at_kw("mapping"):
-            node.add(self.take(a.LEAF_KW))
-            node.add(self.expect_punct("("))
-            node.add(self.parse_type_name())
-            node.add(self.expect_punct("=>"))
-            node.add(self.parse_type_name())
-            node.add(self.expect_punct(")"))
-        elif self.at_type_kw():
-            node.add(self.take(a.LEAF_KW))
-            if node.children[-1].token.text == "address" and self.at_kw("payable"):
+        depth = self.depth
+        self.nest()
+        try:
+            node = AstNode(a.TYPE_NAME)
+            if self.at_kw("mapping"):
                 node.add(self.take(a.LEAF_KW))
-        elif self.at_ident():
-            node.add(self.take(a.LEAF_NAME))
-            while self.at_punct(".") and self.peek(1) is not None and self.peek(1).kind == KIND_IDENTIFIER:
-                node.add(self.take(a.LEAF_PUNCT))
+                node.add(self.expect_punct("("))
+                node.add(self.parse_type_name())
+                node.add(self.expect_punct("=>"))
+                node.add(self.parse_type_name())
+                node.add(self.expect_punct(")"))
+            elif self.at_type_kw():
+                node.add(self.take(a.LEAF_KW))
+                if node.children[-1].token.text == "address" and self.at_kw("payable"):
+                    node.add(self.take(a.LEAF_KW))
+            elif self.at_ident():
                 node.add(self.take(a.LEAF_NAME))
-        else:
-            raise self.error("expected type name", frozenset({"type"}))
-        while self.at_punct("["):
-            node.add(self.take(a.LEAF_PUNCT))
-            if not self.at_punct("]"):
-                node.add(self.parse_expression())
-            node.add(self.expect_punct("]"))
-        return node
+                while self.at_punct(".") and self.peek(1) is not None and self.peek(1).kind == KIND_IDENTIFIER:
+                    node.add(self.take(a.LEAF_PUNCT))
+                    node.add(self.take(a.LEAF_NAME))
+            else:
+                raise self.error("expected type name", frozenset({"type"}))
+            while self.at_punct("["):
+                node.add(self.take(a.LEAF_PUNCT))
+                if not self.at_punct("]"):
+                    node.add(self.parse_expression())
+                node.add(self.expect_punct("]"))
+            return node
+        finally:
+            self.depth = depth
 
     # -- statements -------------------------------------------------------
 
@@ -353,6 +378,7 @@ class _Parser:
         return self.try_parse(self.parse_statement) or self.parse_opaque_statement()
 
     def parse_statement(self) -> AstNode:
+        self.nest()  # only try_parse calls this
         if self.at_punct("{"):
             return self.parse_block()
         if self.at_kw("if"):
@@ -514,38 +540,45 @@ class _Parser:
     # -- expressions --------------------------------------------------------
 
     def parse_expression(self, min_bp: int = 0) -> AstNode:
-        lhs = self.parse_unary()
-        while True:
-            t = self.peek()
-            if t is None or t.kind != KIND_PUNCT:
-                break
-            text = t.text
-            if text in ASSIGN_OPS:
-                if _ASSIGN_BP < min_bp:
+        depth = self.depth
+        self.nest()
+        try:
+            lhs = self.parse_unary()
+            while True:
+                t = self.peek()
+                if t is None or t.kind != KIND_PUNCT:
                     break
-                node = AstNode(a.ASSIGN)
-                node.add(lhs, self.take(a.LEAF_PUNCT), self.parse_expression(_ASSIGN_BP))
-                lhs = node
-            elif text == "?":
-                if _TERNARY_BP < min_bp:
+                text = t.text
+                if text in ASSIGN_OPS:
+                    if _ASSIGN_BP < min_bp:
+                        break
+                    node = AstNode(a.ASSIGN)
+                    node.add(lhs, self.take(a.LEAF_PUNCT), self.parse_expression(_ASSIGN_BP))
+                    lhs = node
+                elif text == "?":
+                    if _TERNARY_BP < min_bp:
+                        break
+                    node = AstNode(a.TERNARY)
+                    node.add(lhs, self.take(a.LEAF_PUNCT), self.parse_expression())
+                    node.add(self.expect_punct(":"), self.parse_expression(_TERNARY_BP))
+                    lhs = node
+                elif text in _BINARY_BP:
+                    bp = _BINARY_BP[text]
+                    if (bp < min_bp) or (bp == min_bp and text not in _RIGHT_ASSOC):
+                        break
+                    node = AstNode(a.BINARY)
+                    node.add(lhs, self.take(a.LEAF_PUNCT))
+                    node.add(self.parse_expression(bp if text in _RIGHT_ASSOC else bp + 1))
+                    lhs = node
+                else:
                     break
-                node = AstNode(a.TERNARY)
-                node.add(lhs, self.take(a.LEAF_PUNCT), self.parse_expression())
-                node.add(self.expect_punct(":"), self.parse_expression(_TERNARY_BP))
-                lhs = node
-            elif text in _BINARY_BP:
-                bp = _BINARY_BP[text]
-                if (bp < min_bp) or (bp == min_bp and text not in _RIGHT_ASSOC):
-                    break
-                node = AstNode(a.BINARY)
-                node.add(lhs, self.take(a.LEAF_PUNCT))
-                node.add(self.parse_expression(bp if text in _RIGHT_ASSOC else bp + 1))
-                lhs = node
-            else:
-                break
-        return lhs
+                self.nest()  # every wrap is one level deeper
+            return lhs
+        finally:
+            self.depth = depth
 
     def parse_unary(self) -> AstNode:
+        self.nest()  # only parse_expression and parse_unary call this
         t = self.peek()
         if t is not None and t.kind == KIND_PUNCT and t.text in _PREFIX_OPS:
             node = AstNode(a.UNARY)
@@ -590,6 +623,7 @@ class _Parser:
                 node = post
             else:
                 return node
+            self.nest()  # every wrap is one level deeper
 
     def _parse_call_args(self, node: AstNode) -> None:
         if self.at_punct("{"):

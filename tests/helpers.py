@@ -279,3 +279,27 @@ def mutate(source: str, mutations) -> str:
         else:
             source = source[:at] + text + source[at:]
     return source
+
+
+def deep_sources(max_nesting: int) -> dict[str, tuple[str, str]]:
+    """By shape, a source nested as deep as max_nesting admits and one
+    nested a level deeper, as parser.MAX_NESTING counts levels: the
+    statement x = 1 takes five, an if with its block two, a pair of
+    parentheses two, and each + one."""
+    def in_function(body: str) -> str:
+        return "contract C { function f() public { " + body + " } }"
+
+    shapes = {
+        "blocks": (lambda n: in_function("{ " * n + "x = 1;" + " }" * n),
+                   max_nesting - 5),
+        "ifs": (lambda n: in_function("if (a) { " * n + "x = 1;" + " }" * n),
+                (max_nesting - 5) // 2),
+        "parens": (lambda n: in_function("x = " + "(" * n + "1" + ")" * n + ";"),
+                   (max_nesting - 5) // 2),
+        "chain": (lambda n: in_function("x = " + " + ".join(["a"] * n) + ";"),
+                  max_nesting - 5),
+        "ifs_around_parens": (lambda n: in_function(
+            "if (a) { " * n + "x = " + "(" * n + "1" + ")" * n + ";" + " }" * n),
+            (max_nesting - 5) // 4),
+    }
+    return {name: (make(n), make(n + 1)) for name, (make, n) in shapes.items()}

@@ -42,8 +42,7 @@ from ponziscan.pipeline import (
     encode_records,
     evaluate,
     finetune,
-    split_fixed,
-    split_partitions,
+    split_chronological,
     write_dataset,
 )
 from ponziscan.pretrain import (
@@ -243,7 +242,7 @@ def test_criterion_04_finite_difference_gradients_all_losses():
 
     losses = {
         "classification": lambda: classification_loss_and_grads(
-            [(inp, 1)], params, config),
+            inp, 1, params, config),
         "mlm": lambda: mlm_loss_and_grads(
             mlm_batch.input, mlm_batch.targets, params, config),
         "edgepred": lambda: pair_bce_loss_and_grads(
@@ -304,21 +303,22 @@ def test_criterion_05_sampling_statistics(balanced_corpus):
 
 
 def test_criterion_06_published_shape_split_determinism():
+    """Each chronological pair P0..P(k-1) -> Pk holds 50k Ponzi schemes in
+    training and the next 50 (k = 5, the fixed protocol: the last 68) in
+    test; fixed splits 5,990 / 508."""
     records = datasynth.generate_published_shape(seed=0)
-    fixed = split_fixed(records)
-    assert fixed.sizes() == {"train": 5990, "test": 508}
-
-    parts = split_partitions(records)
-    assert sorted(parts.subsets) == [f"P{k}" for k in range(6)]
-    by_idx = {r.idx: r for r in records}
-    ponzi_counts = [sum(by_idx[i].label == 1 for i in parts.subsets[f"P{k}"])
-                    for k in range(6)]
-    assert ponzi_counts == [50, 50, 50, 50, 50, 68]
-    assert set(parts.subsets["P5"]) == set(fixed.subsets["test"])
+    pairs = {k: split_chronological(records, k) for k in range(2, 6)}
+    assert {name: len(part) for name, part in pairs[5].items()} == {
+        "train": 5990, "test": 508}
+    ponzi_counts = {k: [sum(r.label == 1 for r in pair[part])
+                        for part in ("train", "test")]
+                    for k, pair in pairs.items()}
+    assert ponzi_counts == {2: [100, 50], 3: [150, 50], 4: [200, 50],
+                            5: [250, 68]}
 
     again = datasynth.generate_published_shape(seed=0)
-    assert split_fixed(again).subsets == fixed.subsets
-    assert split_partitions(again).subsets == parts.subsets
+    for k, pair in pairs.items():
+        assert split_chronological(again, k) == pair
 
 
 # -- criterion 7: the desk configuration can overfit ---------------------------

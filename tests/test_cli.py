@@ -20,12 +20,13 @@ from ponziscan.model.checkpoint import load_checkpoint
 from ponziscan.pipeline import (
     ContractRecord,
     load_dataset,
-    split_fixed,
+    split_chronological,
     write_dataset,
 )
 from ponziscan.solparse import lex
 from ponziscan.solparse import parse as parse_tokens
 from ponziscan.solparse import to_jsonable as ast_to_jsonable
+from ponziscan.solparse.parser import MAX_NESTING
 
 TINY = ["--layers", "1", "--d-h", "8", "--heads", "2", "--d-ff", "16",
         "--code-len", "48", "--flow-len", "12"]
@@ -102,6 +103,22 @@ def test_dfg_dot_format(workspace, capsys):
     tokens = lex(SAMPLE_SOURCE)
     assert out == to_dot(extract_dfg(parse_tokens(tokens), tokens))
     assert out.startswith("digraph dfg {")
+
+
+@pytest.mark.parametrize("body", [
+    "if (a) { " * 130 + "x = 1;" + " }" * 130,
+    "x = " + "(" * 1000 + "1" + ")" * 1000 + ";",
+    "x = " + " + ".join(["a"] * 500) + ";",
+], ids=["ifs", "parens", "chain"])
+@pytest.mark.parametrize("command", ["parse", "dfg"])
+def test_deep_nesting_is_a_domain_error(command, body, tmp_path, capsys):
+    # each of these once overflowed the parser's or a tree walk's stack
+    source = tmp_path / "deep.sol"
+    source.write_text("contract C { function f() public { " + body + " } }",
+                      encoding="utf-8")
+    assert run([command, "--source", str(source)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: nested deeper than {MAX_NESTING} levels at byte ")
 
 
 # -- corpus generation --------------------------------------------------------
@@ -224,11 +241,40 @@ def test_eval_fixed_split_reports_plan_sizes(fixed_workspace, capsys):
                 "--checkpoint", str(fixed_workspace["model"]),
                 "--split", "fixed"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    sizes = split_fixed(fixed_workspace["records"]).sizes()
+    sizes = {name: len(part) for name, part
+             in split_chronological(fixed_workspace["records"]).items()}
     assert payload["split"] == "fixed"
     assert payload["sizes"] == sizes == {"train": 500, "test": 100}
     report = payload["report"]
     assert report["tp"] + report["fp"] + report["tn"] + report["fn"] == 100
+
+
+def test_train_and_eval_chronological_pair(fixed_workspace, tmp_path, capsys):
+    # P0..P2 -> P3: the 150th positive is idx 300, the 200th idx 400
+    out = tmp_path / "p3.ckpt"
+    assert run(["train", "--dataset", str(fixed_workspace["data"]), "--out",
+                str(out), "--split", "P3", "--epochs", "1", "--layers", "1",
+                "--d-h", "4", "--heads", "1", "--d-ff", "4", "--code-len", "8",
+                "--flow-len", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["best_epoch"] == -1
+    assert run(["eval", "--dataset", str(fixed_workspace["data"]),
+                "--checkpoint", str(out), "--split", "P3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["split"] == "P3"
+    assert payload["sizes"] == {"train": 300, "test": 100}
+    report = payload["report"]
+    assert report["tp"] + report["fn"] == 50
+    assert report["split_name"] == "P3"
+
+
+def test_chronological_pair_too_few_positives(tmp_path, capsys):
+    data = tmp_path / "few.jsonl"
+    write_dataset([ContractRecord(idx=k, source="contract A {}", label=k % 2)
+                   for k in range(400)], data)
+    assert run(["train", "--dataset", str(data), "--out",
+                str(tmp_path / "unused.ckpt"), "--split", "P3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: P3 split needs more than 250 positive records, got 200\n")
 
 
 def test_predict_reports_probability(workspace, capsys):

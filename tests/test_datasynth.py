@@ -14,7 +14,7 @@ from ponziscan.datasynth import (
     make_source,
 )
 from ponziscan.dfg import extract_dfg
-from ponziscan.pipeline import split_fixed, split_partitions
+from ponziscan.pipeline import split_chronological
 from ponziscan.solparse.lexer import lex
 from ponziscan.solparse.parser import parse
 
@@ -59,8 +59,9 @@ def test_published_shape_counts():
 
 def test_published_shape_fixed_split_sizes():
     records = generate_published_shape(seed=0)
-    plan = split_fixed(records)
-    assert plan.sizes() == {"train": PUBLISHED_TRAIN, "test": 508}
+    split = split_chronological(records)
+    assert {name: len(part) for name, part in split.items()} == {
+        "train": PUBLISHED_TRAIN, "test": 508}
     # the 250th positive closes the training window exactly
     train_pos = sum(r.label for r in records[:PUBLISHED_TRAIN])
     assert train_pos == 250
@@ -69,12 +70,9 @@ def test_published_shape_fixed_split_sizes():
 
 def test_published_shape_partition_counts():
     records = generate_published_shape(seed=0)
-    plan = split_partitions(records)
-    by_id = {r.idx: r for r in records}
-    pos_counts = [sum(by_id[i].label for i in plan.subsets[f"P{k}"])
-                  for k in range(6)]
-    assert pos_counts == [50, 50, 50, 50, 50, PUBLISHED_PONZI - 250]
-    assert plan.subsets["P5"] == split_fixed(records).subsets["test"]
+    tests = [split_chronological(records, k)["test"] for k in range(2, 6)]
+    pos_counts = [sum(r.label for r in test) for test in tests]
+    assert pos_counts == [50, 50, 50, PUBLISHED_PONZI - 250]
 
 
 def test_published_shape_deterministic():

@@ -139,7 +139,7 @@ CHAIN = [
                     " --heads 1 --d-ff 4 --code-len 8 --flow-len 2"),
     *[(f"eval_{split}", f"eval --dataset $T/fixed.jsonl --checkpoint"
                         f" $T/fixed.ckpt --split {split} --seed 1")
-      for split in ("fixed", "random", "all")],
+      for split in ("fixed", "P2", "P3", "P4", "random", "all")],
     ("eval_random_model", "eval --dataset $T/data.jsonl --checkpoint"
                           " $T/model.ckpt --split all"),
     ("predict", "predict --source $T/sample.sol --checkpoint $T/model.ckpt"),

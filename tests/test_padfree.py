@@ -78,7 +78,7 @@ def test_all_four_losses_match_padded_gradients(corpus_setup, monkeypatch):
     assert edge.input.withdrawn and align.input.withdrawn
     runs = {
         "classification": lambda: classification_loss_and_grads(
-            [(inp, 1)], params, config),
+            inp, 1, params, config),
         "mlm": lambda: mlm_loss_and_grads(mlm.input, mlm.targets, params, config),
         "edgepred": lambda: pair_bce_loss_and_grads(
             edge.input, edge.pairs, params, config),
@@ -119,8 +119,8 @@ def test_padding_never_enters_the_computation():
     p_short = forward(short, params, small).probabilities
     p_long = forward(long, params, large).probabilities
     assert np.array_equal(p_short, p_long)
-    _, g_short = classification_loss_and_grads([(short, 1)], params, small)
-    _, g_long = classification_loss_and_grads([(long, 1)], params, large)
+    _, g_short = classification_loss_and_grads(short, 1, params, small)
+    _, g_long = classification_loss_and_grads(long, 1, params, large)
     for name in g_short:
         assert np.array_equal(g_short[name], g_long[name]), name
 

@@ -19,16 +19,13 @@ from ponziscan.model.params import init_params
 from ponziscan.pipeline import (
     ContractRecord,
     compute_metrics,
-    cumulative_pairs,
     encode_record,
     evaluate,
     finetune,
     load_dataset,
     predict_one,
-    split_fixed,
-    split_partitions,
+    split_chronological,
     split_random,
-    subset_records,
     write_dataset,
 )
 
@@ -125,84 +122,72 @@ def test_empty_dataset(tmp_path):
 
 # --- split protocols ------------------------------------------------------------
 
+def idxs(records: list[ContractRecord]) -> list[int]:
+    return [r.idx for r in records]
+
+
 def test_split_fixed_hand_example():
     # Ponzi schemes on every even idx, so the 250th positive sits at idx 500
     records = [ContractRecord(idx=i + 1, source="a;", label=1 if (i + 1) % 2 == 0 else 0)
                for i in range(600)]
-    plan = split_fixed(records)
+    split = split_chronological(records)
     # 250th Ponzi is idx 500; train = idx 1..500, test = 501..600
-    assert plan.subsets["train"] == list(range(1, 501))
-    assert plan.subsets["test"] == list(range(501, 601))
-    assert plan.sizes() == {"train": 500, "test": 100}
+    assert idxs(split["train"]) == list(range(1, 501))
+    assert idxs(split["test"]) == list(range(501, 601))
 
 
 def test_split_fixed_needs_more_positives():
     records = make_records([1] * 250 + [0] * 50)
-    with pytest.raises(TooFewPositives):
-        split_fixed(records)
+    with pytest.raises(TooFewPositives, match="^fixed split needs more than"
+                       " 250 positive records, got 250$"):
+        split_chronological(records)
+    with pytest.raises(TooFewPositives, match="^P3 split needs more than"
+                       " 250 positive records, got 250$"):
+        split_chronological(records, 3)
 
 
 def test_split_partitions_structure():
-    # 251 positives interleaved with negatives
-    labels = ([1, 0] * 260)[:520]
-    records = make_records(labels)
-    plan = split_partitions(records)
-    assert set(plan.subsets) == {f"P{k}" for k in range(6)}
-    all_ids = sorted(i for ids in plan.subsets.values() for i in ids)
-    assert all_ids == [r.idx for r in records]
-    by_id = {r.idx: r for r in records}
-    for k in range(5):
-        n_pos = sum(by_id[i].label == 1 for i in plan.subsets[f"P{k}"])
-        assert n_pos == 50
-    tail_pos = sum(by_id[i].label == 1 for i in plan.subsets["P5"])
-    assert tail_pos == 260 - 250
-
-
-def test_partitions_tail_equals_fixed_test():
-    labels = ([1, 0, 0] * 300)[:900]
-    records = make_records(labels)
-    fixed = split_fixed(records)
-    parts = split_partitions(records)
-    assert parts.subsets["P5"] == fixed.subsets["test"]
-
-
-def test_cumulative_pair_names_and_contents():
-    labels = ([1, 0] * 260)[:520]
-    records = make_records(labels)
-    plan = split_partitions(records)
-    pairs = cumulative_pairs(plan)
-    assert [name for name, _, _ in pairs] == [
-        "P0+P1->P2", "P0+P1+P2->P3", "P0+P1+P2+P3->P4", "P0+P1+P2+P3+P4->P5"]
-    for upto, (name, train, test) in enumerate(pairs, start=2):
-        want_train = sorted(
-            i for k in range(upto) for i in plan.subsets[f"P{k}"])
-        assert train == want_train
-        assert test == plan.subsets[f"P{upto}"]
+    # idx 10, 20, ..., 6000 given newest first; every even position is a
+    # Ponzi scheme, so the (50k)th one sits at idx 1000k
+    records = [ContractRecord(idx=10 * i, source="a;", label=1 - i % 2)
+               for i in range(600, 0, -1)]
+    ordered = sorted(records, key=lambda r: r.idx)
+    bounds = {2: (2000, 3000), 3: (3000, 4000), 4: (4000, 5000),
+              5: (5000, 6000)}
+    splits = {k: split_chronological(records, k) for k in bounds}
+    for k, (last_train, last_test) in bounds.items():
+        assert splits[k]["train"] == [r for r in ordered if r.idx <= last_train]
+        assert splits[k]["test"] == [r for r in ordered
+                                     if last_train < r.idx <= last_test]
+        assert sum(r.label for r in splits[k]["train"]) == 50 * k
+    for k in range(2, 5):
+        assert splits[k + 1]["train"] == splits[k]["train"] + splits[k]["test"]
 
 
 def test_split_random_sizes_100():
     records = make_records([0, 1] * 50)
-    plan = split_random(records, seed=0)
-    assert plan.sizes() == {"train": 70, "val": 10, "test": 20}
+    split = split_random(records, seed=0)
+    assert {name: len(part) for name, part in split.items()} == {
+        "train": 70, "val": 10, "test": 20}
 
 
 def test_split_random_sizes_6498():
     n = 6498
     records = [ContractRecord(idx=i + 1, source="a;", label=0) for i in range(n)]
-    plan = split_random(records, seed=1)
+    sizes = {name: len(part) for name, part in split_random(records, seed=1).items()}
     n_val = n // 10
     n_test = int(math.floor(n / 5 + 0.5))
-    assert plan.sizes() == {"train": n - n_val - n_test, "val": n_val,
-                            "test": n_test}
-    assert plan.sizes() == {"train": 4549, "val": 649, "test": 1300}
+    assert sizes == {"train": n - n_val - n_test, "val": n_val, "test": n_test}
+    assert sizes == {"train": 4549, "val": 649, "test": 1300}
 
 
 def test_split_random_partitions_everything_once():
     records = make_records([0] * 37)
-    plan = split_random(records, seed=3)
-    combined = sorted(plan.subsets["train"] + plan.subsets["val"]
-                      + plan.subsets["test"])
-    assert combined == [r.idx for r in records]
+    split = split_random(records[::-1], seed=3)
+    for part in split.values():
+        assert idxs(part) == sorted(idxs(part))
+    combined = sorted(idxs(split["train"] + split["val"] + split["test"]))
+    assert combined == idxs(records)
 
 
 def test_split_random_seed_determinism_and_sensitivity():
@@ -210,19 +195,13 @@ def test_split_random_seed_determinism_and_sensitivity():
     a = split_random(records, seed=5)
     b = split_random(records, seed=5)
     c = split_random(records, seed=6)
-    assert a.subsets == b.subsets
-    assert a.subsets != c.subsets
+    assert a == b
+    assert a != c
 
 
 def test_split_random_too_small():
     with pytest.raises(EmptyDataset):
         split_random(make_records([0] * 9), seed=0)
-
-
-def test_subset_records_preserves_order():
-    records = make_records([0, 1, 0, 1, 0])
-    picked = subset_records(records, [4, 2])
-    assert [r.idx for r in picked] == [2, 4]
 
 
 # --- metrics ----------------------------------------------------------------------
