@@ -10,6 +10,14 @@ central finite differences in the test suite.
 An input holds exactly its n = len(inp) slots ([CLS], code, [SEP],
 nodes), so hidden states are (n, d_h) and the mask is derived at n x n for
 each pass.
+
+One (heads, n, n) buffer per layer: the scores are scaled, masked and
+softmaxed in place (`softmax_rows(..., out=)`), and the backward pass
+turns dA into dS in place the same way. Each in-place step keeps the
+operands and order of the expression it replaces, so results are
+bit-identical to the allocating form; what it saves is the page faults of
+freshly allocated multi-megabyte temporaries. `forward` keeps no layer
+caches, so a prediction holds one layer's attention at a time.
 """
 
 from __future__ import annotations
@@ -45,14 +53,22 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + erf(x / _SQRT2)) + x * np.exp(-0.5 * x * x) / _SQRT_2PI
 
 
-def softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, written into `out` (which may be x) or a
+    new array; x itself is left alone unless it is `out`."""
+    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
-def softmax_rows_backward(dA: np.ndarray, A: np.ndarray) -> np.ndarray:
-    return A * (dA - (dA * A).sum(axis=-1, keepdims=True))
+def softmax_rows_backward(dA: np.ndarray, A: np.ndarray,
+                          out: np.ndarray | None = None) -> np.ndarray:
+    """dLoss/dscores given dLoss/dA, into `out` (which may be dA) or a new
+    array."""
+    out = np.subtract(dA, (dA * A).sum(axis=-1, keepdims=True), out=out)
+    out *= A
+    return out
 
 
 def layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
@@ -110,8 +126,10 @@ def layer_forward(W: np.ndarray, mask_add: np.ndarray, params: Params,
     Qh = _split_heads(W @ wq, n_heads)
     Kh = _split_heads(W @ wk, n_heads)
     Vh = _split_heads(W @ wv, n_heads)
-    scores = Qh @ Kh.transpose(0, 2, 1) / np.sqrt(d_k) + mask_add
-    A = softmax_rows(scores)
+    scores = Qh @ Kh.transpose(0, 2, 1)
+    scores /= np.sqrt(d_k)
+    scores += mask_add
+    A = softmax_rows(scores, out=scores)
     ctx = _merge_heads(A @ Vh)
     attn = ctx @ wo
     res1 = attn + W
@@ -159,7 +177,7 @@ def layer_backward(dW_out: np.ndarray, cache: dict, params: Params,
     A, Vh = cache["A"], cache["Vh"]
     dA = dctxh @ Vh.transpose(0, 2, 1)
     dVh = A.transpose(0, 2, 1) @ dctxh
-    dS = softmax_rows_backward(dA, A)
+    dS = softmax_rows_backward(dA, A, out=dA)
     scale = 1.0 / np.sqrt(cache["d_k"])
     dQh = dS @ cache["Kh"] * scale
     dKh = dS.transpose(0, 2, 1) @ cache["Qh"] * scale
@@ -171,18 +189,27 @@ def layer_backward(dW_out: np.ndarray, cache: dict, params: Params,
     return dW
 
 
+def _run_layers(inp: ModelInput, params: Params, config: ModelConfig,
+                caches: list | None) -> np.ndarray:
+    """Embedding + all layers; appends each layer's cache to `caches`, or
+    drops it as soon as the layer returns when `caches` is None."""
+    mask_add = mask_additive(build_mask(inp))
+    W = embed(inp, params)
+    for i in range(config.n_layers):
+        W, cache = layer_forward(W, mask_add, params, f"layer{i}.", config.n_heads)
+        if caches is not None:
+            caches.append(cache)
+        del cache
+    if not np.isfinite(W).all():
+        raise NonFiniteActivation("non-finite hidden states after final layer")
+    return W
+
+
 def forward_hidden(inp: ModelInput, params: Params, config: ModelConfig):
     """Run embedding + all layers; returns the final (n, d_h) hidden states
     and the caches needed by backward_hidden."""
-    mask_add = mask_additive(build_mask(inp))
-    W = embed(inp, params)
-    caches = []
-    for i in range(config.n_layers):
-        W, cache = layer_forward(W, mask_add, params, f"layer{i}.", config.n_heads)
-        caches.append(cache)
-    if not np.isfinite(W).all():
-        raise NonFiniteActivation("non-finite hidden states after final layer")
-    return W, caches
+    caches: list = []
+    return _run_layers(inp, params, config, caches), caches
 
 
 def backward_hidden(dH: np.ndarray, inp: ModelInput, caches: list,
@@ -199,7 +226,7 @@ def backward_hidden(dH: np.ndarray, inp: ModelInput, caches: list,
 def forward(inp: ModelInput, params: Params, config: ModelConfig,
             threshold: float = 0.5) -> Prediction:
     """Full classification pass; label = 1 iff p(positive) >= threshold."""
-    H, _ = forward_hidden(inp, params, config)
+    H = _run_layers(inp, params, config, caches=None)
     logits = H[0] @ params["cls_w"]
     probs = softmax_rows(logits[None, :])[0]
     return Prediction(probabilities=probs,

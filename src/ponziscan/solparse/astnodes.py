@@ -70,12 +70,6 @@ class AstNode:
     def add(self, *nodes: "AstNode") -> None:
         self.children.extend(nodes)
 
-    def span(self) -> tuple[int, int]:
-        leaves = list(iter_leaves(self))
-        if not leaves:
-            return (0, 0)
-        return (leaves[0].token.start, leaves[-1].token.end)
-
 
 def leaf(kind: str, token: Token) -> AstNode:
     return AstNode(kind, token=token)
@@ -90,16 +84,23 @@ def iter_leaves(node: AstNode) -> Iterator[AstNode]:
 
 
 def to_jsonable(node: AstNode) -> dict:
-    """JSON shape used by the `parse` subcommand: kind, span, children/text."""
+    """JSON shape used by the `parse` subcommand: kind, span, children/text.
+    An inner node spans its first leaf's start to its last leaf's end, or
+    (0, 0) when it has no leaves."""
+    return _jsonable(node)[0]
+
+
+def _jsonable(node: AstNode) -> tuple[dict, tuple[int, int] | None]:
+    """to_jsonable's dict plus the node's leaf span (None without leaves),
+    so that a parent's span comes from its children's in one walk."""
     if node.is_leaf:
-        return {
-            "kind": node.kind,
-            "span": [node.token.start, node.token.end],
-            "text": node.token.text,
-        }
-    lo, hi = node.span()
-    return {
-        "kind": node.kind,
-        "span": [lo, hi],
-        "children": [to_jsonable(c) for c in node.children],
-    }
+        span = (node.token.start, node.token.end)
+        return {"kind": node.kind, "span": list(span), "text": node.token.text}, span
+    children, spans = [], []
+    for child in node.children:
+        d, child_span = _jsonable(child)
+        children.append(d)
+        if child_span is not None:
+            spans.append(child_span)
+    span = (spans[0][0], spans[-1][1]) if spans else None
+    return {"kind": node.kind, "span": list(span or (0, 0)), "children": children}, span

@@ -1,11 +1,15 @@
-"""Encoder numerics: primitives, masked attention, predictions, parameters."""
+"""Encoder numerics: primitives, masked attention, predictions, parameters,
+memory."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ponziscan.encoding import build_mask
+from ponziscan import datasynth
+from ponziscan.encoding import build_mask, build_vocab
 from ponziscan.errors import IdOutOfRange, NonFiniteActivation, ShapeMismatch
 from ponziscan.model.config import ModelConfig
 from ponziscan.model.encoder import (
@@ -18,6 +22,7 @@ from ponziscan.model.encoder import (
     layer_norm,
     mask_additive,
     softmax_rows,
+    softmax_rows_backward,
 )
 from ponziscan.model.params import (
     init_params,
@@ -25,6 +30,8 @@ from ponziscan.model.params import (
     validate_same_shapes,
     zeros_like_params,
 )
+
+from ponziscan.pipeline import ContractRecord, encode_records
 
 from helpers import attention_oracle, mask_oracle, padded_layout, random_model_input
 
@@ -51,6 +58,31 @@ def test_softmax_rows_normalized_and_shift_invariant():
     p = softmax_rows(x)
     assert np.allclose(p.sum(axis=-1), 1.0)
     assert np.allclose(softmax_rows(x + 123.0), p)
+
+
+def test_softmax_kernels_default_leaves_input_alone():
+    rng = np.random.default_rng(2)
+    x, dA = rng.normal(size=(2, 5, 7)), rng.normal(size=(2, 5, 7))
+    x0, dA0 = x.copy(), dA.copy()
+    A = softmax_rows(x)
+    A0 = A.copy()
+    softmax_rows_backward(dA, A)
+    assert np.array_equal(x, x0)
+    assert np.array_equal(dA, dA0)
+    assert np.array_equal(A, A0)
+
+
+def test_softmax_kernels_in_place_are_bitwise_the_pure_call():
+    rng = np.random.default_rng(3)
+    x, dA = rng.normal(size=(2, 5, 7)), rng.normal(size=(2, 5, 7))
+    A = softmax_rows(x)
+    dS = softmax_rows_backward(dA, A)
+    got = softmax_rows(x, out=x)
+    assert got is x
+    assert np.array_equal(got, A)
+    got = softmax_rows_backward(dA, A, out=dA)
+    assert got is dA
+    assert np.array_equal(got, dS)
 
 
 def test_layer_norm_standardizes_rows():
@@ -207,6 +239,50 @@ def test_nonfinite_hidden_states_raise(tiny_config):
                              flow_len=tiny_config.flow_len)
     with np.errstate(all="ignore"), pytest.raises(NonFiniteActivation):
         forward_hidden(inp, params, tiny_config)
+
+
+def test_forward_raises_nonfinite_activation(tiny_config):
+    params = init_params(tiny_config, vocab_size=24)
+    params["layer0.ffn_w2"][:] = np.inf
+    rng = np.random.default_rng(9)
+    inp = random_model_input(rng, code_len=tiny_config.code_len,
+                             flow_len=tiny_config.flow_len)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteActivation):
+        forward(inp, params, tiny_config)
+
+
+def test_forward_probabilities_are_softmax_of_forward_hidden_cls(tiny_config):
+    params = init_params(tiny_config, vocab_size=24)
+    rng = np.random.default_rng(10)
+    for _ in range(5):
+        inp = random_model_input(rng, code_len=tiny_config.code_len,
+                                 flow_len=tiny_config.flow_len)
+        H, _ = forward_hidden(inp, params, tiny_config)
+        expected = softmax_rows(H[0] @ params["cls_w"])
+        assert np.array_equal(forward(inp, params, tiny_config).probabilities, expected)
+
+
+def test_forward_peak_memory_is_about_one_attention_buffer():
+    """forward holds one layer's (heads, n, n) scores at a time: its traced
+    peak stays within 3 such buffers however many layers there are (keeping
+    every layer's attention plus softmax temporaries took over 6)."""
+    config = ModelConfig()
+    rng = np.random.default_rng(0)
+    source = "\n\n".join(datasynth.make_source(label, rng) for label in (1, 0, 0, 1, 0, 0))
+    records = [ContractRecord(idx=1, source=source, label=1)]
+    vocab = build_vocab(records, 2048)
+    inp = encode_records(records, vocab, config)[0]
+    n = len(inp)
+    assert n >= 300
+    params = init_params(config, len(vocab))
+    forward(inp, params, config)
+    tracemalloc.start()
+    try:
+        forward(inp, params, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * config.n_heads * n * n * 8
 
 
 def test_init_params_structure(tiny_config):

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from ponziscan.datasynth import generate_corpus
 from ponziscan.errors import ParseError, UnbalancedBrackets
 from ponziscan.solparse import astnodes as A
-from ponziscan.solparse.lexer import code_tokens, lex
+from ponziscan.solparse.lexer import KIND_IDENTIFIER, Token, code_tokens, lex
 from ponziscan.solparse.parser import parse as parse_tokens, var_occurrences
 
 from helpers import time_limit
@@ -179,6 +180,43 @@ def test_to_jsonable_shape():
         node = node["children"][0]
     assert node["text"] == "uint"
     assert node["span"] == [0, 4]
+
+
+def leaf_walk_jsonable(node):
+    """to_jsonable as first defined: each inner node's span read off a walk
+    of all the leaves below it."""
+    if node.is_leaf:
+        return {"kind": node.kind, "span": [node.token.start, node.token.end],
+                "text": node.token.text}
+    below = leaves(node)
+    span = [below[0].token.start, below[-1].token.end] if below else [0, 0]
+    return {"kind": node.kind, "span": span,
+            "children": [leaf_walk_jsonable(c) for c in node.children]}
+
+
+def test_to_jsonable_matches_leaf_walk_on_corpus_and_deep_chain():
+    sources = [r.source for r in generate_corpus(64, 16, 0)]
+    sources.append("function f() public { x = " + " + ".join(["a"] * 145) + "; }")
+    for source in sources:
+        ast = parse(source)
+        assert A.to_jsonable(ast) == leaf_walk_jsonable(ast)
+
+
+def test_to_jsonable_spans_skip_children_without_leaves():
+    def tok(text, start):
+        return Token(KIND_IDENTIFIER, text, start, start + len(text), start)
+
+    empty = A.AstNode(A.BLOCK)
+    inner = A.AstNode(A.EXPR_STMT, [A.AstNode(A.BLOCK, [A.AstNode(A.TUPLE)]),
+                                    A.leaf(A.LEAF_VAR, tok("ab", 3))])
+    root = A.AstNode(A.SOURCE_UNIT, [empty, inner, A.leaf(A.LEAF_VAR, tok("c", 7)),
+                                     A.AstNode(A.BLOCK)])
+    data = A.to_jsonable(root)
+    assert data == leaf_walk_jsonable(root)
+    assert data["span"] == [3, 8]
+    assert data["children"][0]["span"] == [0, 0]
+    assert data["children"][1]["span"] == [3, 5]
+    assert A.to_jsonable(empty) == {"kind": A.BLOCK, "span": [0, 0], "children": []}
 
 
 @pytest.mark.parametrize("stray", [")", "]"])
