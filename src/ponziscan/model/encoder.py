@@ -12,9 +12,8 @@ nodes), so hidden states are (n, d_h) and the mask is derived at n x n for
 each pass.
 
 One (heads, n, n) buffer per layer: the scores are scaled, masked and
-softmaxed in place (`softmax_rows(..., out=)`), and the backward pass
-turns dA into dS in place the same way. Each in-place step keeps the
-operands and order of the expression it replaces, so results are
+softmaxed in place (`softmax_rows(..., out=)`). Each in-place step keeps
+the operands and order of the expression it replaces, so results are
 bit-identical to the allocating form; what it saves is the page faults of
 freshly allocated multi-megabyte temporaries. `forward` keeps no layer
 caches, so a prediction holds one layer's attention at a time.
@@ -62,13 +61,8 @@ def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def softmax_rows_backward(dA: np.ndarray, A: np.ndarray,
-                          out: np.ndarray | None = None) -> np.ndarray:
-    """dLoss/dscores given dLoss/dA, into `out` (which may be dA) or a new
-    array."""
-    out = np.subtract(dA, (dA * A).sum(axis=-1, keepdims=True), out=out)
-    out *= A
-    return out
+def softmax_rows_backward(dA: np.ndarray, A: np.ndarray) -> np.ndarray:
+    return A * (dA - (dA * A).sum(axis=-1, keepdims=True))
 
 
 def layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
@@ -177,7 +171,7 @@ def layer_backward(dW_out: np.ndarray, cache: dict, params: Params,
     A, Vh = cache["A"], cache["Vh"]
     dA = dctxh @ Vh.transpose(0, 2, 1)
     dVh = A.transpose(0, 2, 1) @ dctxh
-    dS = softmax_rows_backward(dA, A, out=dA)
+    dS = softmax_rows_backward(dA, A)
     scale = 1.0 / np.sqrt(cache["d_k"])
     dQh = dS @ cache["Kh"] * scale
     dKh = dS.transpose(0, 2, 1) @ cache["Qh"] * scale
