@@ -241,6 +241,13 @@ def _positive_delay(text: str) -> float:
     return value
 
 
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"threshold must be in [0, 1], got {text!r}")
+    return value
+
+
 def _add_model_overrides(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--layers", type=int, help="encoder layer count")
     sub.add_argument("--d-h", type=int, dest="d_h", help="hidden width")
@@ -325,7 +332,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--split", choices=SPLITS, default="fixed")
     p.add_argument("--epochs", type=int, default=3)
     p.add_argument("--lr", type=float, default=DEFAULT_LR)
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--threshold", type=_probability, default=DEFAULT_THRESHOLD)
     p.add_argument("--vocab-cap", type=int, default=DEFAULT_VOCAB_CAP,
                    dest="vocab_cap")
     p.add_argument("--no-dataflow", action="store_false", dest="use_dataflow")
@@ -336,7 +343,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=SPLITS, default="fixed")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--threshold", type=_probability, default=DEFAULT_THRESHOLD)
     p.add_argument("--out", help="also write the JSON report here")
     p.add_argument("--no-dataflow", action="store_false", dest="use_dataflow")
     _add_common(p)
@@ -344,7 +351,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = subs.add_parser("predict", help="classify one source file")
     p.add_argument("--source", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--threshold", type=_probability, default=DEFAULT_THRESHOLD)
     p.add_argument("--no-dataflow", action="store_false", dest="use_dataflow")
     _add_common(p)
 

@@ -17,6 +17,17 @@ the operands and order of the expression it replaces, so results are
 bit-identical to the allocating form; what it saves is the page faults of
 freshly allocated multi-megabyte temporaries. `forward` keeps no layer
 caches, so a prediction holds one layer's attention at a time.
+
+The classifier reads only the [CLS] row, so the final layer of `forward`
+computes that one query row: keys and values are still projected from all
+n rows of the layer below, but Q, the scores (a (heads, 1, n) buffer), the
+softmax, A V, the output projection, both layer norms and the FFN run on
+row 0 alone. A one-row product takes BLAS's matrix-vector path rather than
+the matrix-matrix one, so `forward`'s probabilities may differ from those
+of `forward_hidden`'s row 0 in the last digits (rounding only, about 1e-16
+to 1e-15 absolute; still deterministic run to run).
+Training keeps every row: the pre-training losses read rows other than
+[CLS], and one backward pass over full-row caches serves all four losses.
 """
 
 from __future__ import annotations
@@ -114,19 +125,21 @@ def embed(inp: ModelInput, params: Params) -> np.ndarray:
 
 
 def layer_forward(W: np.ndarray, mask_add: np.ndarray, params: Params,
-                  prefix: str, n_heads: int):
+                  prefix: str, n_heads: int, rows: slice = slice(None)):
+    """One encoder layer for the query rows W[rows]; keys and values come
+    from every row of W. Returns the (rows, d_h) output and the cache."""
     wq, wk, wv, wo = (params[prefix + k] for k in ("wq", "wk", "wv", "wo"))
     d_k = wq.shape[1] // n_heads
-    Qh = _split_heads(W @ wq, n_heads)
+    Qh = _split_heads(W[rows] @ wq, n_heads)
     Kh = _split_heads(W @ wk, n_heads)
     Vh = _split_heads(W @ wv, n_heads)
     scores = Qh @ Kh.transpose(0, 2, 1)
     scores /= np.sqrt(d_k)
-    scores += mask_add
+    scores += mask_add[rows]
     A = softmax_rows(scores, out=scores)
     ctx = _merge_heads(A @ Vh)
     attn = ctx @ wo
-    res1 = attn + W
+    res1 = attn + W[rows]
     U, ln1_cache = layer_norm(res1, params[prefix + "ln1_g"], params[prefix + "ln1_b"])
     Z1 = U @ params[prefix + "ffn_w1"] + params[prefix + "ffn_b1"]
     G = gelu(Z1)
@@ -185,12 +198,17 @@ def layer_backward(dW_out: np.ndarray, cache: dict, params: Params,
 
 def _run_layers(inp: ModelInput, params: Params, config: ModelConfig,
                 caches: list | None) -> np.ndarray:
-    """Embedding + all layers; appends each layer's cache to `caches`, or
-    drops it as soon as the layer returns when `caches` is None."""
+    """Embedding + all layers; appends each layer's cache to `caches`.
+    With `caches` None (prediction) each cache is dropped as soon as its
+    layer returns, and the final layer computes the [CLS] row only, so the
+    result is (1, d_h)."""
     mask_add = mask_additive(build_mask(inp))
     W = embed(inp, params)
+    last = config.n_layers - 1
     for i in range(config.n_layers):
-        W, cache = layer_forward(W, mask_add, params, f"layer{i}.", config.n_heads)
+        rows = slice(0, 1) if caches is None and i == last else slice(None)
+        W, cache = layer_forward(W, mask_add, params, f"layer{i}.",
+                                 config.n_heads, rows=rows)
         if caches is not None:
             caches.append(cache)
         del cache
@@ -219,7 +237,14 @@ def backward_hidden(dH: np.ndarray, inp: ModelInput, caches: list,
 
 def forward(inp: ModelInput, params: Params, config: ModelConfig,
             threshold: float = 0.5) -> Prediction:
-    """Full classification pass; label = 1 iff p(positive) >= threshold."""
+    """Full classification pass; label = 1 iff p(positive) >= threshold.
+
+    The final layer computes the [CLS] query row only (its scores buffer is
+    (heads, 1, n)), because nothing else of it is read. Its one-row matrix
+    products may round differently from the all-rows pass, so the
+    probabilities can differ from softmax(forward_hidden(...)[0][0] @ cls_w)
+    in the last digits. Training goes through forward_hidden, which keeps
+    every row."""
     H = _run_layers(inp, params, config, caches=None)
     logits = H[0] @ params["cls_w"]
     probs = softmax_rows(logits[None, :])[0]

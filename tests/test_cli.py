@@ -298,6 +298,41 @@ def test_predict_threshold_flips_label(workspace, capsys):
     assert high["label"] == 0
 
 
+THRESHOLD_ARGV = {
+    "train": ["train", "--dataset", "unused.jsonl", "--out", "unused.ckpt"],
+    "eval": ["eval", "--dataset", "unused.jsonl", "--checkpoint", "unused.ckpt"],
+    "predict": ["predict", "--source", "unused.sol", "--checkpoint", "unused.ckpt"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(THRESHOLD_ARGV))
+@pytest.mark.parametrize("value", [float("nan"), 2.0, -1.0])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_threshold_outside_unit_interval_is_usage_error(tmp_path, capsys,
+                                                        command, value,
+                                                        via_config):
+    argv = list(THRESHOLD_ARGV[command])
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threshold": value}), encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    else:
+        argv.append(f"--threshold={value}")
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --threshold: threshold must be in [0, 1]" in captured.err
+
+
+def test_threshold_accepts_zero_and_one(workspace, capsys):
+    base = ["predict", "--source", str(workspace["source"]),
+            "--checkpoint", str(workspace["model"])]
+    assert run([*base, "--threshold", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["label"] == 1
+    assert run([*base, "--threshold", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["label"] == 0
+
+
 def test_predict_no_dataflow_runs(workspace, capsys):
     assert run(["predict", "--source", str(workspace["source"]),
                 "--checkpoint", str(workspace["model"]),

@@ -274,6 +274,76 @@ def test_forward_peak_memory_is_about_one_attention_buffer():
     assert peak <= 3 * config.n_heads * n * n * 8
 
 
+# --- [CLS]-row final layer at the default shape --------------------------------
+
+@pytest.fixture(scope="module")
+def long_input():
+    """One multi-contract input of over 300 slots at the default ModelConfig,
+    with seeded and with perturbed parameters (probabilities far from 0.5)."""
+    config = ModelConfig()
+    rng = np.random.default_rng(0)
+    source = "\n\n".join(datasynth.make_source(label, rng) for label in (1, 0, 0, 1, 0, 0))
+    records = [ContractRecord(idx=1, source=source, label=1)]
+    vocab = build_vocab(records, 2048)
+    inp = encode_records(records, vocab, config)[0]
+    assert len(inp) >= 300
+    params = init_params(config, len(vocab))
+    perturbed = {k: v + rng.normal(scale=0.5, size=v.shape) for k, v in params.items()}
+    return config, inp, (params, perturbed)
+
+
+def test_forward_cls_row_matches_forward_hidden_at_default_shape(long_input):
+    """The final layer of forward computes row 0 only; one-row matmuls may
+    round differently from the all-rows pass, in the last digits only."""
+    config, inp, param_sets = long_input
+    spread = []
+    for params in param_sets:
+        H, _ = forward_hidden(inp, params, config)
+        expected = softmax_rows(H[0] @ params["cls_w"])
+        got = forward(inp, params, config).probabilities
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+        spread.append(abs(expected[1] - 0.5))
+    assert max(spread) > 0.1
+
+
+def test_layer_forward_cls_row_equals_row_0_of_all_rows(long_input):
+    """rows=slice(0, 1) gives row 0 of the all-rows layer, also when row 0
+    has forbidden keys and when it has no allowed key at all."""
+    config, inp, param_sets = long_input
+    rng = np.random.default_rng(1)
+    allow = build_mask(inp)
+    some_forbidden = allow.copy()
+    some_forbidden[0, 1:] &= rng.random(len(inp) - 1) < 0.5
+    none_allowed = allow.copy()
+    none_allowed[0] = False
+    assert allow[0].all() and not some_forbidden[0].all()
+    for params in param_sets:
+        W = embed(inp, params)
+        for i in range(config.n_layers):
+            prefix = f"layer{i}."
+            for mask in (allow, some_forbidden, none_allowed):
+                mask_add = mask_additive(mask)
+                full, _ = layer_forward(W, mask_add, params, prefix, config.n_heads)
+                row, _ = layer_forward(W, mask_add, params, prefix, config.n_heads,
+                                       rows=slice(0, 1))
+                assert row.shape == (1, config.d_h)
+                assert np.allclose(row, full[:1], rtol=0.0, atol=1e-12)
+            W, _ = layer_forward(W, mask_additive(allow), params, prefix,
+                                 config.n_heads)
+
+
+def test_forward_finiteness_guard_sees_the_cls_row_of_the_last_layer():
+    config = ModelConfig(n_layers=2, d_h=8, n_heads=2, d_ff=16, code_len=8,
+                         flow_len=2, seed=0)
+    params = init_params(config, vocab_size=24)
+    params["layer1.ffn_w2"][:] = np.inf
+    rng = np.random.default_rng(9)
+    inp = random_model_input(rng, code_len=config.code_len,
+                             flow_len=config.flow_len)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteActivation):
+        forward(inp, params, config)
+
+
 def test_init_params_structure(tiny_config):
     params = init_params(tiny_config, vocab_size=24)
     shapes = param_shapes(tiny_config, 24)
