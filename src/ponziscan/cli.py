@@ -103,7 +103,7 @@ def _cmd_parse(ns: argparse.Namespace) -> None:
 
 def _cmd_dfg(ns: argparse.Namespace) -> None:
     tokens = lex(_read_source(ns.source))
-    graph = extract_dfg(parse(tokens), tokens)
+    graph = extract_dfg(parse(tokens))
     if ns.format == "dot":
         sys.stdout.write(to_dot(graph))
     else:
@@ -403,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
     if config_file:
         try:
             defaults = json.loads(Path(config_file).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
             print(f"error: cannot read config file: {exc}", file=sys.stderr)
             return 2
         if not isinstance(defaults, dict):
@@ -411,15 +411,17 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return 2
     try:
-        ns = build_parser(defaults).parse_args(argv)
+        parser = build_parser(defaults)
+        ns = parser.parse_args(argv)
+        if (ns.command == "synth" and not ns.published_shape
+                and not 0 <= ns.ponzi <= ns.n):
+            parser.error(f"synth needs 0 <= --ponzi <= --n, got --n {ns.n}"
+                         f" --ponzi {ns.ponzi}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         _HANDLERS[ns.command](ns)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DomainError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

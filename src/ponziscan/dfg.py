@@ -27,7 +27,6 @@ from typing import NamedTuple
 
 from ponziscan.solparse import astnodes as a
 from ponziscan.solparse.astnodes import AstNode
-from ponziscan.solparse.lexer import Token, code_tokens
 from ponziscan.solparse.parser import var_occurrences
 
 Env = dict[str, set[int]]
@@ -56,16 +55,15 @@ class DataFlowGraph:
     alignment: list[tuple[int, int]] = field(default_factory=list)
 
 
-def extract_dfg(ast: AstNode, tokens: list[Token]) -> DataFlowGraph:
-    """Build the graph. code_token_index values index the comment-stripped
-    token sequence (the sequence the model consumes)."""
-    code_pos = {t.index: i for i, t in enumerate(code_tokens(tokens))}
+def extract_dfg(ast: AstNode) -> DataFlowGraph:
+    """Build the graph. A node's code_token_index is its root leaf's
+    Token.index, its position in the code sequence the model consumes."""
     vars_: list[VarNode] = []
     counts: dict[str, int] = {}
     token_to_node: dict[int, int] = {}
     for i, (leaf, name) in enumerate(var_occurrences(ast)):
         counts[name] = counts.get(name, 0) + 1
-        vars_.append(VarNode(name, counts[name], i, code_pos[leaf.token.index]))
+        vars_.append(VarNode(name, counts[name], i, leaf.token.index))
         token_to_node[leaf.token.index] = i
     walker = _Walker(token_to_node)
     walker.walk_source_unit(ast)

@@ -23,7 +23,7 @@ import numpy as np
 
 from ponziscan.dfg import DataFlowGraph
 from ponziscan.errors import CapTooSmall, EmptyCorpus, IdOutOfRange
-from ponziscan.solparse.lexer import Token, code_tokens, lex
+from ponziscan.solparse.lexer import Token, lex
 
 DEFAULT_CODE_LEN = 256
 DEFAULT_FLOW_LEN = 64
@@ -94,25 +94,18 @@ class Vocabulary:
         return cls(mapping)
 
 
-def _source_of(item) -> str:
-    if isinstance(item, str):
-        return item
-    if isinstance(item, dict):
-        return item["source"]
-    return item.source
-
-
 def build_vocab(training_contracts: Iterable, cap: int) -> Vocabulary:
-    """Rank comment-stripped lexical tokens of the training split by
-    frequency (ties broken lexicographically) and keep the top entries up
-    to `cap` total, after the five reserved ids."""
+    """Rank the tokens that `lex` returns for the training split (source
+    strings or records) by frequency (ties broken lexicographically) and
+    keep the top entries up to `cap` total, after the five reserved ids."""
     if cap < len(Vocabulary.RESERVED) + 1:
         raise CapTooSmall(f"cap {cap} leaves no room beyond reserved ids")
     counts: Counter[str] = Counter()
     n_contracts = 0
     for item in training_contracts:
         n_contracts += 1
-        counts.update(tok.text for tok in code_tokens(lex(_source_of(item))))
+        source = item if isinstance(item, str) else item.source
+        counts.update(tok.text for tok in lex(source))
     if n_contracts == 0:
         raise EmptyCorpus("no training contracts to build a vocabulary from")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -155,9 +148,8 @@ def encode_input(tokens: list[Token], dfg: DataFlowGraph, vocab: Vocabulary,
     endpoints. A node whose aligned code token was truncated away stays in
     the sequence but loses its alignment pair.
     """
-    code = code_tokens(tokens)
-    truncated = len(code) > code_len or len(dfg.vars) > flow_len
-    code = code[:code_len]
+    truncated = len(tokens) > code_len or len(dfg.vars) > flow_len
+    code = tokens[:code_len]
     nodes = dfg.vars[:flow_len]
     n_code, n_nodes = len(code), len(nodes)
     node_base = 2 + n_code

@@ -71,6 +71,22 @@ def _cache_path(config: ApiConfig, address: str) -> Path | None:
     return config.cache_dir / f"{address.lower()}.json"
 
 
+def _cached_record(path: Path | None) -> ContractRecord | None:
+    """The record cached at path, or None on a miss. An entry that is not a
+    JSON object with an int idx and a str source counts as a miss, so the
+    fetch that follows overwrites it."""
+    if path is None or not path.exists():
+        return None
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError:  # not UTF-8 or not JSON
+        return None
+    if (isinstance(payload, dict) and type(payload.get("idx")) is int
+            and isinstance(payload.get("source"), str)):
+        return ContractRecord(idx=payload["idx"], source=payload["source"], label=None)
+    return None
+
+
 def _flatten_source(raw: str) -> str:
     """Verified source is either plain Solidity or a JSON bundle of files
     (the API wraps the bundle in an extra brace pair)."""
@@ -107,10 +123,9 @@ def fetch_verified_source(address: str, config: ApiConfig) -> ContractRecord:
         raise BadAddress(f"not a hex contract address: {address!r}")
 
     cached = _cache_path(config, address)
-    if cached is not None and cached.exists():
-        payload = json.loads(cached.read_text())
-        return ContractRecord(idx=int(payload["idx"]), source=payload["source"],
-                              label=None)
+    record = _cached_record(cached)
+    if record is not None:
+        return record
 
     params = {
         "module": "contract",

@@ -67,13 +67,16 @@ class EvalReport:
 
 
 def load_dataset(path: str | Path) -> list[ContractRecord]:
-    """Line-delimited JSON objects with integer idx, source text, and a
-    0/1 label, or null for an unlabeled record; returned sorted by idx."""
+    """UTF-8, line-delimited JSON objects with integer idx, source text, and
+    a 0/1 label, or null for an unlabeled record; returned sorted by idx."""
     records: list[ContractRecord] = []
     seen: set[int] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise MalformedRecord("not UTF-8 text", line_no) from exc
             if not line:
                 continue
             try:
@@ -162,7 +165,7 @@ def encode_record(source: str, vocab: Vocabulary, config: ModelConfig,
                   use_dataflow: bool = True) -> ModelInput:
     tokens = lex(source)
     if use_dataflow:
-        graph = extract_dfg(parse(tokens), tokens)
+        graph = extract_dfg(parse(tokens))
     else:
         graph = DataFlowGraph()
     return encode_input(tokens, graph, vocab,

@@ -3,14 +3,12 @@
 from ponziscan.solparse import astnodes
 from ponziscan.solparse.astnodes import AstNode, iter_leaves, to_jsonable
 from ponziscan.solparse.lexer import (
-    KIND_COMMENT,
     KIND_IDENTIFIER,
     KIND_KEYWORD,
     KIND_NUMBER,
     KIND_PUNCT,
     KIND_STRING,
     Token,
-    code_tokens,
     is_type_keyword,
     lex,
     render,
@@ -21,13 +19,11 @@ __all__ = [
     "astnodes",
     "AstNode",
     "Token",
-    "KIND_COMMENT",
     "KIND_IDENTIFIER",
     "KIND_KEYWORD",
     "KIND_NUMBER",
     "KIND_PUNCT",
     "KIND_STRING",
-    "code_tokens",
     "is_type_keyword",
     "iter_leaves",
     "lex",

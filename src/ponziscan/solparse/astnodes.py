@@ -1,8 +1,8 @@
 """Concrete syntax tree nodes.
 
-Every non-comment token becomes exactly one leaf, in source order, so the
-tree is lossless: an in-order walk of the leaves reproduces the token stream
-minus comments.
+Every token of `lex`'s output becomes exactly one leaf, in source order, so
+the tree is lossless: an in-order walk of the leaves reproduces the token
+list.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 """Lexer for the supported Solidity subset.
 
-Tokens carry byte spans into the original source so that the token stream,
-re-joined with the interstitial whitespace, reproduces the input exactly.
-Comments are kept in the stream (kind "comment") and filtered downstream.
+Comments are scanned and dropped here, so the token list `lex` returns is
+the code sequence that the parser, the data-flow graph and the encoder all
+consume. Tokens carry byte spans into the original source, so `render`
+rebuilds the input exactly from the tokens and the bytes between them,
+comments included.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ KIND_KEYWORD = "keyword"
 KIND_NUMBER = "number"
 KIND_STRING = "string"
 KIND_PUNCT = "punctuation"
-KIND_COMMENT = "comment"
 
 KEYWORDS = frozenset({
     "pragma", "import", "using", "contract", "interface", "library", "is",
@@ -59,7 +60,7 @@ class Token:
     text: str
     start: int  # byte offset, inclusive
     end: int    # byte offset, exclusive
-    index: int  # ordinal position in the token stream (comments included)
+    index: int  # position in the code sequence
 
 
 def is_type_keyword(text: str) -> bool:
@@ -76,7 +77,7 @@ def _classify_word(text: str) -> str:
 
 
 def lex(source: str) -> list[Token]:
-    """Tokenize Solidity source; comments are kept with kind "comment"."""
+    """Tokenize Solidity source; comments are skipped like whitespace."""
     # Byte offset of each codepoint; spans must be byte-accurate even for
     # non-ASCII text inside strings and comments.
     if source.isascii():
@@ -101,17 +102,13 @@ def lex(source: str) -> list[Token]:
             i += 1
             continue
         if c == "/" and i + 1 < n and source[i + 1] == "/":
-            j = i
-            while j < n and source[j] != "\n":
-                j += 1
-            emit(KIND_COMMENT, i, j)
-            i = j
+            j = source.find("\n", i)
+            i = n if j < 0 else j
             continue
         if c == "/" and i + 1 < n and source[i + 1] == "*":
             close = source.find("*/", i + 2)
             if close < 0:
                 raise UnterminatedComment("unterminated block comment", boff(i))
-            emit(KIND_COMMENT, i, close + 2)
             i = close + 2
             continue
         if c in "\"'":
@@ -157,13 +154,8 @@ def lex(source: str) -> list[Token]:
     return tokens
 
 
-def code_tokens(tokens: list[Token]) -> list[Token]:
-    """The SC sequence: every token except comments, original order."""
-    return [t for t in tokens if t.kind != KIND_COMMENT]
-
-
 def render(tokens: list[Token], source: str) -> str:
-    """Rebuild the source from tokens plus the whitespace between their spans."""
+    """Rebuild the source from tokens plus the bytes between their spans."""
     raw = source.encode("utf-8")
     out = bytearray()
     prev_end = 0

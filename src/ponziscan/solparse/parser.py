@@ -26,7 +26,6 @@ from ponziscan.solparse.lexer import (
     KIND_PUNCT,
     KIND_STRING,
     Token,
-    code_tokens,
     is_type_keyword,
 )
 
@@ -62,7 +61,7 @@ MAX_NESTING = 150
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.toks = code_tokens(tokens)
+        self.toks = tokens
         self.pos = 0
         self.depth = 0
 

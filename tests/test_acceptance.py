@@ -177,7 +177,7 @@ def test_criterion_02_dfg_matches_hand_derived_graphs():
     started = time.perf_counter()
     for source, want_names, want_edges in DFG_FIXTURES:
         tokens = lex(source)
-        graph = extract_dfg(parse(tokens), tokens)
+        graph = extract_dfg(parse(tokens))
         got_names = [f"{v.name}_{v.occurrence}" for v in graph.vars]
         got_edges = [(e.src, e.dst) for e in graph.edges]
         assert got_names == want_names, source

@@ -92,7 +92,7 @@ def test_dfg_json_matches_library(workspace, capsys):
     assert run(["dfg", "--source", str(workspace["source"])]) == 0
     out = capsys.readouterr().out
     tokens = lex(SAMPLE_SOURCE)
-    expected = dfg_to_jsonable(extract_dfg(parse_tokens(tokens), tokens))
+    expected = dfg_to_jsonable(extract_dfg(parse_tokens(tokens)))
     assert json.loads(out) == expected
 
 
@@ -101,7 +101,7 @@ def test_dfg_dot_format(workspace, capsys):
                 "--format", "dot"]) == 0
     out = capsys.readouterr().out
     tokens = lex(SAMPLE_SOURCE)
-    assert out == to_dot(extract_dfg(parse_tokens(tokens), tokens))
+    assert out == to_dot(extract_dfg(parse_tokens(tokens)))
     assert out.startswith("digraph dfg {")
 
 
@@ -586,6 +586,43 @@ def test_corrupt_checkpoint_exits_1(workspace, tmp_path, capsys):
                 "--checkpoint", str(garbage)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not a valid checkpoint" in err
+
+
+def test_non_utf8_source_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.sol"
+    bad.write_bytes(b"contract C { uint a\xff; }")
+    assert run(["parse", "--source", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "decode" in captured.err
+
+
+def test_non_utf8_dataset_exits_1(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    data.write_bytes(b"\xff\xfe" + '{"idx": 1, "source": "a;", "label": null}\n'
+                     .encode("utf-16-le"))
+    assert run(["pretrain", "--dataset", str(data),
+                "--out", str(tmp_path / "m.ckpt")]) == 1
+    assert capsys.readouterr().err.startswith("error: line 1: not UTF-8 text")
+
+
+def test_non_utf8_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"seed": 1\xff}')
+    assert run(["synth", "--out", str(tmp_path / "x.jsonl"),
+                "--config", str(cfg)]) == 2
+    assert "error: cannot read config" in capsys.readouterr().err
+    assert not (tmp_path / "x.jsonl").exists()
+
+
+@pytest.mark.parametrize("counts", [["--n", "-3"], ["--n", "5", "--ponzi", "9"]])
+def test_synth_count_out_of_range_is_usage_error(tmp_path, capsys, counts):
+    out = tmp_path / "x.jsonl"
+    assert run(["synth", "--out", str(out), *counts]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: synth needs 0 <= --ponzi <= --n" in captured.err
+    assert not out.exists()
 
 
 def test_missing_subcommand_exits_2(capsys):

@@ -37,7 +37,7 @@ def test_generate_corpus_deterministic():
 def test_generated_sources_parse_and_have_flow():
     for record in generate_corpus(24, 8, seed=1):
         tokens = lex(record.source)
-        graph = extract_dfg(parse(tokens), tokens)
+        graph = extract_dfg(parse(tokens))
         assert len(tokens) > 20
         if record.label == 1:
             assert len(graph.edges) > 10  # payout loops are data-flow heavy

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ponziscan.dfg import DataFlowGraph, DfEdge, extract_dfg, to_dot, to_jsonable
-from ponziscan.solparse.lexer import code_tokens, lex
+from ponziscan.solparse.lexer import lex
 from ponziscan.solparse.parser import parse
 
 
 def dfg_of(source: str) -> DataFlowGraph:
     tokens = lex(source)
-    return extract_dfg(parse(tokens), tokens)
+    return extract_dfg(parse(tokens))
 
 
 def names(g: DataFlowGraph) -> list[str]:
@@ -148,7 +148,7 @@ def test_alignment_total_and_source_ordered():
     assert [n for n, _ in g.alignment] == list(range(len(g.vars)))
     code_positions = [c for _, c in g.alignment]
     assert code_positions == sorted(code_positions)
-    code = code_tokens(lex(src))
+    code = lex(src)
     for v in g.vars:
         root = v.name.split(".")[0]
         assert code[v.code_token_index].text == root

@@ -18,13 +18,14 @@ from ponziscan.encoding import (
     encode_input,
 )
 from ponziscan.errors import CapTooSmall, EmptyCorpus, IdOutOfRange
+from ponziscan.pipeline import ContractRecord
 from ponziscan.solparse.lexer import lex
 from ponziscan.solparse.parser import parse
 
 
 def encode(source: str, vocab: Vocabulary, code_len: int = 32, flow_len: int = 8):
     tokens = lex(source)
-    return encode_input(tokens, extract_dfg(parse(tokens), tokens), vocab,
+    return encode_input(tokens, extract_dfg(parse(tokens)), vocab,
                         code_len=code_len, flow_len=flow_len)
 
 
@@ -103,8 +104,8 @@ def test_reserved_must_sit_at_fixed_ids():
         Vocabulary({"[CLS]": 1, "[SEP]": 0, "[PAD]": 2, "[UNK]": 3, "[MASK]": 4})
 
 
-def test_builder_accepts_dicts_and_records():
-    v1 = build_vocab([{"source": "a;"}], cap=16)
+def test_builder_accepts_strings_and_records():
+    v1 = build_vocab([ContractRecord(idx=1, source="a;", label=0)], cap=16)
     v2 = build_vocab(["a;"], cap=16)
     assert v1.to_lines() == v2.to_lines()
 

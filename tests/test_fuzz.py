@@ -58,7 +58,7 @@ def test_only_domain_errors_escape(source, tiny_config, small_vocab, tiny_params
     with time_limit(2):
         try:
             tokens = lex(source)
-            graph = extract_dfg(parse(tokens), tokens)
+            graph = extract_dfg(parse(tokens))
             inp = encode_input(tokens, graph, small_vocab,
                                code_len=tiny_config.code_len,
                                flow_len=tiny_config.flow_len)
@@ -78,7 +78,7 @@ def test_nesting_limit(shape, tiny_config, small_vocab, tiny_params):
     to_jsonable(ast)
     assert list(iter_leaves(ast))
     assert var_occurrences(ast)
-    graph = extract_dfg(ast, tokens)
+    graph = extract_dfg(ast)
     dfg_to_jsonable(graph)
     to_dot(graph)
     inp = encode_input(tokens, graph, small_vocab,

@@ -77,7 +77,7 @@ def source_digests(source: str, vocab, config: ModelConfig) -> dict[str, str]:
     try:
         tokens = lex(source)
         ast = parse(tokens)
-        graph = extract_dfg(ast, tokens)
+        graph = extract_dfg(ast)
         inp = encode_input(tokens, graph, vocab, code_len=config.code_len,
                            flow_len=config.flow_len)
     except DomainError as exc:

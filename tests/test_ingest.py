@@ -113,6 +113,19 @@ def test_cache_write_then_offline_hit(tmp_path):
     assert second == first
 
 
+@pytest.mark.parametrize("entry", ['{"idx": 5', '{"source": "x"}', "[1]",
+                                   '{"idx": "5", "source": "x"}', "\udcff"])
+def test_corrupt_cache_entry_is_fetched_again(tmp_path, entry):
+    cache_file = tmp_path / f"{ADDRESS.lower()}.json"
+    cache_file.write_bytes(entry.encode("utf-8", "surrogateescape"))
+    stub = StubHttp([ok_body("contract C { uint a; }")])
+    record = fetch_verified_source(ADDRESS, make_config(stub, cache_dir=tmp_path))
+    assert len(stub.calls) == 1
+    assert record.source == "contract C { uint a; }"
+    assert json.loads(cache_file.read_text(encoding="utf-8")) == {
+        "idx": record.idx, "source": record.source}
+
+
 def test_multi_file_bundle_flattened():
     bundle = {"sources": {
         "A.sol": {"content": "contract A {}"},

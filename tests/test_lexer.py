@@ -1,23 +1,28 @@
-"""Lexer contract: byte-accurate spans, comment flagging, round-trip."""
+"""Lexer contract: byte-accurate spans, comments dropped, round-trip."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ponziscan.datasynth import generate_corpus
+from ponziscan.dfg import extract_dfg, to_jsonable as dfg_to_jsonable
+from ponziscan.encoding import build_vocab, encode_input
 from ponziscan.errors import IllegalCharacter, UnterminatedComment, UnterminatedString
 from ponziscan.solparse.lexer import (
-    KIND_COMMENT,
     KIND_IDENTIFIER,
     KIND_KEYWORD,
     KIND_NUMBER,
     KIND_PUNCT,
     KIND_STRING,
-    code_tokens,
     is_type_keyword,
     lex,
     render,
 )
+from ponziscan.solparse.astnodes import to_jsonable as ast_to_jsonable
+from ponziscan.solparse.parser import parse
 
 
 def kinds(source: str) -> list[tuple[str, str]]:
@@ -36,18 +41,19 @@ def test_simple_declaration():
     ]
 
 
-def test_comment_kept_and_flagged():
+def test_block_comment_dropped():
     toks = lex("x = /*c*/ 1;")
     assert [t.kind for t in toks] == [
-        KIND_IDENTIFIER, KIND_PUNCT, KIND_COMMENT, KIND_NUMBER, KIND_PUNCT]
-    assert len(code_tokens(toks)) == 4
+        KIND_IDENTIFIER, KIND_PUNCT, KIND_NUMBER, KIND_PUNCT]
+    assert [t.start for t in toks] == [0, 2, 10, 11]
+    assert [t.index for t in toks] == [0, 1, 2, 3]
 
 
 def test_line_comment_runs_to_newline():
     toks = lex("a; // trailing note\nb;")
-    comments = [t for t in toks if t.kind == KIND_COMMENT]
-    assert [t.text for t in comments] == ["// trailing note"]
-    assert [t.text for t in code_tokens(toks)] == ["a", ";", "b", ";"]
+    assert [t.text for t in toks] == ["a", ";", "b", ";"]
+    assert [t.start for t in toks] == [0, 1, 20, 21]
+    assert [t.index for t in toks] == [0, 1, 2, 3]
 
 
 def test_spans_strictly_increasing():
@@ -138,3 +144,51 @@ def test_round_trip_property(pieces):
     assert render(toks, src) == src
     for prev, cur in zip(toks, toks[1:]):
         assert prev.end <= cur.start
+
+
+_LINE_COMMENTS = ("//", "// note", "// a // b", "// \"open 'quote", "// смарт – wörld")
+_BLOCK_COMMENTS = ("/**/", "/* c */", "/* a // b */", "/* \"q\" 'r' */",
+                   "/* 日本 — smart\n contract */")
+
+
+def _with_comments(source: str, rng: random.Random) -> tuple[str, str]:
+    """(source with comments put into token gaps, the same source with
+    every comment's bytes replaced by as many spaces)."""
+    raw = source.encode("utf-8")
+    gaps = sorted(rng.sample([0] + [t.end for t in lex(source)], 12))
+    commented, blanked, prev = bytearray(), bytearray(), 0
+    for gap in gaps:
+        commented += raw[prev:gap]
+        blanked += raw[prev:gap]
+        line = rng.random() < 0.5
+        text = rng.choice(_LINE_COMMENTS if line else _BLOCK_COMMENTS).encode("utf-8")
+        end = b"\n" if line else b" "
+        commented += b" " + text + end
+        blanked += b" " + b" " * len(text) + end
+        prev = gap
+    commented += raw[prev:]
+    blanked += raw[prev:]
+    return commented.decode("utf-8"), blanked.decode("utf-8")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_comments_change_nothing_downstream(seed):
+    """A comment and as many bytes of spaces give the same tokens, parse
+    tree, data-flow graph, vocabulary and model input."""
+    rng = random.Random(seed)
+    pairs = [_with_comments(r.source, rng) for r in generate_corpus(4, 2, seed)]
+    vocab = build_vocab([c for c, _ in pairs], cap=256)
+    assert vocab.to_lines() == build_vocab([b for _, b in pairs], cap=256).to_lines()
+    for commented, blanked in pairs:
+        assert commented != blanked
+        outputs = []
+        for source in (commented, blanked):
+            tokens = lex(source)
+            ast = parse(tokens)
+            graph = extract_dfg(ast)
+            inp = encode_input(tokens, graph, vocab)
+            outputs.append((tokens, ast_to_jsonable(ast), dfg_to_jsonable(graph),
+                            inp.token_ids.tolist(), inp.position_ids.tolist(),
+                            inp.segments.tolist(), inp.node_alignment, inp.dfg_edges,
+                            inp.truncated))
+        assert outputs[0] == outputs[1]

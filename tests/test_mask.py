@@ -23,7 +23,7 @@ from helpers import mask_oracle, random_model_input
 def encode(source: str, code_len: int = 16, flow_len: int = 8):
     vocab = build_vocab([source if source else "a;"], cap=256)
     tokens = lex(source)
-    return encode_input(tokens, extract_dfg(parse(tokens), tokens), vocab,
+    return encode_input(tokens, extract_dfg(parse(tokens)), vocab,
                         code_len=code_len, flow_len=flow_len)
 
 

@@ -7,7 +7,7 @@ import pytest
 from ponziscan.datasynth import generate_corpus
 from ponziscan.errors import ParseError, UnbalancedBrackets
 from ponziscan.solparse import astnodes as A
-from ponziscan.solparse.lexer import KIND_IDENTIFIER, Token, code_tokens, lex
+from ponziscan.solparse.lexer import KIND_IDENTIFIER, Token, lex
 from ponziscan.solparse.parser import parse as parse_tokens, var_occurrences
 
 from helpers import time_limit
@@ -28,9 +28,9 @@ def leaves(ast):
 
 
 def assert_leaf_totality(source: str):
-    """Every non-comment token appears as exactly one leaf, in source order."""
+    """Every token appears as exactly one leaf, in source order."""
     ast = parse(source)
-    toks = code_tokens(lex(source))
+    toks = lex(source)
     got = [leaf.token.index for leaf in leaves(ast)]
     assert got == [t.index for t in toks]
 

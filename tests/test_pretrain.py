@@ -45,7 +45,7 @@ def encoded():
     from ponziscan.solparse.lexer import lex
     from ponziscan.solparse.parser import parse
     tokens = lex(src)
-    inp = encode_input(tokens, extract_dfg(parse(tokens), tokens), vocab,
+    inp = encode_input(tokens, extract_dfg(parse(tokens)), vocab,
                        code_len=96, flow_len=24)
     return inp, vocab
 
@@ -112,7 +112,7 @@ def test_mlm_at_least_one_target_on_tiny_code():
     from ponziscan.solparse.lexer import lex
     from ponziscan.solparse.parser import parse
     tokens = lex("a;")
-    inp = encode_input(tokens, extract_dfg(parse(tokens), tokens), vocab,
+    inp = encode_input(tokens, extract_dfg(parse(tokens)), vocab,
                        code_len=4, flow_len=2)
     batch = sample_mlm(inp, vocab, np.random.default_rng(4))
     assert len(batch.targets) == 1
@@ -224,7 +224,7 @@ def test_zero_node_input_yields_empty_batches():
     from ponziscan.solparse.lexer import lex
     from ponziscan.solparse.parser import parse
     tokens = lex("return 1;")
-    inp = encode_input(tokens, extract_dfg(parse(tokens), tokens), vocab,
+    inp = encode_input(tokens, extract_dfg(parse(tokens)), vocab,
                        code_len=4, flow_len=2)
     assert inp.n_nodes == 0
     batch = sample_edge_mask(inp, np.random.default_rng(0))
