@@ -18,16 +18,19 @@ bit-identical to the allocating form; what it saves is the page faults of
 freshly allocated multi-megabyte temporaries. `forward` keeps no layer
 caches, so a prediction holds one layer's attention at a time.
 
-The classifier reads only the [CLS] row, so the final layer of `forward`
-computes that one query row: keys and values are still projected from all
-n rows of the layer below, but Q, the scores (a (heads, 1, n) buffer), the
-softmax, A V, the output projection, both layer norms and the FFN run on
-row 0 alone. A one-row product takes BLAS's matrix-vector path rather than
-the matrix-matrix one, so `forward`'s probabilities may differ from those
-of `forward_hidden`'s row 0 in the last digits (rounding only, about 1e-16
-to 1e-15 absolute; still deterministic run to run).
-Training keeps every row: the pre-training losses read rows other than
-[CLS], and one backward pass over full-row caches serves all four losses.
+One rule for the final layer: it computes only the query rows its caller
+reads. `forward` reads the [CLS] row (`rows=slice(0, 1)`), and each loss
+passes the rows it reads: [CLS] for classification, the target positions
+for masked tokens, the pair ends for edge and alignment prediction. Keys
+and values are still projected from all n rows of the layer below, but Q,
+the scores (a (heads, r, n) buffer), the softmax, A V, the output
+projection, both layer norms and the FFN run on those r rows alone, and
+the backward pass takes the query-side gradient through those rows only.
+`rows` is a slice or an array of sorted, unique positions; every lower
+layer computes all n rows. Fewer rows change the shapes of the BLAS
+products (a one-row product takes the matrix-vector path), so results may
+differ from the all-rows pass in the last digits (rounding only, about
+1e-16 to 1e-15 absolute; still deterministic run to run).
 """
 
 from __future__ import annotations
@@ -125,9 +128,11 @@ def embed(inp: ModelInput, params: Params) -> np.ndarray:
 
 
 def layer_forward(W: np.ndarray, mask_add: np.ndarray, params: Params,
-                  prefix: str, n_heads: int, rows: slice = slice(None)):
-    """One encoder layer for the query rows W[rows]; keys and values come
-    from every row of W. Returns the (rows, d_h) output and the cache."""
+                  prefix: str, n_heads: int,
+                  rows: slice | np.ndarray = slice(None)):
+    """One encoder layer for the query rows W[rows] (a slice, or positions
+    that must be sorted and unique); keys and values come from every row of
+    W. Returns the (len(rows), d_h) output and the cache."""
     wq, wk, wv, wo = (params[prefix + k] for k in ("wq", "wk", "wv", "wo"))
     d_k = wq.shape[1] // n_heads
     Qh = _split_heads(W[rows] @ wq, n_heads)
@@ -146,15 +151,17 @@ def layer_forward(W: np.ndarray, mask_add: np.ndarray, params: Params,
     F = G @ params[prefix + "ffn_w2"] + params[prefix + "ffn_b2"]
     res2 = F + U
     W_out, ln2_cache = layer_norm(res2, params[prefix + "ln2_g"], params[prefix + "ln2_b"])
-    cache = {"W": W, "Qh": Qh, "Kh": Kh, "Vh": Vh, "A": A, "ctx": ctx,
-             "U": U, "Z1": Z1, "G": G, "ln1": ln1_cache, "ln2": ln2_cache,
-             "d_k": d_k}
+    cache = {"W": W, "rows": rows, "Qh": Qh, "Kh": Kh, "Vh": Vh, "A": A,
+             "ctx": ctx, "U": U, "Z1": Z1, "G": G, "ln1": ln1_cache,
+             "ln2": ln2_cache, "d_k": d_k}
     return W_out, cache
 
 
 def layer_backward(dW_out: np.ndarray, cache: dict, params: Params,
                    prefix: str, n_heads: int, grads: Params) -> np.ndarray:
-    W, U = cache["W"], cache["U"]
+    """Gradients of one layer_forward, given dLoss/d(output) for its query
+    rows; returns dLoss/dW for every row of its input."""
+    W, rows, U = cache["W"], cache["rows"], cache["U"]
     dres2, dg2, db2 = layer_norm_backward(dW_out, params[prefix + "ln2_g"], cache["ln2"])
     grads[prefix + "ln2_g"] += dg2
     grads[prefix + "ln2_b"] += db2
@@ -175,7 +182,6 @@ def layer_backward(dW_out: np.ndarray, cache: dict, params: Params,
     grads[prefix + "ln1_g"] += dg1
     grads[prefix + "ln1_b"] += db1
     dattn = dres1
-    dW = dres1.copy()
 
     wo = params[prefix + "wo"]
     grads[prefix + "wo"] += cache["ctx"].T @ dattn
@@ -189,26 +195,31 @@ def layer_backward(dW_out: np.ndarray, cache: dict, params: Params,
     dQh = dS @ cache["Kh"] * scale
     dKh = dS.transpose(0, 2, 1) @ cache["Qh"] * scale
     dQ, dK, dV = _merge_heads(dQh), _merge_heads(dKh), _merge_heads(dVh)
-    for name, dproj in (("wq", dQ), ("wk", dK), ("wv", dV)):
-        w = params[prefix + name]
-        grads[prefix + name] += W.T @ dproj
-        dW += dproj @ w.T
+    wq, wk, wv = (params[prefix + k] for k in ("wq", "wk", "wv"))
+    grads[prefix + "wq"] += W[rows].T @ dQ
+    grads[prefix + "wk"] += W.T @ dK
+    grads[prefix + "wv"] += W.T @ dV
+    # the query rows get the residual and Q terms, every row the K and V
+    # terms, in the order of the all-rows sum dres1 + dQ wq' + dK wk' + dV wv'
+    dW = np.zeros_like(W)
+    dW[rows] = dres1 + dQ @ wq.T
+    dW += dK @ wk.T
+    dW += dV @ wv.T
     return dW
 
 
 def _run_layers(inp: ModelInput, params: Params, config: ModelConfig,
-                caches: list | None) -> np.ndarray:
-    """Embedding + all layers; appends each layer's cache to `caches`.
-    With `caches` None (prediction) each cache is dropped as soon as its
-    layer returns, and the final layer computes the [CLS] row only, so the
-    result is (1, d_h)."""
+                caches: list | None, rows: slice | np.ndarray) -> np.ndarray:
+    """Embedding + all layers, the final one on the query rows `rows` only,
+    so the result is (len(rows), d_h). Appends each layer's cache to
+    `caches`; with `caches` None (prediction) each cache is dropped as soon
+    as its layer returns."""
     mask_add = mask_additive(build_mask(inp))
     W = embed(inp, params)
     last = config.n_layers - 1
     for i in range(config.n_layers):
-        rows = slice(0, 1) if caches is None and i == last else slice(None)
-        W, cache = layer_forward(W, mask_add, params, f"layer{i}.",
-                                 config.n_heads, rows=rows)
+        W, cache = layer_forward(W, mask_add, params, f"layer{i}.", config.n_heads,
+                                 rows=rows if i == last else slice(None))
         if caches is not None:
             caches.append(cache)
         del cache
@@ -217,17 +228,21 @@ def _run_layers(inp: ModelInput, params: Params, config: ModelConfig,
     return W
 
 
-def forward_hidden(inp: ModelInput, params: Params, config: ModelConfig):
-    """Run embedding + all layers; returns the final (n, d_h) hidden states
-    and the caches needed by backward_hidden."""
+def forward_hidden(inp: ModelInput, params: Params, config: ModelConfig,
+                   rows: slice | np.ndarray = slice(None)):
+    """Run embedding + all layers; returns the final layer's hidden states
+    for the query rows `rows` (a slice, or positions that must be sorted
+    and unique), shape (len(rows), d_h), and the caches needed by
+    backward_hidden. The final layer computes those rows only; keys and
+    values still come from every row of the layer below."""
     caches: list = []
-    return _run_layers(inp, params, config, caches), caches
+    return _run_layers(inp, params, config, caches, rows), caches
 
 
 def backward_hidden(dH: np.ndarray, inp: ModelInput, caches: list,
                     params: Params, config: ModelConfig, grads: Params) -> None:
-    """Accumulate parameter gradients given the (n, d_h) dLoss/dH at the
-    final layer."""
+    """Accumulate parameter gradients given dLoss/dH for the rows that
+    forward_hidden returned, shape (len(rows), d_h)."""
     dW = dH
     for i in reversed(range(config.n_layers)):
         dW = layer_backward(dW, caches[i], params, f"layer{i}.", config.n_heads, grads)
@@ -239,13 +254,13 @@ def forward(inp: ModelInput, params: Params, config: ModelConfig,
             threshold: float = 0.5) -> Prediction:
     """Full classification pass; label = 1 iff p(positive) >= threshold.
 
-    The final layer computes the [CLS] query row only (its scores buffer is
-    (heads, 1, n)), because nothing else of it is read. Its one-row matrix
-    products may round differently from the all-rows pass, so the
+    The final layer computes only the rows its caller reads (a slice, or
+    sorted unique positions), as it does for each loss; here that is the
+    [CLS] row alone, so its scores buffer is (heads, 1, n). Its one-row
+    matrix products may round differently from the all-rows pass, so the
     probabilities can differ from softmax(forward_hidden(...)[0][0] @ cls_w)
-    in the last digits. Training goes through forward_hidden, which keeps
-    every row."""
-    H = _run_layers(inp, params, config, caches=None)
+    in the last digits."""
+    H = _run_layers(inp, params, config, caches=None, rows=slice(0, 1))
     logits = H[0] @ params["cls_w"]
     probs = softmax_rows(logits[None, :])[0]
     return Prediction(probabilities=probs,

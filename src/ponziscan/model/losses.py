@@ -5,6 +5,9 @@ Classification reads the [CLS] row through the linear classifier
 token embedding table (mean cross-entropy over targets). Edge and
 alignment prediction score position pairs with sigmoid(h_i . h_j) and sum
 binary cross-entropy over the sampled candidates.
+
+Each loss asks forward_hidden for the final-layer rows it reads (sorted,
+unique positions) and finds a position's row with np.searchsorted.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ def _log_softmax_pick(logits: np.ndarray, target: int) -> tuple[float, np.ndarra
 def classification_loss_and_grads(inp: ModelInput, label: int,
                                   params: Params, config: ModelConfig):
     """Label cross-entropy of one input, with gradients."""
-    H, caches = forward_hidden(inp, params, config)
+    H, caches = forward_hidden(inp, params, config, rows=slice(0, 1))
     h = H[0]
     cls_w = params["cls_w"]
     loss, dlogits = _log_softmax_pick(h @ cls_w, label)
@@ -50,19 +53,21 @@ def mlm_loss_and_grads(inp: ModelInput, targets: list[tuple[int, int]],
     already-corrupted token ids. Mean cross-entropy over targets."""
     if not targets:
         raise NoTargets("no masked positions to predict")
-    H, caches = forward_hidden(inp, params, config)
+    positions = [pos for pos, _ in targets]
+    rows = np.unique(positions)
+    H, caches = forward_hidden(inp, params, config, rows=rows)
     tok_emb = params["tok_emb"]
     grads = zeros_like_params(params)
     dH = np.zeros_like(H)
     total = 0.0
     scale = 1.0 / len(targets)
-    for pos, true_id in targets:
-        h = H[pos]
+    for r, (_, true_id) in zip(np.searchsorted(rows, positions).tolist(), targets):
+        h = H[r]
         loss, dlogits = _log_softmax_pick(tok_emb @ h, true_id)
         total += loss
         dlogits *= scale
         grads["tok_emb"] += np.outer(dlogits, h)
-        dH[pos] += tok_emb.T @ dlogits
+        dH[r] += tok_emb.T @ dlogits
     backward_hidden(dH, inp, caches, params, config, grads)
     check_finite(grads, NonFiniteGradient)
     return total * scale, grads
@@ -76,15 +81,18 @@ def pair_bce_loss_and_grads(inp: ModelInput, pairs: list[tuple[int, int, int]],
     grads = zeros_like_params(params)
     if not pairs:
         return 0.0, grads
-    H, caches = forward_hidden(inp, params, config)
+    ends = np.array([(i, j) for i, j, _ in pairs])
+    rows = np.unique(ends)
+    H, caches = forward_hidden(inp, params, config, rows=rows)
     dH = np.zeros_like(H)
     total = 0.0
-    for i, j, y in pairs:
-        z = float(H[i] @ H[j])
+    at = np.searchsorted(rows, ends).tolist()
+    for (ri, rj), (_, _, y) in zip(at, pairs):
+        z = float(H[ri] @ H[rj])
         total += float(np.logaddexp(0.0, z)) - y * z
         dz = float(expit(z)) - y
-        dH[i] += dz * H[j]
-        dH[j] += dz * H[i]
+        dH[ri] += dz * H[rj]
+        dH[rj] += dz * H[ri]
     backward_hidden(dH, inp, caches, params, config, grads)
     check_finite(grads, NonFiniteGradient)
     return total, grads

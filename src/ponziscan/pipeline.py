@@ -68,13 +68,14 @@ class EvalReport:
 
 def load_dataset(path: str | Path) -> list[ContractRecord]:
     """UTF-8, line-delimited JSON objects with integer idx, source text, and
-    a 0/1 label, or null for an unlabeled record; returned sorted by idx."""
+    a 0/1 label, or null for an unlabeled record; returned sorted by idx.
+    A byte-order mark at the start of the file is skipped."""
     records: list[ContractRecord] = []
     seen: set[int] = set()
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8").strip()
+                line = raw.decode("utf-8-sig" if line_no == 1 else "utf-8").strip()
             except UnicodeDecodeError as exc:
                 raise MalformedRecord("not UTF-8 text", line_no) from exc
             if not line:

@@ -141,9 +141,11 @@ def padded_layout(inp: ModelInput, config: ModelConfig):
 
 
 def padded_forward_hidden(inp: ModelInput, params: dict[str, np.ndarray],
-                          config: ModelConfig):
+                          config: ModelConfig, rows=slice(None)):
     """Reference encoder over all L slots of padded_layout with the full
-    (L, L) mask. Same signature as forward_hidden; returns (L, d_h)."""
+    (L, L) mask. Same signature as forward_hidden: every layer computes all
+    L rows and the result is H[rows]. The caches carry `rows` for
+    padded_backward_hidden."""
     token_ids, position_ids, allow = padded_layout(inp, config)
     mask_add = mask_additive(allow)
     W = params["tok_emb"][token_ids] + params["pos_emb"][position_ids]
@@ -151,16 +153,19 @@ def padded_forward_hidden(inp: ModelInput, params: dict[str, np.ndarray],
     for i in range(config.n_layers):
         W, cache = layer_forward(W, mask_add, params, f"layer{i}.", config.n_heads)
         caches.append(cache)
-    return W, caches
+    return W[rows], (caches, rows)
 
 
-def padded_backward_hidden(dH: np.ndarray, inp: ModelInput, caches: list,
+def padded_backward_hidden(dH: np.ndarray, inp: ModelInput, caches,
                            params: dict[str, np.ndarray], config: ModelConfig,
                            grads: dict[str, np.ndarray]) -> None:
-    """Backward pass matching padded_forward_hidden, (L, d_h) dH."""
-    dW = dH
+    """Backward pass matching padded_forward_hidden: dH holds the rows it
+    returned and is scattered into a zero (L, d_h) array first."""
+    layer_caches, rows = caches
+    dW = np.zeros_like(layer_caches[-1]["W"])
+    dW[rows] = dH
     for i in reversed(range(config.n_layers)):
-        dW = layer_backward(dW, caches[i], params, f"layer{i}.", config.n_heads, grads)
+        dW = layer_backward(dW, layer_caches[i], params, f"layer{i}.", config.n_heads, grads)
     token_ids, position_ids, _ = padded_layout(inp, config)
     np.add.at(grads["tok_emb"], token_ids, dW)
     np.add.at(grads["pos_emb"], position_ids, dW)

@@ -606,6 +606,16 @@ def test_non_utf8_dataset_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: line 1: not UTF-8 text")
 
 
+def test_dataset_with_byte_order_mark_is_read(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    record = {"idx": 1, "source": "contract C { uint x; function f() public"
+              " { x = x + 1; } }", "label": None}
+    data.write_bytes(b"\xef\xbb\xbf" + (json.dumps(record) + "\n").encode("utf-8"))
+    assert run(["pretrain", "--dataset", str(data), "--out",
+                str(tmp_path / "pre.ckpt"), "--epochs", "1", *TINY]) == 0
+    capsys.readouterr()
+
+
 def test_non_utf8_config_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(b'{"seed": 1\xff}')

@@ -2,7 +2,8 @@
 
 The acceptance suite runs the exhaustive every-entry sweep; here a random
 sample of entries per tensor keeps the unit run fast while still touching
-all four loss heads and every tensor name.
+all four loss heads and every tensor name. The two-layer checks cover a
+final layer pruned to the rows a loss reads, fed by a full-row layer.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from helpers import (
 TOL = 1e-4
 
 
-@pytest.fixture(scope="module")
-def setup():
-    config = ModelConfig(n_layers=1, d_h=8, n_heads=2, d_ff=16,
+def _setup(n_layers: int):
+    config = ModelConfig(n_layers=n_layers, d_h=8, n_heads=2, d_ff=16,
                          code_len=8, flow_len=2, seed=3)
     params = init_params(config, vocab_size=16)
     rng = np.random.default_rng(13)
@@ -39,6 +39,16 @@ def setup():
     while inp.n_code < 3 or inp.n_nodes < 2:
         inp = random_model_input(rng, code_len=8, flow_len=2, vocab_size=16)
     return config, params, inp, rng
+
+
+@pytest.fixture(scope="module")
+def setup():
+    return _setup(n_layers=1)
+
+
+@pytest.fixture(scope="module")
+def setup_two_layers():
+    return _setup(n_layers=2)
 
 
 def test_classification_gradients(setup):
@@ -81,6 +91,27 @@ def test_alignment_pair_gradients(setup):
     err = max_relative_error_two_scale(
         lambda: pair_bce_loss_and_grads(inp, pairs, params, config)[0],
         grads, params, sample=6, rng=np.random.default_rng(3))
+    assert err < TOL
+
+
+def test_mlm_gradients_two_layers(setup_two_layers):
+    config, params, inp, _ = setup_two_layers
+    targets = [(2, 5), (1, 7)]
+    _, grads = mlm_loss_and_grads(inp, targets, params, config)
+    err = max_relative_error(
+        lambda: mlm_loss_and_grads(inp, targets, params, config)[0],
+        grads, params, sample=6, rng=np.random.default_rng(5))
+    assert err < TOL
+
+
+def test_pair_gradients_two_layers(setup_two_layers):
+    config, params, inp, _ = setup_two_layers
+    node_base = 2 + inp.n_code
+    pairs = [(node_base + 1, node_base, 1), (node_base, 1, 0), (node_base + 1, 2, 0)]
+    _, grads = pair_bce_loss_and_grads(inp, pairs, params, config)
+    err = max_relative_error_two_scale(
+        lambda: pair_bce_loss_and_grads(inp, pairs, params, config)[0],
+        grads, params, sample=6, rng=np.random.default_rng(6))
     assert err < TOL
 
 

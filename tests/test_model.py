@@ -4,6 +4,7 @@ memory."""
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ponziscan.encoding import build_mask, build_vocab
 from ponziscan.errors import IdOutOfRange, NonFiniteActivation, ShapeMismatch
 from ponziscan.model.config import ModelConfig
 from ponziscan.model.encoder import (
+    backward_hidden,
     embed,
     forward,
     forward_hidden,
@@ -330,6 +332,74 @@ def test_layer_forward_cls_row_equals_row_0_of_all_rows(long_input):
                 assert np.allclose(row, full[:1], rtol=0.0, atol=1e-12)
             W, _ = layer_forward(W, mask_additive(allow), params, prefix,
                                  config.n_heads)
+
+
+def _row_sets(inp):
+    """(input, rows) cases: rows holding the first and the last slot; rows
+    holding a node whose every key is withdrawn; a single node row."""
+    n, node = len(inp), 2 + inp.n_code
+    keys = np.flatnonzero(build_mask(inp)[node + 1])
+    forbidden = replace(inp, withdrawn=tuple((node + 1, int(k)) for k in keys))
+    assert not build_mask(forbidden)[node + 1].any()
+    return [(inp, np.array([0, 3, node, n - 1])),
+            (forbidden, np.array([1, node + 1, node + 2])),
+            (inp, np.array([node + 4]))]
+
+
+def test_forward_hidden_rows_equal_those_rows_of_all_rows(long_input):
+    config, inp, param_sets = long_input
+    for params in param_sets:
+        for case, rows in _row_sets(inp):
+            full, _ = forward_hidden(case, params, config)
+            part, _ = forward_hidden(case, params, config, rows=rows)
+            assert part.shape == (len(rows), config.d_h)
+            assert np.allclose(part, full[rows], rtol=0.0, atol=1e-12)
+
+
+def test_backward_from_rows_equals_backward_with_zero_dh_elsewhere(long_input):
+    """Gradients from a pruned pass equal those of the all-rows pass whose
+    dH is zero outside the rows."""
+    config, inp, param_sets = long_input
+    rng = np.random.default_rng(2)
+    for params in param_sets:
+        for case, rows in _row_sets(inp):
+            dH_rows = rng.normal(size=(len(rows), config.d_h))
+            pruned = zeros_like_params(params)
+            _, caches = forward_hidden(case, params, config, rows=rows)
+            backward_hidden(dH_rows, case, caches, params, config, pruned)
+            full = zeros_like_params(params)
+            H, caches = forward_hidden(case, params, config)
+            dH = np.zeros_like(H)
+            dH[rows] = dH_rows
+            backward_hidden(dH, case, caches, params, config, full)
+            for name in full:
+                assert np.allclose(pruned[name], full[name],
+                                   rtol=0.0, atol=1e-12), name
+
+
+def test_backward_from_rows_matches_a_directional_difference(long_input):
+    """An oracle that shares no code with layer_backward: the pruned
+    gradients, projected on a random direction D of every parameter, equal
+    the central difference of <dH, forward_hidden(rows)> along D."""
+    config, inp, param_sets = long_input
+    rng = np.random.default_rng(3)
+    eps = 1e-6
+    for params in param_sets:
+        for case, rows in _row_sets(inp):
+            dH_rows = rng.normal(size=(len(rows), config.d_h))
+            grads = zeros_like_params(params)
+            _, caches = forward_hidden(case, params, config, rows=rows)
+            backward_hidden(dH_rows, case, caches, params, config, grads)
+            D = {k: rng.normal(size=v.shape) for k, v in params.items()}
+
+            def probe(step):
+                moved = {k: v + step * D[k] for k, v in params.items()}
+                H, _ = forward_hidden(case, moved, config, rows=rows)
+                return float((dH_rows * H).sum())
+
+            fd = (probe(eps) - probe(-eps)) / (2 * eps)
+            an = sum(float((grads[k] * D[k]).sum()) for k in params)
+            assert abs(an - fd) <= 1e-5 * abs(fd)
 
 
 def test_forward_finiteness_guard_sees_the_cls_row_of_the_last_layer():
