@@ -4,12 +4,14 @@ The model input is X = [CLS] + code tokens + [SEP] + graph nodes, one slot
 each, so an input of n_code tokens and n_nodes nodes has length
 2 + n_code + n_nodes; there is no padding.
 
-The attention mask is not stored: `build_mask` derives it from the
-segments, the graph edges, the alignment and the input's withdrawn
-entries. It permits attention only along: classifier/separator queries (any
-key), code-to-code pairs, graph edges (a node attends the nodes its value
-comes from, plus itself), and node<->code alignment pairs, minus the
-withdrawn (query, key) entries.
+The attention mask is not stored: it is derived from the segments, the
+graph edges, the alignment and the input's withdrawn entries. It permits
+attention only along: classifier/separator queries (any key), code-to-code
+pairs, graph edges (a node attends the nodes its value comes from, plus
+itself), and node<->code alignment pairs, minus the withdrawn (query, key)
+entries. `build_mask` states it as an (n, n) matrix, the per-entry form the
+tests check; `attention_plan` states the same permissions as the few row
+layouts the encoder computes, without an n x n array.
 """
 
 from __future__ import annotations
@@ -172,6 +174,24 @@ def encode_input(tokens: list[Token], dfg: DataFlowGraph, vocab: Vocabulary,
                       n_code=n_code, n_nodes=n_nodes)
 
 
+def _positions(pairs, n: int, what: str) -> np.ndarray:
+    """The (position, position) pairs as a (k, 2) int64 array; a position
+    outside [0, n) raises instead of wrapping around as a numpy index."""
+    arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        raise IdOutOfRange(f"{what} outside the {n} slots of the input")
+    return arr
+
+
+def _relations(inp: ModelInput):
+    """The input's edges, alignment pairs and withdrawn entries as
+    position arrays, each checked against its length."""
+    n = len(inp)
+    return (_positions(inp.dfg_edges, n, "dfg edge"),
+            _positions(inp.node_alignment, n, "alignment pair"),
+            _positions(inp.withdrawn, n, "withdrawn entry"))
+
+
 def build_mask(inp: ModelInput) -> np.ndarray:
     """(n, n) boolean permission matrix, n = len(inp), rows = queries,
     columns = keys.
@@ -181,20 +201,109 @@ def build_mask(inp: ModelInput) -> np.ndarray:
     node/code pairs that are aligned (both directions). The input's
     withdrawn entries are forbidden last, whatever the rules above granted.
     """
+    edges, align, withdrawn = _relations(inp)
     seg = inp.segments
     allow = np.zeros((len(inp), len(inp)), dtype=bool)
 
-    wide = (seg == SEG_CLS) | (seg == SEG_SEP)
-    allow[wide, :] = True
+    allow[(seg == SEG_CLS) | (seg == SEG_SEP), :] = True
     code = seg == SEG_CODE
     allow[np.ix_(code, code)] = True
     node_positions = np.flatnonzero(seg == SEG_NODE)
     allow[node_positions, node_positions] = True
-    for src, dst in inp.dfg_edges:
-        allow[dst, src] = True  # the value of dst comes from src
-    for npos, cpos in inp.node_alignment:
-        allow[npos, cpos] = True
-        allow[cpos, npos] = True
-    for query, key in inp.withdrawn:
-        allow[query, key] = False
+    allow[edges[:, 1], edges[:, 0]] = True  # the value of dst comes from src
+    allow[align[:, 0], align[:, 1]] = True
+    allow[align[:, 1], align[:, 0]] = True
+    allow[withdrawn[:, 0], withdrawn[:, 1]] = False
     return allow
+
+
+def _index(positions: np.ndarray) -> slice | np.ndarray:
+    """Sorted unique positions, as a slice when they are contiguous so that
+    indexing with them gives a view."""
+    if len(positions) and positions[-1] - positions[0] + 1 == len(positions):
+        return slice(int(positions[0]), int(positions[-1]) + 1)
+    return positions
+
+
+@dataclass(frozen=True)
+class AttentionPart:
+    """Query rows that share one score layout: the keys `block` (every
+    key, the code keys, or none), then per row the keys listed in `keys`,
+    padded to the longest list; `pad` is True on the padding."""
+
+    rows: np.ndarray               # query positions, sorted
+    out: slice | np.ndarray        # where they sit among a layer's query rows
+    block: slice | np.ndarray
+    keys: np.ndarray               # (len(rows), m) key positions
+    pad: np.ndarray                # (len(rows), m) bool
+
+
+@dataclass(frozen=True)
+class AttentionPlan:
+    """build_mask(inp) as row layouts, for an input of n slots."""
+
+    n: int
+    parts: tuple[AttentionPart, ...]
+
+    def select(self, rows: slice | np.ndarray) -> tuple[AttentionPart, ...]:
+        """The parts restricted to the query rows `rows` (a slice, or
+        sorted unique positions), each `out` then indexing into them."""
+        if isinstance(rows, slice) and rows == slice(None):
+            return self.parts
+        pick = np.zeros(self.n, dtype=bool)
+        pick[rows] = True
+        out_of = np.cumsum(pick) - 1
+        parts = []
+        for part in self.parts:
+            mine = pick[part.rows]
+            if mine.any():
+                picked = part.rows[mine]
+                parts.append(AttentionPart(picked, _index(out_of[picked]), part.block,
+                                           part.keys[mine], part.pad[mine]))
+        return tuple(parts)
+
+
+def attention_plan(inp: ModelInput) -> AttentionPlan:
+    """The permissions of build_mask(inp) as three kinds of query row.
+
+    Wide rows ([CLS], [SEP], and any row with no allowed key) score every
+    key: a row with no allowed key attends every key by its raw score.
+    Code rows score the code keys as one dense block, plus the keys their
+    alignment grants (their aligned node, unless withdrawn). Listed rows
+    (the nodes, and a wide or code row that lost an entry of its block to
+    `withdrawn`) score their own key lists."""
+    edges, align, withdrawn = _relations(inp)
+    n, seg = len(inp), inp.segments
+    code = seg == SEG_CODE
+    nodes = np.flatnonzero(seg == SEG_NODE)
+    # (query, key) entries granted outside the dense rows and block
+    q = [nodes, edges[:, 1], align[:, 0], align[:, 1]]
+    k = [nodes, edges[:, 0], align[:, 1], align[:, 0]]
+    wide_rows = (seg == SEG_CLS) | (seg == SEG_SEP)
+    code_rows = code.copy()
+    wq, wk = withdrawn[:, 0], withdrawn[:, 1]
+    for row in np.unique(wq[wide_rows[wq] | (code_rows[wq] & code[wk])]):
+        keys = np.arange(n) if wide_rows[row] else np.flatnonzero(code)
+        q.append(np.full(len(keys), row))
+        k.append(keys)
+        wide_rows[row] = code_rows[row] = False
+    q, k = np.concatenate(q), np.concatenate(k)
+    outside = ~(wide_rows[q] | (code_rows[q] & code[k]))
+    granted = np.setdiff1d(q[outside] * n + k[outside], wq * n + wk)
+    granted_q, granted_k = np.divmod(granted, n)
+    count = np.bincount(granted_q, minlength=n)
+    listed = ~(wide_rows | code_rows)
+    wide_rows |= listed & (count == 0)
+    listed &= count > 0
+
+    def part(kind: np.ndarray, block: slice | np.ndarray) -> AttentionPart:
+        rows = np.flatnonzero(kind)
+        pad = np.arange(count[rows].max(initial=0)) >= count[rows][:, None]
+        keys = np.zeros(pad.shape, dtype=np.int64)
+        keys[~pad] = granted_k[kind[granted_q]]
+        return AttentionPart(rows, _index(rows), block, keys, pad)
+
+    parts = (part(wide_rows, slice(None)),
+             part(code_rows, _index(np.flatnonzero(code))),
+             part(listed, slice(0, 0)))
+    return AttentionPlan(n, tuple(p for p in parts if len(p.rows)))

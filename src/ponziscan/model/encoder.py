@@ -1,29 +1,49 @@
 """Bidirectional transformer encoder in plain numpy, float64.
 
 Per layer: U = LayerNorm(MultiHeadAttention(W) + W), then
-W' = LayerNorm(FFN(U) + U); attention scores are Q K^T / sqrt(d_k) plus an
-additive mask (-1e9 on forbidden pairs) before the row softmax. The
+W' = LayerNorm(FFN(U) + U); each query row softmaxes the scores
+Q K^T / sqrt(d_k) of the keys the graph-guided mask allows it. The
 classifier reads the [CLS] row of the final layer. Backward passes are
 analytic, written to mirror each forward step, and are validated against
 central finite differences in the test suite.
 
 An input holds exactly its n = len(inp) slots ([CLS], code, [SEP],
-nodes), so hidden states are (n, d_h) and the mask is derived at n x n for
-each pass.
+nodes), so hidden states are (n, d_h).
 
-One (heads, n, n) buffer per layer: the scores are scaled, masked and
-softmaxed in place (`softmax_rows(..., out=)`). Each in-place step keeps
-the operands and order of the expression it replaces, so results are
-bit-identical to the allocating form; what it saves is the page faults of
-freshly allocated multi-megabyte temporaries. `forward` keeps no layer
-caches, so a prediction holds one layer's attention at a time.
+Attention over the allowed keys only. Once per pass, `attention_plan`
+states the mask as three kinds of query row, and each layer scores each
+kind in its own buffer:
+- wide rows ([CLS], [SEP], and any row with no allowed key) score every
+  key, unmasked: (heads, r, n);
+- code rows score the dense code x code block, plus a gathered column
+  for the node aligned to the token unless that entry is withdrawn:
+  (heads, r, n_code + 1), padded alike for rows without one;
+- listed rows (the nodes, and any row that lost an entry of its dense
+  block to `withdrawn`) score their own keys, gathered and padded to the
+  longest list (a node attends itself, its edge sources and its aligned
+  token): (heads, r, max degree).
+Padding scores are -inf, each row is normalised by one softmax across its
+parts (`softmax_rows(..., out=)` in place), and no forbidden entry is
+scored or exp'ed; no (n, n) mask or score array is built.
+`layer_backward` mirrors this and sums the key and value gradients of the
+gathered columns into their key rows. Dropping the exact zeros of the
+forbidden entries changes summation order only, so results move in the
+last digits.
+
+Few large temporaries: `forward` keeps no layer caches, and in
+prediction a layer's attention weights are dropped as soon as its A V is
+formed (training caches them for `layer_backward`); the FFN adds its
+biases and GELU works in place of fresh (n, d_ff) arrays, and the softmax
+backward works in place. A prediction's peak heap then stays under
+glibc's trim threshold, so the memory one pass frees is not returned to
+the kernel only to be page-faulted back in by the next.
 
 One rule for the final layer: it computes only the query rows its caller
 reads. `forward` reads the [CLS] row (`rows=slice(0, 1)`), and each loss
 passes the rows it reads: [CLS] for classification, the target positions
 for masked tokens, the pair ends for edge and alignment prediction. Keys
 and values are still projected from all n rows of the layer below, but Q,
-the scores (a (heads, r, n) buffer), the softmax, A V, the output
+the scores (`AttentionPlan.select(rows)`), the softmax, A V, the output
 projection, both layer norms and the FFN run on those r rows alone, and
 the backward pass takes the query-side gradient through those rows only.
 `rows` is a slice or an array of sorted, unique positions; every lower
@@ -40,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from ponziscan.encoding import ModelInput, build_mask
+from ponziscan.encoding import AttentionPart, AttentionPlan, ModelInput, attention_plan
 from ponziscan.errors import IdOutOfRange, NonFiniteActivation
 from ponziscan.model.config import ModelConfig
 from ponziscan.model.params import Params
@@ -59,7 +79,14 @@ class Prediction:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+    """0.5 x (1 + erf(x / sqrt 2)) in one new array; scaling by 0.5 last
+    rounds the same as scaling x first."""
+    out = x / _SQRT2
+    erf(out, out=out)
+    out += 1.0
+    out *= x
+    out *= 0.5
+    return out
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
@@ -75,8 +102,13 @@ def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def softmax_rows_backward(dA: np.ndarray, A: np.ndarray) -> np.ndarray:
-    return A * (dA - (dA * A).sum(axis=-1, keepdims=True))
+def softmax_rows_backward(dA: np.ndarray, A: np.ndarray,
+                          out: np.ndarray | None = None) -> np.ndarray:
+    """A * (dA - rowsum(dA * A)), written into `out` (which may be dA) or a
+    new array; the product is the same either way."""
+    out = np.subtract(dA, (dA * A).sum(axis=-1, keepdims=True), out=out)
+    out *= A
+    return out
 
 
 def layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
@@ -109,10 +141,13 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def mask_additive(allow: np.ndarray) -> np.ndarray:
-    """0 on allowed pairs, MASK_FORBID on forbidden ones. A row with no
-    allowed key is left at 0: a constant row shift does not change its
-    softmax, and adding -1e9 would round its scores to the 1.2e-7 spacing
-    of doubles near 1e9, which finite differences can see."""
+    """A dense (n, n) mask as additive scores: 0 on allowed pairs,
+    MASK_FORBID on forbidden ones. A row with no allowed key is left at 0,
+    so it attends every key by its raw score, as attention_plan's wide rows
+    do: a constant row shift does not change its softmax, and adding -1e9
+    would round its scores to the 1.2e-7 spacing of doubles near 1e9,
+    which finite differences can see. The encoder itself builds no dense
+    mask; this states the rule for dense references."""
     return np.where(allow | ~allow.any(axis=-1, keepdims=True), 0.0, MASK_FORBID)
 
 
@@ -127,34 +162,106 @@ def embed(inp: ModelInput, params: Params) -> np.ndarray:
     return tok_emb[ids] + pos_emb[pos]
 
 
-def layer_forward(W: np.ndarray, mask_add: np.ndarray, params: Params,
+def _scatter_keys(contrib: np.ndarray, keys: np.ndarray, n: int) -> np.ndarray:
+    """Sum contrib (heads, r, m, d_k) into a zero (heads, n, d_k) array at
+    the key positions keys (r, m); a key gathered by several rows gets the
+    sum of their terms."""
+    heads, _, _, d_k = contrib.shape
+    at = (np.arange(heads)[:, None] * n + keys.ravel())[:, :, None] * d_k + np.arange(d_k)
+    return np.bincount(at.ravel(), contrib.ravel(),
+                       minlength=heads * n * d_k).reshape(heads, n, d_k)
+
+
+def _attend(Qp: np.ndarray, Kh: np.ndarray, part: AttentionPart) -> np.ndarray:
+    """The attention weights (heads, r, block + m) of one part's scaled
+    query rows Qp: the scores of its key block, then of its gathered keys
+    (-inf on padding), softmaxed in one buffer."""
+    Kb = Kh[:, part.block]
+    nb = Kb.shape[1]
+    S = np.empty(Qp.shape[:2] + (nb + part.keys.shape[1],))
+    np.matmul(Qp, Kb.transpose(0, 2, 1), out=S[..., :nb])
+    if part.keys.size:
+        gathered = S[..., nb:]
+        gathered[...] = (Kh[:, part.keys] * Qp[:, :, None, :]).sum(axis=-1)
+        gathered[:, part.pad] = -np.inf
+    return softmax_rows(S, out=S)
+
+
+def _context(A: np.ndarray, Vh: np.ndarray, part: AttentionPart) -> np.ndarray:
+    """A V for one part's weights A: (heads, r, d_k)."""
+    nb = A.shape[-1] - part.keys.shape[1]
+    ctx = A[..., :nb] @ Vh[:, part.block]
+    if part.keys.size:
+        ctx += (A[..., nb:, None] * Vh[:, part.keys]).sum(axis=-2)
+    return ctx
+
+
+def _attend_backward(dctx: np.ndarray, Qp: np.ndarray, Kh: np.ndarray,
+                     Vh: np.ndarray, A: np.ndarray, part: AttentionPart,
+                     scale: float, dKh: np.ndarray, dVh: np.ndarray) -> np.ndarray:
+    """Gradients of one part's _attend and _context given dctx: adds the
+    key and value terms into dKh and dVh, returns the term of the unscaled
+    query rows (`scale` is the factor _attend's Qp carries)."""
+    n = Kh.shape[1]
+    nb = A.shape[-1] - part.keys.shape[1]
+    Kb, Vb = Kh[:, part.block], Vh[:, part.block]
+    dA = np.empty_like(A)
+    np.matmul(dctx, Vb.transpose(0, 2, 1), out=dA[..., :nb])
+    dVh[:, part.block] += A[..., :nb].transpose(0, 2, 1) @ dctx
+    if part.keys.size:
+        Kg, Vg = Kh[:, part.keys], Vh[:, part.keys]
+        dA[..., nb:] = (Vg * dctx[:, :, None, :]).sum(axis=-1)
+        dVh += _scatter_keys(A[..., nb:, None] * dctx[:, :, None, :], part.keys, n)
+    dS = softmax_rows_backward(dA, A, out=dA)
+    dQp = dS[..., :nb] @ Kb
+    dKh[:, part.block] += dS[..., :nb].transpose(0, 2, 1) @ Qp
+    if part.keys.size:
+        dQp += (dS[..., nb:, None] * Kg).sum(axis=-2)
+        dKh += _scatter_keys(dS[..., nb:, None] * Qp[:, :, None, :], part.keys, n)
+    return dQp * scale
+
+
+def layer_forward(W: np.ndarray, plan: AttentionPlan, params: Params,
                   prefix: str, n_heads: int,
-                  rows: slice | np.ndarray = slice(None)):
+                  rows: slice | np.ndarray = slice(None),
+                  caches: list | None = None) -> np.ndarray:
     """One encoder layer for the query rows W[rows] (a slice, or positions
     that must be sorted and unique); keys and values come from every row of
-    W. Returns the (len(rows), d_h) output and the cache."""
+    W, and each query row attends the keys `plan` allows it. Returns the
+    (len(rows), d_h) output. Appends what layer_backward needs to `caches`;
+    with `caches` None (prediction) the attention weights are dropped as
+    soon as A V is formed."""
     wq, wk, wv, wo = (params[prefix + k] for k in ("wq", "wk", "wv", "wo"))
     d_k = wq.shape[1] // n_heads
-    Qh = _split_heads(W[rows] @ wq, n_heads)
+    Q = W[rows] @ wq
+    Q /= np.sqrt(d_k)  # scales every score; bit-exact when sqrt(d_k) is a power of 2
+    Qh = _split_heads(Q, n_heads)
     Kh = _split_heads(W @ wk, n_heads)
     Vh = _split_heads(W @ wv, n_heads)
-    scores = Qh @ Kh.transpose(0, 2, 1)
-    scores /= np.sqrt(d_k)
-    scores += mask_add[rows]
-    A = softmax_rows(scores, out=scores)
-    ctx = _merge_heads(A @ Vh)
+    parts = plan.select(rows)
+    ctxh = np.empty(Qh.shape)
+    weights = []
+    for part in parts:
+        weights.append(_attend(Qh[:, part.out], Kh, part))
+        ctxh[:, part.out] = _context(weights[-1], Vh, part)
+    if caches is None:
+        del weights
+    ctx = _merge_heads(ctxh)
     attn = ctx @ wo
     res1 = attn + W[rows]
     U, ln1_cache = layer_norm(res1, params[prefix + "ln1_g"], params[prefix + "ln1_b"])
-    Z1 = U @ params[prefix + "ffn_w1"] + params[prefix + "ffn_b1"]
+    Z1 = U @ params[prefix + "ffn_w1"]
+    Z1 += params[prefix + "ffn_b1"]
     G = gelu(Z1)
-    F = G @ params[prefix + "ffn_w2"] + params[prefix + "ffn_b2"]
+    F = G @ params[prefix + "ffn_w2"]
+    F += params[prefix + "ffn_b2"]
     res2 = F + U
     W_out, ln2_cache = layer_norm(res2, params[prefix + "ln2_g"], params[prefix + "ln2_b"])
-    cache = {"W": W, "rows": rows, "Qh": Qh, "Kh": Kh, "Vh": Vh, "A": A,
-             "ctx": ctx, "U": U, "Z1": Z1, "G": G, "ln1": ln1_cache,
-             "ln2": ln2_cache, "d_k": d_k}
-    return W_out, cache
+    if caches is not None:
+        caches.append({"W": W, "rows": rows, "parts": parts, "Qh": Qh, "Kh": Kh,
+                       "Vh": Vh, "A": weights, "ctx": ctx, "U": U, "Z1": Z1, "G": G,
+                       "ln1": ln1_cache, "ln2": ln2_cache, "d_k": d_k})
+    return W_out
 
 
 def layer_backward(dW_out: np.ndarray, cache: dict, params: Params,
@@ -185,15 +292,15 @@ def layer_backward(dW_out: np.ndarray, cache: dict, params: Params,
 
     wo = params[prefix + "wo"]
     grads[prefix + "wo"] += cache["ctx"].T @ dattn
-    dctx = dattn @ wo.T
-    dctxh = _split_heads(dctx, n_heads)
-    A, Vh = cache["A"], cache["Vh"]
-    dA = dctxh @ Vh.transpose(0, 2, 1)
-    dVh = A.transpose(0, 2, 1) @ dctxh
-    dS = softmax_rows_backward(dA, A)
+    dctxh = _split_heads(dattn @ wo.T, n_heads)
+    Qh, Kh, Vh = cache["Qh"], cache["Kh"], cache["Vh"]
     scale = 1.0 / np.sqrt(cache["d_k"])
-    dQh = dS @ cache["Kh"] * scale
-    dKh = dS.transpose(0, 2, 1) @ cache["Qh"] * scale
+    dQh = np.empty(Qh.shape)
+    dKh = np.zeros(Kh.shape)
+    dVh = np.zeros(Vh.shape)
+    for part, A in zip(cache["parts"], cache["A"]):
+        dQh[:, part.out] = _attend_backward(dctxh[:, part.out], Qh[:, part.out], Kh, Vh,
+                                            A, part, scale, dKh, dVh)
     dQ, dK, dV = _merge_heads(dQh), _merge_heads(dKh), _merge_heads(dVh)
     wq, wk, wv = (params[prefix + k] for k in ("wq", "wk", "wv"))
     grads[prefix + "wq"] += W[rows].T @ dQ
@@ -211,18 +318,14 @@ def layer_backward(dW_out: np.ndarray, cache: dict, params: Params,
 def _run_layers(inp: ModelInput, params: Params, config: ModelConfig,
                 caches: list | None, rows: slice | np.ndarray) -> np.ndarray:
     """Embedding + all layers, the final one on the query rows `rows` only,
-    so the result is (len(rows), d_h). Appends each layer's cache to
-    `caches`; with `caches` None (prediction) each cache is dropped as soon
-    as its layer returns."""
-    mask_add = mask_additive(build_mask(inp))
+    so the result is (len(rows), d_h). Each layer appends its cache to
+    `caches`; with `caches` None (prediction) no layer keeps one."""
+    plan = attention_plan(inp)
     W = embed(inp, params)
     last = config.n_layers - 1
     for i in range(config.n_layers):
-        W, cache = layer_forward(W, mask_add, params, f"layer{i}.", config.n_heads,
-                                 rows=rows if i == last else slice(None))
-        if caches is not None:
-            caches.append(cache)
-        del cache
+        W = layer_forward(W, plan, params, f"layer{i}.", config.n_heads,
+                          rows=rows if i == last else slice(None), caches=caches)
     if not np.isfinite(W).all():
         raise NonFiniteActivation("non-finite hidden states after final layer")
     return W

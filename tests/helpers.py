@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import signal
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,7 +25,15 @@ from ponziscan.encoding import (
     build_mask,
 )
 from ponziscan.model.config import ModelConfig
-from ponziscan.model.encoder import layer_backward, layer_forward, mask_additive
+from ponziscan.model.encoder import (
+    gelu,
+    gelu_grad,
+    layer_norm,
+    layer_norm_backward,
+    mask_additive,
+    softmax_rows,
+    softmax_rows_backward,
+)
 
 
 def mask_oracle(inp: ModelInput) -> np.ndarray:
@@ -100,11 +109,37 @@ def random_model_input(rng: np.random.Generator, code_len: int = 8,
                       n_code=n_code, n_nodes=n_nodes)
 
 
+def random_withdrawn(inp: ModelInput, rng: np.random.Generator) -> ModelInput:
+    """inp with random withdrawn entries: up to three allowed entries drawn
+    at random, and where the input has them, every key of one node row
+    (its row is then empty), the aligned node of one code row, one
+    code-code entry and, half the time, one entry of the [CLS] row."""
+    allow = mask_oracle(inp)
+    seg = inp.segments
+    allowed = [tuple(e) for e in np.argwhere(allow).tolist()]
+    picked = rng.choice(len(allowed), size=int(rng.integers(0, 4)), replace=False)
+    entries = {allowed[i] for i in picked.tolist()}
+    nodes = np.flatnonzero(seg == SEG_NODE)
+    code = np.flatnonzero(seg == SEG_CODE)
+    if len(nodes):
+        node = int(rng.choice(nodes))
+        entries |= {(node, int(k)) for k in np.flatnonzero(allow[node])}
+    if inp.node_alignment:
+        node, token = inp.node_alignment[int(rng.integers(len(inp.node_alignment)))]
+        entries.add((token, node))
+    if len(code):
+        entries.add((int(rng.choice(code)), int(rng.choice(code))))
+    if rng.random() < 0.5:
+        entries.add((0, int(rng.integers(len(inp)))))
+    return replace(inp, withdrawn=tuple(sorted(entries)))
+
+
 def attention_oracle(W: np.ndarray, allow: np.ndarray, wq: np.ndarray,
                      wk: np.ndarray, wv: np.ndarray, wo: np.ndarray,
                      n_heads: int) -> np.ndarray:
     """Per-entry multi-head attention: explicit loops over heads, queries,
-    and keys, with forbidden keys excluded from the softmax support."""
+    and keys, with forbidden keys excluded from the softmax support. A
+    query with no allowed key attends every key by its raw score."""
     L, d_h = W.shape
     d_k = d_h // n_heads
     out = np.zeros((L, d_h))
@@ -114,8 +149,9 @@ def attention_oracle(W: np.ndarray, allow: np.ndarray, wq: np.ndarray,
         K = W @ wk[:, cols]
         V = W @ wv[:, cols]
         for q in range(L):
+            support = allow[q] if allow[q].any() else np.ones(L, dtype=bool)
             scores = np.array([
-                (Q[q] @ K[k]) / np.sqrt(d_k) if allow[q, k] else -1e9
+                (Q[q] @ K[k]) / np.sqrt(d_k) if support[k] else -1e9
                 for k in range(L)
             ])
             scores -= scores.max()
@@ -126,32 +162,102 @@ def attention_oracle(W: np.ndarray, allow: np.ndarray, wq: np.ndarray,
     return out @ wo
 
 
+def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    L, d_h = x.shape
+    return x.reshape(L, n_heads, d_h // n_heads).transpose(1, 0, 2)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    m, L, d_k = x.shape
+    return x.transpose(1, 0, 2).reshape(L, m * d_k)
+
+
+def dense_layer_forward(W: np.ndarray, mask_add: np.ndarray, params, prefix: str,
+                        n_heads: int):
+    """One encoder layer over all rows of W, with attention over the full
+    (L, L) score matrix plus the additive mask `mask_add`: the dense form
+    of the encoder's layer_forward. Returns the output and the cache."""
+    wq, wk, wv, wo = (params[prefix + k] for k in ("wq", "wk", "wv", "wo"))
+    d_k = wq.shape[1] // n_heads
+    Qh = _split_heads(W @ wq, n_heads)
+    Kh = _split_heads(W @ wk, n_heads)
+    Vh = _split_heads(W @ wv, n_heads)
+    scores = Qh @ Kh.transpose(0, 2, 1) / np.sqrt(d_k) + mask_add
+    A = softmax_rows(scores)
+    ctx = _merge_heads(A @ Vh)
+    U, ln1_cache = layer_norm(ctx @ wo + W, params[prefix + "ln1_g"], params[prefix + "ln1_b"])
+    Z1 = U @ params[prefix + "ffn_w1"] + params[prefix + "ffn_b1"]
+    G = gelu(Z1)
+    F = G @ params[prefix + "ffn_w2"] + params[prefix + "ffn_b2"]
+    W_out, ln2_cache = layer_norm(F + U, params[prefix + "ln2_g"], params[prefix + "ln2_b"])
+    cache = {"W": W, "Qh": Qh, "Kh": Kh, "Vh": Vh, "A": A, "ctx": ctx, "U": U,
+             "Z1": Z1, "G": G, "ln1": ln1_cache, "ln2": ln2_cache, "d_k": d_k}
+    return W_out, cache
+
+
+def dense_layer_backward(dW_out: np.ndarray, cache: dict, params, prefix: str,
+                         n_heads: int, grads) -> np.ndarray:
+    """Gradients of one dense_layer_forward; returns dLoss/dW."""
+    W, U = cache["W"], cache["U"]
+    dres2, dg2, db2 = layer_norm_backward(dW_out, params[prefix + "ln2_g"], cache["ln2"])
+    grads[prefix + "ln2_g"] += dg2
+    grads[prefix + "ln2_b"] += db2
+    grads[prefix + "ffn_w2"] += cache["G"].T @ dres2
+    grads[prefix + "ffn_b2"] += dres2.sum(axis=0)
+    dZ1 = (dres2 @ params[prefix + "ffn_w2"].T) * gelu_grad(cache["Z1"])
+    grads[prefix + "ffn_w1"] += U.T @ dZ1
+    grads[prefix + "ffn_b1"] += dZ1.sum(axis=0)
+    dU = dres2 + dZ1 @ params[prefix + "ffn_w1"].T
+    dres1, dg1, db1 = layer_norm_backward(dU, params[prefix + "ln1_g"], cache["ln1"])
+    grads[prefix + "ln1_g"] += dg1
+    grads[prefix + "ln1_b"] += db1
+
+    wq, wk, wv, wo = (params[prefix + k] for k in ("wq", "wk", "wv", "wo"))
+    grads[prefix + "wo"] += cache["ctx"].T @ dres1
+    dctxh = _split_heads(dres1 @ wo.T, n_heads)
+    A = cache["A"]
+    dA = dctxh @ cache["Vh"].transpose(0, 2, 1)
+    dVh = A.transpose(0, 2, 1) @ dctxh
+    dS = softmax_rows_backward(dA, A)
+    scale = 1.0 / np.sqrt(cache["d_k"])
+    dQ = _merge_heads(dS @ cache["Kh"] * scale)
+    dK = _merge_heads(dS.transpose(0, 2, 1) @ cache["Qh"] * scale)
+    dV = _merge_heads(dVh)
+    grads[prefix + "wq"] += W.T @ dQ
+    grads[prefix + "wk"] += W.T @ dK
+    grads[prefix + "wv"] += W.T @ dV
+    return dres1 + dQ @ wq.T + dK @ wk.T + dV @ wv.T
+
+
 def padded_layout(inp: ModelInput, config: ModelConfig):
     """The input padded to the budget length L = code_len + flow_len + 2:
     (token_ids, position_ids, allow). Pad slots hold the [PAD] token at
     position id 0, and the (L, L) mask forbids every pad row and column,
-    with build_mask(inp) as its top-left block."""
+    with build_mask(inp) as its top-left block; a real row with no allowed
+    key there allows every real key instead, since such a row attends the
+    n slots of the input by their raw scores."""
     n, L = len(inp), config.code_len + config.flow_len + 2
     token_ids = np.full(L, Vocabulary.PAD_ID, dtype=np.int64)
     position_ids = np.full(L, NODE_POSITION_ID, dtype=np.int64)
     token_ids[:n], position_ids[:n] = inp.token_ids, inp.position_ids
     allow = np.zeros((L, L), dtype=bool)
     allow[:n, :n] = build_mask(inp)
+    allow[:n, :n] |= ~allow[:n, :n].any(axis=1, keepdims=True)
     return token_ids, position_ids, allow
 
 
 def padded_forward_hidden(inp: ModelInput, params: dict[str, np.ndarray],
                           config: ModelConfig, rows=slice(None)):
     """Reference encoder over all L slots of padded_layout with the full
-    (L, L) mask. Same signature as forward_hidden: every layer computes all
-    L rows and the result is H[rows]. The caches carry `rows` for
-    padded_backward_hidden."""
+    (L, L) mask and dense attention (dense_layer_forward). Same signature
+    as forward_hidden: every layer computes all L rows and the result is
+    H[rows]. The caches carry `rows` for padded_backward_hidden."""
     token_ids, position_ids, allow = padded_layout(inp, config)
     mask_add = mask_additive(allow)
     W = params["tok_emb"][token_ids] + params["pos_emb"][position_ids]
     caches = []
     for i in range(config.n_layers):
-        W, cache = layer_forward(W, mask_add, params, f"layer{i}.", config.n_heads)
+        W, cache = dense_layer_forward(W, mask_add, params, f"layer{i}.", config.n_heads)
         caches.append(cache)
     return W[rows], (caches, rows)
 
@@ -165,7 +271,8 @@ def padded_backward_hidden(dH: np.ndarray, inp: ModelInput, caches,
     dW = np.zeros_like(layer_caches[-1]["W"])
     dW[rows] = dH
     for i in reversed(range(config.n_layers)):
-        dW = layer_backward(dW, layer_caches[i], params, f"layer{i}.", config.n_heads, grads)
+        dW = dense_layer_backward(dW, layer_caches[i], params, f"layer{i}.",
+                                  config.n_heads, grads)
     token_ids, position_ids, _ = padded_layout(inp, config)
     np.add.at(grads["tok_emb"], token_ids, dW)
     np.add.at(grads["pos_emb"], position_ids, dW)

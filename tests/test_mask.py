@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import replace
 
+import numpy as np
+import pytest
+
+from ponziscan.datasynth import generate_corpus
 from ponziscan.dfg import extract_dfg
 from ponziscan.encoding import (
     SEG_CLS,
     SEG_CODE,
     SEG_NODE,
     SEG_SEP,
+    attention_plan,
     build_mask,
     build_vocab,
     encode_input,
 )
+from ponziscan.errors import IdOutOfRange
+from ponziscan.model.config import ModelConfig
+from ponziscan.pipeline import encode_record
 from ponziscan.solparse.lexer import lex
 from ponziscan.solparse.parser import parse
 
@@ -125,3 +133,28 @@ def test_zero_node_instance_reduces_to_code_only_rules():
     # code queries still cannot look at the classifier or separator keys
     assert not allow[code, 0].any()
     assert not allow[code, 1 + inp.n_code].any()
+
+
+def test_out_of_range_positions_raise():
+    """An edge, alignment pair or withdrawn entry outside [0, n) is an
+    IdOutOfRange for the mask and for the plan; a negative position does
+    not wrap around to the end of the input."""
+    record = generate_corpus(4, 1, 0)[0]
+    vocab = build_vocab([record], 2048)
+    inp = encode_record(record.source, vocab, ModelConfig())
+    n = len(inp)
+    assert n == 154
+    bad = [replace(inp, dfg_edges=inp.dfg_edges + [(-3, -2)]),
+           replace(inp, dfg_edges=inp.dfg_edges + [(n - 1, n)]),
+           replace(inp, node_alignment=inp.node_alignment + [(n, 1)]),
+           replace(inp, node_alignment=inp.node_alignment + [(n - 1, -1)]),
+           replace(inp, withdrawn=((0, n),)),
+           replace(inp, withdrawn=((-1, 0),))]
+    for case in bad:
+        with pytest.raises(IdOutOfRange):
+            build_mask(case)
+        with pytest.raises(IdOutOfRange):
+            attention_plan(case)
+    edge = (n - 3, n - 2)
+    assert not build_mask(inp)[edge[1], edge[0]]
+    assert build_mask(replace(inp, dfg_edges=inp.dfg_edges + [edge]))[edge[1], edge[0]]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ponziscan import datasynth
-from ponziscan.encoding import build_mask, build_vocab
+from ponziscan.encoding import SEG_CODE, SEG_NODE, attention_plan, build_mask, build_vocab
 from ponziscan.errors import IdOutOfRange, NonFiniteActivation, ShapeMismatch
 from ponziscan.model.config import ModelConfig
 from ponziscan.model.encoder import (
@@ -34,7 +34,7 @@ from ponziscan.model.params import (
 
 from ponziscan.pipeline import ContractRecord, encode_records
 
-from helpers import attention_oracle, mask_oracle, padded_layout, random_model_input
+from helpers import attention_oracle, random_model_input, random_withdrawn
 
 
 # --- primitives ---------------------------------------------------------------
@@ -95,49 +95,122 @@ def test_mask_additive_values():
 
 # --- attention vs oracle --------------------------------------------------------
 
+def _layer_params(rng, d_h: int, d_ff: int, prefix: str = "t.") -> dict:
+    params = {prefix + k: rng.normal(size=(d_h, d_h)) * 0.3
+              for k in ("wq", "wk", "wv", "wo")}
+    params.update({prefix + "ln1_g": np.ones(d_h), prefix + "ln1_b": np.zeros(d_h),
+                   prefix + "ln2_g": np.ones(d_h), prefix + "ln2_b": np.zeros(d_h),
+                   prefix + "ffn_w1": rng.normal(size=(d_h, d_ff)) * 0.3,
+                   prefix + "ffn_b1": np.zeros(d_ff),
+                   prefix + "ffn_w2": rng.normal(size=(d_ff, d_h)) * 0.3,
+                   prefix + "ffn_b2": np.zeros(d_h)})
+    return params
+
+
+def _attention(W, inp, params, n_heads, rows=slice(None), prefix="t."):
+    """The attention sublayer's output (ctx wo) for the query rows."""
+    caches = []
+    layer_forward(W, attention_plan(inp), params, prefix, n_heads, rows=rows, caches=caches)
+    return caches[0]["ctx"] @ params[prefix + "wo"]
+
+
+def _withdrawn_cases(rng, count: int):
+    """random_model_input instances with random withdrawn sets; asserts
+    that the sweep held each case the plan treats apart."""
+    seen = {"empty node row": 0, "code row without its node": 0,
+            "code-code entry": 0, "[CLS] entry": 0}
+    cases = []
+    for _ in range(count):
+        inp = random_withdrawn(random_model_input(rng), rng)
+        allow, seg = build_mask(inp), inp.segments
+        seen["empty node row"] += int(any(not allow[r].any()
+                                          for r in np.flatnonzero(seg == SEG_NODE)))
+        seen["code row without its node"] += int(any(
+            (c, n) in inp.withdrawn for n, c in inp.node_alignment))
+        seen["code-code entry"] += int(any(seg[q] == SEG_CODE and seg[k] == SEG_CODE
+                                           for q, k in inp.withdrawn))
+        seen["[CLS] entry"] += int(any(q == 0 for q, _ in inp.withdrawn))
+        cases.append(inp)
+    assert all(seen.values()), seen
+    return cases
+
+
 def test_masked_attention_matches_oracle():
+    """The attention of every row equals the per-entry oracle over
+    build_mask, with withdrawn entries anywhere in the mask."""
     rng = np.random.default_rng(2)
-    d_h, n_heads, L = 8, 2, 10
-    W = rng.normal(size=(L, d_h))
-    allow = rng.random((L, L)) < 0.5
-    np.fill_diagonal(allow, True)
-    wq, wk, wv, wo = (rng.normal(size=(d_h, d_h)) * 0.3 for _ in range(4))
-    params = {"t.wq": wq, "t.wk": wk, "t.wv": wv, "t.wo": wo,
-              "t.ln1_g": np.ones(d_h), "t.ln1_b": np.zeros(d_h),
-              "t.ln2_g": np.ones(d_h), "t.ln2_b": np.zeros(d_h),
-              "t.ffn_w1": rng.normal(size=(d_h, 16)) * 0.3,
-              "t.ffn_b1": np.zeros(16),
-              "t.ffn_w2": rng.normal(size=(16, d_h)) * 0.3,
-              "t.ffn_b2": np.zeros(d_h)}
-    _, cache = layer_forward(W, mask_additive(allow), params, "t.", n_heads)
-    attn = cache["ctx"] @ wo
-    want = attention_oracle(W, allow, wq, wk, wv, wo, n_heads)
-    assert np.allclose(attn, want, atol=1e-10)
+    d_h, n_heads = 8, 2
+    params = _layer_params(rng, d_h, 16)
+    wq, wk, wv, wo = (params["t." + k] for k in ("wq", "wk", "wv", "wo"))
+    for inp in _withdrawn_cases(rng, 60):
+        W = rng.normal(size=(len(inp), d_h))
+        want = attention_oracle(W, build_mask(inp), wq, wk, wv, wo, n_heads)
+        assert np.allclose(_attention(W, inp, params, n_heads), want, rtol=0.0, atol=1e-10)
 
 
 def test_forbidden_attention_weights_vanish():
-    """Checked on the encoder's mask and embeddings, and on the padded
-    layout of the same input, which layer_forward also accepts."""
+    """Moving the keys a row may not attend leaves that row's attention
+    bit-identical, and it still equals the oracle; a row with no allowed
+    key attends every key."""
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        inp = random_model_input(rng)
-        config = ModelConfig(n_layers=1, d_h=8, n_heads=2, d_ff=16,
-                             code_len=8, flow_len=4, seed=0)
-        params = init_params(config, vocab_size=24)
-        token_ids, position_ids, padded_allow = padded_layout(inp, config)
-        padded = params["tok_emb"][token_ids] + params["pos_emb"][position_ids]
-        for W, allow in ((embed(inp, params), build_mask(inp)),
-                         (padded, padded_allow)):
-            _, cache = layer_forward(W, mask_additive(allow), params,
-                                     "layer0.", config.n_heads)
-            A = cache["A"]  # (heads, n, n)
-            forbidden = ~allow
-            rows_with_support = allow.any(axis=1)
-            for h in range(A.shape[0]):
-                weights = A[h][rows_with_support]
-                blocked = forbidden[rows_with_support]
-                assert (weights[blocked] < 1e-12).all()
-                assert np.allclose(weights.sum(axis=-1), 1.0)
+    d_h, n_heads = 8, 2
+    params = _layer_params(rng, d_h, 16)
+    wq, wk, wv, wo = (params["t." + k] for k in ("wq", "wk", "wv", "wo"))
+    for inp in _withdrawn_cases(rng, 40):
+        allow = build_mask(inp)
+        W = rng.normal(size=(len(inp), d_h))
+        attn = _attention(W, inp, params, n_heads)
+        want = attention_oracle(W, allow, wq, wk, wv, wo, n_heads)
+        for q in range(len(inp)):
+            forbidden = ~allow[q] if allow[q].any() else np.zeros(len(inp), dtype=bool)
+            forbidden[q] = False
+            moved = W.copy()
+            moved[forbidden] += rng.normal(scale=10.0, size=(int(forbidden.sum()), d_h))
+            again = _attention(moved, inp, params, n_heads)
+            assert np.array_equal(again[q], attn[q])
+            assert np.allclose(again[q], want[q], rtol=0.0, atol=1e-10)
+
+
+def test_attention_plan_row_kinds(long_input):
+    """[CLS] and [SEP] score every key; code rows score the code block plus
+    at most their aligned node; node rows list themselves, their edge
+    sources and their aligned token. A node row whose keys are all
+    withdrawn scores every key, and a code row that loses a code key lists
+    its keys."""
+    _, inp, _ = long_input
+    n, sep = len(inp), 1 + inp.n_code
+    wide, code, listed = attention_plan(inp).parts
+    assert wide.rows.tolist() == [0, sep] and wide.block == slice(None)
+    assert code.rows.tolist() == list(range(1, sep)) and code.block == slice(1, sep)
+    assert code.keys.shape == (inp.n_code, 1)
+    assert listed.rows.tolist() == list(range(sep + 1, n)) and listed.block == slice(0, 0)
+    allow = build_mask(inp)
+    for part in (code, listed):
+        for r, keys, pad in zip(part.rows, part.keys, part.pad):
+            block = np.arange(n)[part.block]
+            assert sorted([*block, *keys[~pad]]) == np.flatnonzero(allow[r]).tolist()
+
+    node = sep + 1
+    keys = np.flatnonzero(allow[node])
+    emptied = replace(inp, withdrawn=tuple((node, int(k)) for k in keys) + ((2, 3),))
+    wide, code, listed = attention_plan(emptied).parts
+    assert wide.rows.tolist() == [0, sep, node]
+    assert 2 not in code.rows and 2 in listed.rows and node not in listed.rows
+    i = listed.rows.tolist().index(2)
+    assert listed.keys[i][~listed.pad[i]].tolist() == np.flatnonzero(build_mask(emptied)[2]).tolist()
+
+
+def test_encoder_rejects_out_of_range_positions(tiny_config):
+    params = init_params(tiny_config, vocab_size=24)
+    rng = np.random.default_rng(11)
+    inp = random_model_input(rng, code_len=tiny_config.code_len,
+                             flow_len=tiny_config.flow_len)
+    for bad in (replace(inp, dfg_edges=inp.dfg_edges + [(-3, -2)]),
+                replace(inp, withdrawn=((0, len(inp)),))):
+        with pytest.raises(IdOutOfRange):
+            forward(bad, params, tiny_config)
+        with pytest.raises(IdOutOfRange):
+            forward_hidden(bad, params, tiny_config)
 
 
 def test_node_permutation_leaves_cls_logits_unchanged(tiny_config):
@@ -254,9 +327,11 @@ def test_forward_probabilities_are_softmax_of_forward_hidden_cls(tiny_config):
 
 
 def test_forward_peak_memory_is_about_one_attention_buffer():
-    """forward holds one layer's (heads, n, n) scores at a time: its traced
-    peak stays within 3 such buffers however many layers there are (keeping
-    every layer's attention plus softmax temporaries took over 6)."""
+    """forward holds at most one layer's attention weights at a time, and
+    only until that layer's A V is formed: its traced peak stays within 1.5
+    (heads, n, n) buffers however many layers there are (keeping every
+    layer's attention plus softmax temporaries took over 6, and dense
+    attention scores with their weights held through the FFN 2.5)."""
     config = ModelConfig()
     rng = np.random.default_rng(0)
     source = "\n\n".join(datasynth.make_source(label, rng) for label in (1, 0, 0, 1, 0, 0))
@@ -273,7 +348,7 @@ def test_forward_peak_memory_is_about_one_attention_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * config.n_heads * n * n * 8
+    assert peak <= 1.5 * config.n_heads * n * n * 8
 
 
 # --- [CLS]-row final layer at the default shape --------------------------------
@@ -309,29 +384,46 @@ def test_forward_cls_row_matches_forward_hidden_at_default_shape(long_input):
 
 
 def test_layer_forward_cls_row_equals_row_0_of_all_rows(long_input):
-    """rows=slice(0, 1) gives row 0 of the all-rows layer, also when row 0
-    has forbidden keys and when it has no allowed key at all."""
-    config, inp, param_sets = long_input
+    """rows=slice(0, 1) gives row 0 of the all-rows layer, and its
+    attention equals the oracle's row 0, also when row 0 has withdrawn
+    keys and when it has no allowed key at all: on random_model_input
+    instances, and on a default-shape input over 300 slots."""
     rng = np.random.default_rng(1)
-    allow = build_mask(inp)
-    some_forbidden = allow.copy()
-    some_forbidden[0, 1:] &= rng.random(len(inp) - 1) < 0.5
-    none_allowed = allow.copy()
-    none_allowed[0] = False
-    assert allow[0].all() and not some_forbidden[0].all()
+    d_h, n_heads = 8, 2
+    small = _layer_params(rng, d_h, 16)
+    wq, wk, wv, wo = (small["t." + k] for k in ("wq", "wk", "wv", "wo"))
+    for inp in _withdrawn_cases(rng, 30):
+        n = len(inp)
+        some = inp.withdrawn + tuple((0, int(k)) for k in np.flatnonzero(rng.random(n) < 0.5))
+        none = inp.withdrawn + tuple((0, k) for k in range(n))
+        W = rng.normal(size=(n, d_h))
+        for case in (inp, replace(inp, withdrawn=some), replace(inp, withdrawn=none)):
+            plan = attention_plan(case)
+            full = layer_forward(W, plan, small, "t.", n_heads)
+            row = layer_forward(W, plan, small, "t.", n_heads, rows=slice(0, 1))
+            assert np.allclose(row, full[:1], rtol=0.0, atol=1e-12)
+            want = attention_oracle(W, build_mask(case), wq, wk, wv, wo, n_heads)
+            assert np.allclose(_attention(W, case, small, n_heads, rows=slice(0, 1)),
+                               want[:1], rtol=0.0, atol=1e-10)
+
+    config, inp, param_sets = long_input
+    n = len(inp)
+    some = replace(inp, withdrawn=tuple((0, int(k)) for k in np.flatnonzero(rng.random(n) < 0.5)))
+    none = replace(inp, withdrawn=tuple((0, k) for k in range(n)))
+    assert build_mask(inp)[0].all() and not build_mask(some)[0].all()
+    assert not build_mask(none)[0].any()
     for params in param_sets:
         W = embed(inp, params)
         for i in range(config.n_layers):
             prefix = f"layer{i}."
-            for mask in (allow, some_forbidden, none_allowed):
-                mask_add = mask_additive(mask)
-                full, _ = layer_forward(W, mask_add, params, prefix, config.n_heads)
-                row, _ = layer_forward(W, mask_add, params, prefix, config.n_heads,
-                                       rows=slice(0, 1))
+            for case in (inp, some, none):
+                plan = attention_plan(case)
+                full = layer_forward(W, plan, params, prefix, config.n_heads)
+                row = layer_forward(W, plan, params, prefix, config.n_heads,
+                                    rows=slice(0, 1))
                 assert row.shape == (1, config.d_h)
                 assert np.allclose(row, full[:1], rtol=0.0, atol=1e-12)
-            W, _ = layer_forward(W, mask_additive(allow), params, prefix,
-                                 config.n_heads)
+            W = layer_forward(W, attention_plan(inp), params, prefix, config.n_heads)
 
 
 def _row_sets(inp):

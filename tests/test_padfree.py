@@ -32,6 +32,7 @@ from helpers import (
     padded_backward_hidden,
     padded_forward_hidden,
     random_model_input,
+    random_withdrawn,
 )
 
 EQUIVALENCE_TOL = 1e-12
@@ -93,6 +94,34 @@ def test_all_four_losses_match_padded_gradients(corpus_setup, monkeypatch):
         ref_loss, ref_grads = run()
         assert abs(loss - ref_loss) <= EQUIVALENCE_TOL, name
         assert _max_abs_diff(grads, ref_grads) <= EQUIVALENCE_TOL, name
+
+
+def test_random_withdrawn_sets_match_padded_gradients(monkeypatch):
+    """Hidden states and the gradients of an all-rows loss equal the dense
+    padded reference on small inputs whose withdrawn entries empty a node
+    row, cut a code row from its node, and hole the code block and the
+    [CLS] row."""
+    config = ModelConfig(n_layers=2, d_h=8, n_heads=2, d_ff=16,
+                         code_len=8, flow_len=4, seed=0)
+    params = init_params(config, vocab_size=24)
+    rng = np.random.default_rng(12)
+
+    def loss(inp, forward_fn, backward_fn):
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
+        H, caches = forward_fn(inp, params, config, rows=rows)
+        backward_fn(weights, inp, caches, params, config, grads)
+        return H, grads
+
+    for _ in range(30):
+        inp = random_withdrawn(random_model_input(rng, code_len=8, flow_len=4), rng)
+        rows = np.flatnonzero(rng.random(len(inp)) < 0.6)
+        if not len(rows):
+            continue
+        weights = rng.normal(size=(len(rows), config.d_h))
+        H, grads = loss(inp, forward_hidden, losses.backward_hidden)
+        ref_H, ref_grads = loss(inp, padded_forward_hidden, padded_backward_hidden)
+        assert np.max(np.abs(H - ref_H)) <= EQUIVALENCE_TOL
+        assert _max_abs_diff(grads, ref_grads) <= EQUIVALENCE_TOL
 
 
 def test_padding_never_enters_the_computation():
