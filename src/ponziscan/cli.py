@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ponziscan import datasynth
@@ -55,7 +56,18 @@ _SHAPE_FIELDS = {"layers": "n_layers", "d_h": "d_h", "heads": "n_heads",
 def _model_config(ns: argparse.Namespace) -> ModelConfig:
     shape = {name: getattr(ns, dest) for dest, name in _SHAPE_FIELDS.items()
              if getattr(ns, dest) is not None}
+    if not ns.use_dataflow:
+        shape["flow_len"] = 0
     return ModelConfig(seed=ns.seed, **shape)
+
+
+def _load_model(ns: argparse.Namespace):
+    """(params, vocab, config) of ns.checkpoint; --no-dataflow drops the
+    graph from the checkpoint's config."""
+    params, vocab, config, _ = load_checkpoint(ns.checkpoint)
+    if not ns.use_dataflow:
+        config = replace(config, flow_len=0)
+    return params, vocab, config
 
 
 def _pretty_lines(obj, indent: int = 0) -> list[str]:
@@ -126,7 +138,7 @@ def _cmd_pretrain(ns: argparse.Namespace) -> None:
     config = _model_config(ns)
     params = init_params(config, len(vocab))
     state = AdamState.for_params(params)
-    inputs = encode_records(records, vocab, config, ns.use_dataflow)
+    inputs = encode_records(records, vocab, config)
     flags = PretrainFlags(mlm=ns.use_mlm, edgepred=ns.use_edgepred,
                           nodealign=ns.use_nodealign)
     trace: list[float] = []
@@ -165,14 +177,14 @@ def _cmd_train(ns: argparse.Namespace) -> None:
     _, train, val, _ = _select_split(records, ns.split, ns.seed)
     if ns.checkpoint:
         # warm start: the checkpoint's vocabulary and shape win
-        params, vocab, config, _ = load_checkpoint(ns.checkpoint)
+        params, vocab, config = _load_model(ns)
     else:
         vocab = build_vocab(train, ns.vocab_cap)
         config = _model_config(ns)
         params = None
     result = finetune(train, vocab, config, epochs=ns.epochs, lr=ns.lr,
                       seed=ns.seed, params=params, val_records=val,
-                      threshold=ns.threshold, use_dataflow=ns.use_dataflow)
+                      threshold=ns.threshold)
     save_checkpoint(ns.out, result.params, vocab, config,
                     extra={"stage": "train", "epochs": ns.epochs,
                            "seed": ns.seed, "best_epoch": result.best_epoch,
@@ -184,10 +196,10 @@ def _cmd_train(ns: argparse.Namespace) -> None:
 
 def _cmd_eval(ns: argparse.Namespace) -> None:
     records = load_dataset(ns.dataset)
-    params, vocab, config, _ = load_checkpoint(ns.checkpoint)
+    params, vocab, config = _load_model(ns)
     sizes, _, _, test = _select_split(records, ns.split, ns.seed)
     report = evaluate(test, vocab, params, config, threshold=ns.threshold,
-                      split_name=ns.split, use_dataflow=ns.use_dataflow)
+                      split_name=ns.split)
     payload = {"split": ns.split, "sizes": sizes, "report": report.to_dict()}
     if ns.out:
         Path(ns.out).write_text(json.dumps(payload, sort_keys=True) + "\n",
@@ -196,9 +208,9 @@ def _cmd_eval(ns: argparse.Namespace) -> None:
 
 
 def _cmd_predict(ns: argparse.Namespace) -> None:
-    params, vocab, config, _ = load_checkpoint(ns.checkpoint)
+    params, vocab, config = _load_model(ns)
     pred = predict_one(_read_source(ns.source), vocab, params, config,
-                       threshold=ns.threshold, use_dataflow=ns.use_dataflow)
+                       threshold=ns.threshold)
     _emit({"label": pred.label, "probability": float(pred.probabilities[1])},
           ns.pretty)
 
@@ -266,6 +278,29 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file of argument defaults")
 
 
+@dataclass(frozen=True)
+class _BadConfigValue:
+    """A --config value that its option's flag could not have produced."""
+
+    value: object
+    expected: str
+
+
+def _config_default(action: argparse.Action, value):
+    """A --config value as the default of `action`. A typed option's value
+    goes in as text: argparse then converts and checks it as it would the
+    flag's argument. null suits only an option whose own default is null,
+    an on/off option takes a JSON boolean and a text option a string;
+    anything else becomes a _BadConfigValue."""
+    if value is None:
+        return value if action.default is None else _BadConfigValue(value, "a value")
+    if action.nargs == 0:
+        return value if isinstance(value, bool) else _BadConfigValue(value, "true or false")
+    if action.type is not None:
+        return str(value)
+    return value if isinstance(value, str) else _BadConfigValue(value, "a string")
+
+
 class _SubcommandParser(argparse.ArgumentParser):
     """argparse checks choices only on given arguments; this also checks
     the values that --config defaults left in place."""
@@ -274,6 +309,9 @@ class _SubcommandParser(argparse.ArgumentParser):
         ns, extras = super().parse_known_args(args, namespace)
         for action in self._actions:
             value = getattr(ns, action.dest, None)
+            if isinstance(value, _BadConfigValue):
+                self.error(f"argument {action.option_strings[0]}: invalid --config"
+                           f" value {json.dumps(value.value)} (expected {value.expected})")
             if action.choices is not None and value not in action.choices:
                 choices = ", ".join(map(repr, action.choices))
                 self.error(f"argument {action.option_strings[0]}: invalid --config"
@@ -370,9 +408,9 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     _add_common(p)
 
     # subparsers parse into a fresh namespace, so pre-seeding the outer one
-    # cannot carry config-file values; per-subparser defaults can. A value
-    # for a typed option goes in as text: argparse then converts and checks
-    # it as it would the flag's argument, and a bad one is a usage error.
+    # cannot carry config-file values; per-subparser defaults can. Each
+    # subcommand takes the values of its own options only, and a bad one is
+    # a usage error when that subcommand runs without the explicit flag.
     if defaults:
         known = {a.dest for sub in subs.choices.values() for a in sub._actions}
         for key in defaults:
@@ -380,9 +418,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
                 parser.error(f"--config key {key!r} names no option")
         values = {key.replace("-", "_"): v for key, v in defaults.items()}
         for sub in subs.choices.values():
-            typed = {a.dest for a in sub._actions if a.type is not None}
-            sub.set_defaults(**{k: str(v) if k in typed and v is not None else v
-                                for k, v in values.items()})
+            sub.set_defaults(**{a.dest: _config_default(a, values[a.dest])
+                                for a in sub._actions if a.dest in values})
 
     return parser
 

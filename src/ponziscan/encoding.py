@@ -9,9 +9,9 @@ graph edges, the alignment and the input's withdrawn entries. It permits
 attention only along: classifier/separator queries (any key), code-to-code
 pairs, graph edges (a node attends the nodes its value comes from, plus
 itself), and node<->code alignment pairs, minus the withdrawn (query, key)
-entries. `build_mask` states it as an (n, n) matrix, the per-entry form the
-tests check; `attention_plan` states the same permissions as the few row
-layouts the encoder computes, without an n x n array.
+entries. `build_mask` states it as an (n, n) matrix, the one statement of
+the rule; `attention_plan` groups that matrix's rows into the few layouts
+the encoder computes.
 """
 
 from __future__ import annotations
@@ -183,15 +183,6 @@ def _positions(pairs, n: int, what: str) -> np.ndarray:
     return arr
 
 
-def _relations(inp: ModelInput):
-    """The input's edges, alignment pairs and withdrawn entries as
-    position arrays, each checked against its length."""
-    n = len(inp)
-    return (_positions(inp.dfg_edges, n, "dfg edge"),
-            _positions(inp.node_alignment, n, "alignment pair"),
-            _positions(inp.withdrawn, n, "withdrawn entry"))
-
-
 def build_mask(inp: ModelInput) -> np.ndarray:
     """(n, n) boolean permission matrix, n = len(inp), rows = queries,
     columns = keys.
@@ -201,13 +192,15 @@ def build_mask(inp: ModelInput) -> np.ndarray:
     node/code pairs that are aligned (both directions). The input's
     withdrawn entries are forbidden last, whatever the rules above granted.
     """
-    edges, align, withdrawn = _relations(inp)
-    seg = inp.segments
-    allow = np.zeros((len(inp), len(inp)), dtype=bool)
+    n, seg = len(inp), inp.segments
+    edges = _positions(inp.dfg_edges, n, "dfg edge")
+    align = _positions(inp.node_alignment, n, "alignment pair")
+    withdrawn = _positions(inp.withdrawn, n, "withdrawn entry")
+    allow = np.zeros((n, n), dtype=bool)
 
     allow[(seg == SEG_CLS) | (seg == SEG_SEP), :] = True
     code = seg == SEG_CODE
-    allow[np.ix_(code, code)] = True
+    allow[code] = code
     node_positions = np.flatnonzero(seg == SEG_NODE)
     allow[node_positions, node_positions] = True
     allow[edges[:, 1], edges[:, 0]] = True  # the value of dst comes from src
@@ -264,37 +257,23 @@ class AttentionPlan:
 
 
 def attention_plan(inp: ModelInput) -> AttentionPlan:
-    """The permissions of build_mask(inp) as three kinds of query row.
+    """The rows of build_mask(inp), grouped into three kinds.
 
-    Wide rows ([CLS], [SEP], and any row with no allowed key) score every
-    key: a row with no allowed key attends every key by its raw score.
-    Code rows score the code keys as one dense block, plus the keys their
-    alignment grants (their aligned node, unless withdrawn). Listed rows
-    (the nodes, and a wide or code row that lost an entry of its block to
-    `withdrawn`) score their own key lists."""
-    edges, align, withdrawn = _relations(inp)
-    n, seg = len(inp), inp.segments
-    code = seg == SEG_CODE
-    nodes = np.flatnonzero(seg == SEG_NODE)
-    # (query, key) entries granted outside the dense rows and block
-    q = [nodes, edges[:, 1], align[:, 0], align[:, 1]]
-    k = [nodes, edges[:, 0], align[:, 1], align[:, 0]]
-    wide_rows = (seg == SEG_CLS) | (seg == SEG_SEP)
-    code_rows = code.copy()
-    wq, wk = withdrawn[:, 0], withdrawn[:, 1]
-    for row in np.unique(wq[wide_rows[wq] | (code_rows[wq] & code[wk])]):
-        keys = np.arange(n) if wide_rows[row] else np.flatnonzero(code)
-        q.append(np.full(len(keys), row))
-        k.append(keys)
-        wide_rows[row] = code_rows[row] = False
-    q, k = np.concatenate(q), np.concatenate(k)
-    outside = ~(wide_rows[q] | (code_rows[q] & code[k]))
-    granted = np.setdiff1d(q[outside] * n + k[outside], wq * n + wk)
-    granted_q, granted_k = np.divmod(granted, n)
-    count = np.bincount(granted_q, minlength=n)
+    Wide rows (allowed every key, or no key) score every key: a row with no
+    allowed key attends every key by its raw score. Code rows (allowed the
+    whole, non-empty code block) score that block densely, plus their other
+    allowed keys. Listed rows score their allowed keys alone."""
+    allow = build_mask(inp)
+    n, is_code = len(inp), inp.segments == SEG_CODE
+    code = _index(np.flatnonzero(is_code))
+    wide_rows = allow.all(axis=1) | ~allow.any(axis=1)
+    code_rows = ~wide_rows & is_code.any() & allow[:, code].all(axis=1)
     listed = ~(wide_rows | code_rows)
-    wide_rows |= listed & (count == 0)
-    listed &= count > 0
+    # the keys outside each row's block
+    allow[wide_rows] = False
+    allow[np.flatnonzero(code_rows)[:, None], code] = False
+    granted_q, granted_k = np.divmod(np.flatnonzero(allow), n)
+    count = np.bincount(granted_q, minlength=n)
 
     def part(kind: np.ndarray, block: slice | np.ndarray) -> AttentionPart:
         rows = np.flatnonzero(kind)
@@ -304,6 +283,6 @@ def attention_plan(inp: ModelInput) -> AttentionPlan:
         return AttentionPart(rows, _index(rows), block, keys, pad)
 
     parts = (part(wide_rows, slice(None)),
-             part(code_rows, _index(np.flatnonzero(code))),
+             part(code_rows, code),
              part(listed, slice(0, 0)))
     return AttentionPlan(n, tuple(p for p in parts if len(p.rows)))

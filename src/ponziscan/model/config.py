@@ -20,9 +20,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_layers", "d_h", "n_heads", "d_ff", "code_len", "flow_len"):
+        for name in ("n_layers", "d_h", "n_heads", "d_ff", "code_len"):
             if getattr(self, name) <= 0:
                 raise ShapeMismatch(f"{name} must be positive")
+        if self.flow_len < 0:  # 0: no graph nodes, the encoder reads code only
+            raise ShapeMismatch("flow_len must not be negative")
         if self.d_h % self.n_heads != 0:
             raise ShapeMismatch(
                 f"d_h={self.d_h} must be divisible by n_heads={self.n_heads}")

@@ -11,20 +11,21 @@ An input holds exactly its n = len(inp) slots ([CLS], code, [SEP],
 nodes), so hidden states are (n, d_h).
 
 Attention over the allowed keys only. Once per pass, `attention_plan`
-states the mask as three kinds of query row, and each layer scores each
-kind in its own buffer:
-- wide rows ([CLS], [SEP], and any row with no allowed key) score every
-  key, unmasked: (heads, r, n);
-- code rows score the dense code x code block, plus a gathered column
-  for the node aligned to the token unless that entry is withdrawn:
+groups the rows of `build_mask` into three kinds of query row, and each
+layer scores each kind in its own buffer:
+- wide rows (allowed every key, as [CLS] and [SEP] are, or no key) score
+  every key, unmasked: (heads, r, n);
+- code rows (allowed the whole code block, as code tokens are) score that
+  block densely, plus gathered columns for their other allowed keys (a
+  token's aligned node unless that entry is withdrawn):
   (heads, r, n_code + 1), padded alike for rows without one;
-- listed rows (the nodes, and any row that lost an entry of its dense
-  block to `withdrawn`) score their own keys, gathered and padded to the
-  longest list (a node attends itself, its edge sources and its aligned
-  token): (heads, r, max degree).
+- listed rows (every other row, such as the nodes) score their allowed
+  keys, gathered and padded to the longest list (a node attends itself,
+  its edge sources and its aligned token): (heads, r, max degree).
 Padding scores are -inf, each row is normalised by one softmax across its
 parts (`softmax_rows(..., out=)` in place), and no forbidden entry is
-scored or exp'ed; no (n, n) mask or score array is built.
+scored or exp'ed. The only (n, n) array is the boolean mask the plan is
+grouped from, built once per pass; no (n, n) score array is built.
 `layer_backward` mirrors this and sums the key and value gradients of the
 gathered columns into their key rows. Dropping the exact zeros of the
 forbidden entries changes summation order only, so results move in the

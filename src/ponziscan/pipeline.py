@@ -162,10 +162,11 @@ def split_random(records: list[ContractRecord],
 # -- encoding ---------------------------------------------------------------
 
 
-def encode_record(source: str, vocab: Vocabulary, config: ModelConfig,
-                  use_dataflow: bool = True) -> ModelInput:
+def encode_record(source: str, vocab: Vocabulary, config: ModelConfig) -> ModelInput:
+    """The model input of one source; with config.flow_len 0 (no graph) the
+    source is not parsed."""
     tokens = lex(source)
-    if use_dataflow:
+    if config.flow_len > 0:
         graph = extract_dfg(parse(tokens))
     else:
         graph = DataFlowGraph()
@@ -174,8 +175,8 @@ def encode_record(source: str, vocab: Vocabulary, config: ModelConfig,
 
 
 def encode_records(records: list[ContractRecord], vocab: Vocabulary,
-                   config: ModelConfig, use_dataflow: bool = True) -> list[ModelInput]:
-    return [encode_record(r.source, vocab, config, use_dataflow) for r in records]
+                   config: ModelConfig) -> list[ModelInput]:
+    return [encode_record(r.source, vocab, config) for r in records]
 
 
 # -- metrics ------------------------------------------------------------------
@@ -213,19 +214,18 @@ def evaluate_inputs(inputs: list[ModelInput], labels: list[int], params: Params,
 
 
 def evaluate(records: list[ContractRecord], vocab: Vocabulary, params: Params,
-             config: ModelConfig, threshold: float = 0.5, split_name: str = "",
-             use_dataflow: bool = True) -> EvalReport:
+             config: ModelConfig, threshold: float = 0.5,
+             split_name: str = "") -> EvalReport:
     if not records:
         raise EmptyDataset("cannot evaluate an empty subset")
-    inputs = encode_records(records, vocab, config, use_dataflow)
+    inputs = encode_records(records, vocab, config)
     labels = [int(r.label) for r in records]
     return evaluate_inputs(inputs, labels, params, config, threshold, split_name)
 
 
 def predict_one(source: str, vocab: Vocabulary, params: Params,
-                config: ModelConfig, threshold: float = 0.5,
-                use_dataflow: bool = True) -> Prediction:
-    inp = encode_record(source, vocab, config, use_dataflow)
+                config: ModelConfig, threshold: float = 0.5) -> Prediction:
+    inp = encode_record(source, vocab, config)
     return forward(inp, params, config, threshold=threshold)
 
 
@@ -244,7 +244,7 @@ def finetune(records: list[ContractRecord], vocab: Vocabulary,
              config: ModelConfig, epochs: int, lr: float = DEFAULT_LR,
              seed: int = 0, params: Params | None = None,
              val_records: list[ContractRecord] | None = None,
-             threshold: float = 0.5, use_dataflow: bool = True) -> FinetuneResult:
+             threshold: float = 0.5) -> FinetuneResult:
     """Label cross-entropy, batch size 1, Adam. With a validation set the
     returned params are those of the best-F-score epoch (earliest on ties);
     otherwise the final epoch's."""
@@ -252,11 +252,11 @@ def finetune(records: list[ContractRecord], vocab: Vocabulary,
         raise EmptyDataset("cannot fine-tune on an empty subset")
     if params is None:
         params = init_params(config, len(vocab))
-    inputs = encode_records(records, vocab, config, use_dataflow)
+    inputs = encode_records(records, vocab, config)
     labels = [int(r.label) for r in records]
     val_inputs = val_labels = None
     if val_records:
-        val_inputs = encode_records(val_records, vocab, config, use_dataflow)
+        val_inputs = encode_records(val_records, vocab, config)
         val_labels = [int(r.label) for r in val_records]
     state = AdamState.for_params(params)
     epoch_losses: list[float] = []

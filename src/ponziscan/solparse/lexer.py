@@ -44,7 +44,7 @@ _SIZED_TYPE_RE = re.compile(
 
 _IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 _HEX_RE = re.compile(r"0[xX][0-9a-fA-F_]+")
-_NUM_RE = re.compile(r"\d[\d_]*(?:\.[\d_]+)?(?:[eE][+-]?\d+)?")
+_NUM_RE = re.compile(r"[0-9][0-9_]*(?:\.[0-9_]+)?(?:[eE][+-]?[0-9]+)?")
 
 _PUNCT3 = (">>=", "<<=", "**=")
 _PUNCT2 = ("=>", "==", "!=", "<=", ">=", "&&", "||", "+=", "-=", "*=", "/=",
@@ -125,7 +125,7 @@ def lex(source: str) -> list[Token]:
             emit(KIND_STRING, i, j + 1)
             i = j + 1
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":
             m = _HEX_RE.match(source, i) or _NUM_RE.match(source, i)
             emit(KIND_NUMBER, i, m.end())
             i = m.end()

@@ -367,10 +367,9 @@ def test_criterion_09_ablation_liveness(balanced_corpus, desk_model):
     config = desk_model["config"]
     params = desk_model["params"]
 
-    with_flow = encode_records(balanced_corpus, vocab, config,
-                               use_dataflow=True)
-    without_flow = encode_records(balanced_corpus, vocab, config,
-                                  use_dataflow=False)
+    with_flow = encode_records(balanced_corpus, vocab, config)
+    without_flow = encode_records(balanced_corpus, vocab,
+                                  replace(config, flow_len=0))
     deltas = []
     for a, b in zip(with_flow, without_flow):
         la = forward_hidden(a, params, config)[0][0] @ params["cls_w"]

@@ -121,6 +121,14 @@ def test_deep_nesting_is_a_domain_error(command, body, tmp_path, capsys):
         f"error: nested deeper than {MAX_NESTING} levels at byte ")
 
 
+def test_non_ascii_digit_is_a_domain_error(tmp_path, capsys):
+    source = tmp_path / "sup.sol"
+    source.write_text("contract C { uint x = 2\u00b2; }", encoding="utf-8")
+    assert run(["parse", "--source", str(source)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: illegal character") and "Traceback" not in err
+
+
 # -- corpus generation --------------------------------------------------------
 
 
@@ -333,6 +341,27 @@ def test_threshold_accepts_zero_and_one(workspace, capsys):
     assert json.loads(capsys.readouterr().out)["label"] == 0
 
 
+def test_checkpoint_records_no_dataflow(tmp_path, capsys):
+    """A model trained with --no-dataflow scores without the graph whether
+    or not eval and predict repeat the flag."""
+    data, model = tmp_path / "data.jsonl", tmp_path / "model.ckpt"
+    assert run(["synth", "--out", str(data), "--n", "40", "--ponzi", "12",
+                "--seed", "3"]) == 0
+    assert run(["train", "--dataset", str(data), "--out", str(model), "--split",
+                "all", "--epochs", "2", "--no-dataflow", *TINY]) == 0
+    source = tmp_path / "first.sol"
+    source.write_text(load_dataset(str(data))[0].source, encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["predict", "--source", str(source), "--checkpoint", str(model)],
+                 ["eval", "--dataset", str(data), "--checkpoint", str(model),
+                  "--split", "all"]):
+        assert run(argv) == 0
+        plain = capsys.readouterr().out
+        assert run([*argv, "--no-dataflow"]) == 0
+        assert capsys.readouterr().out == plain
+    assert load_checkpoint(str(model))[2].flow_len == 0
+
+
 def test_predict_no_dataflow_runs(workspace, capsys):
     assert run(["predict", "--source", str(workspace["source"]),
                 "--checkpoint", str(workspace["model"]),
@@ -446,6 +475,49 @@ def test_explicit_flag_overrides_config_value_outside_choices(workspace,
     assert run(["eval", "--dataset", str(workspace["data"]), "--checkpoint",
                 str(workspace["model"]), "--split", "all",
                 "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["split"] == "all"
+
+
+_PRETRAIN = ["pretrain", "--dataset", "unused.jsonl", "--out", "unused.ckpt"]
+_PREDICT = ["predict", "--source", "unused.sol", "--checkpoint", "unused.ckpt"]
+
+
+_BAD_CONFIG_VALUES = [
+    (_PRETRAIN, "epochs", "--epochs", None),
+    (_PRETRAIN, "seed", "--seed", None),
+    (_PRETRAIN, "vocab_cap", "--vocab-cap", None),
+    (_PRETRAIN, "lr", "--lr", None),
+    (_PREDICT, "threshold", "--threshold", None),
+    (["synth", "--out", "unused.jsonl"], "n", "--n", None),
+    (["eval", "--checkpoint", "unused.ckpt", "--dataset", "unused.jsonl"],
+     "out", "--out", 5),
+    (["fetch", "--address", "0x" + "ab" * 20], "cache_dir", "--cache-dir", 7),
+    (["parse", "--source", "unused.sol"], "pretty", "--pretty", "no"),
+    (_PREDICT, "use_dataflow", "--no-dataflow", "false"),
+]
+
+
+@pytest.mark.parametrize("argv, key, flag, value", _BAD_CONFIG_VALUES,
+                         ids=[f"{argv[0]}-{key}" for argv, key, _, _ in _BAD_CONFIG_VALUES])
+def test_config_value_its_flag_cannot_give_is_usage_error(tmp_path, capsys, argv,
+                                                          key, flag, value):
+    """null only where the option's own default is null, a JSON boolean for
+    an on/off option, a string for a text option."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    assert run([*argv, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"argument {flag}: invalid --config value {json.dumps(value)}"
+            in captured.err)
+
+
+def test_config_null_where_the_default_is_null(workspace, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": None, "layers": None, "checkpoint": None,
+                               "pretty": False}), encoding="utf-8")
+    assert run(["eval", "--dataset", str(workspace["data"]), "--checkpoint",
+                str(workspace["model"]), "--split", "all", "--config", str(cfg)]) == 0
     assert json.loads(capsys.readouterr().out)["split"] == "all"
 
 

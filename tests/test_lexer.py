@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -128,6 +129,22 @@ def test_illegal_character_offset():
     with pytest.raises(IllegalCharacter) as err:
         lex("a = #;")
     assert err.value.offset == 4
+
+
+def test_only_ascii_digits_start_a_number():
+    """str.isdigit and str.isnumeric hold for hundreds of code points
+    besides 0-9 (superscripts, other scripts' digits); each of those is an
+    IllegalCharacter, never a crash or a number."""
+    numeric = [c for c in map(chr, range(sys.maxunicode + 1))
+               if c.isdigit() or c.isnumeric()]
+    assert len(numeric) > 10
+    for c in numeric:
+        if c in "0123456789":
+            assert lex(f"x = {c};")[2].kind == KIND_NUMBER
+        else:
+            with pytest.raises(IllegalCharacter) as err:
+                lex(f"x = {c};")
+            assert err.value.offset == 4
 
 
 _SOURCE_ALPHABET = st.sampled_from(

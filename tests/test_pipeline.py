@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -322,8 +323,8 @@ def test_predict_one_matches_evaluate_decision(trained_model, small_corpus):
 
 def test_use_dataflow_false_changes_encoding(small_vocab, tiny_config, small_corpus):
     source = small_corpus[0].source
-    with_flow = encode_record(source, small_vocab, tiny_config, use_dataflow=True)
-    without = encode_record(source, small_vocab, tiny_config, use_dataflow=False)
+    with_flow = encode_record(source, small_vocab, tiny_config)
+    without = encode_record(source, small_vocab, replace(tiny_config, flow_len=0))
     assert without.n_nodes == 0
     assert without.dfg_edges == []
     assert with_flow.n_nodes > 0
