@@ -2,7 +2,7 @@
 
 The network call is injectable so tests run offline: ApiConfig.http_get
 takes (url, params, timeout) and returns the decoded JSON body. Responses
-are cached on disk keyed by address; requests are throttled to one per
+are cached on disk keyed by address; calls are throttled to one per
 config.delay seconds across threads.
 """
 
@@ -20,7 +20,7 @@ from ponziscan.errors import BadAddress, NetworkError, NotVerified, RateLimited
 from ponziscan.pipeline import ContractRecord
 
 _ADDRESS_RE = re.compile(r"^0x[0-9a-fA-F]{40}$")
-MIN_DELAY = 0.2    # seconds between requests, at least
+MIN_DELAY = 0.2    # seconds between calls, at least
 MAX_RETRIES = 3    # attempts after a rate-limit reply
 DEFAULT_BASE_URL = "https://api.etherscan.io/api"
 
@@ -29,15 +29,22 @@ _last_request_at = 0.0
 
 
 def _default_http_get(url: str, params: dict, timeout: float) -> dict:
-    # imported lazily so offline use never needs the dependency
-    import requests
+    """GET url?params and decode the body as JSON. Any failure is a
+    NetworkError that names the exception type only, and is raised without
+    its cause: the query string carries the API key."""
+    # imported on first use: offline commands never load the HTTP stack
+    import http.client
+    import urllib.parse
+    import urllib.request
 
     try:
-        resp = requests.get(url, params=params, timeout=timeout)
-        resp.raise_for_status()
-        return resp.json()
-    except requests.RequestException as exc:
-        raise NetworkError(f"request to {url} failed: {type(exc).__name__}") from exc
+        with urllib.request.urlopen(url + "?" + urllib.parse.urlencode(params),
+                                    timeout=timeout) as resp:
+            return json.load(resp)
+    except (OSError, http.client.HTTPException, ValueError) as exc:
+        # OSError covers HTTPError, URLError and TimeoutError; ValueError a
+        # body that is not JSON (or not text)
+        raise NetworkError(f"request to {url} failed: {type(exc).__name__}") from None
 
 
 @dataclass

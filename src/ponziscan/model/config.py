@@ -43,4 +43,10 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{k: int(v) for k, v in d.items()})
+        """The config a decoded JSON object describes. Every value must be a
+        JSON integer: a fraction or a boolean raises TypeError rather than
+        being truncated to an int, and so does an unknown key."""
+        bad = sorted(k for k, v in d.items() if type(v) is not int)
+        if bad:
+            raise TypeError("config values must be integers: " + ", ".join(bad))
+        return cls(**d)

@@ -12,14 +12,24 @@ unique positions) and finds a position's row with np.searchsorted.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import expit
 
 from ponziscan.encoding import ModelInput
 from ponziscan.errors import NoTargets, NonFiniteGradient
 from ponziscan.model.config import ModelConfig
 from ponziscan.model.encoder import backward_hidden, forward_hidden
 from ponziscan.model.params import Params, check_finite, zeros_like_params
+
+
+def _logistic(z: float) -> float:
+    """1 / (1 + e^-z) for a finite z, rounded as the C expression rounds
+    it: 0.0 where e^-z overflows (z below about -709.78)."""
+    try:
+        return 1.0 / (1.0 + math.exp(-z))
+    except OverflowError:
+        return 0.0
 
 
 def _log_softmax_pick(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
@@ -90,7 +100,7 @@ def pair_bce_loss_and_grads(inp: ModelInput, pairs: list[tuple[int, int, int]],
     for (ri, rj), (_, _, y) in zip(at, pairs):
         z = float(H[ri] @ H[rj])
         total += float(np.logaddexp(0.0, z)) - y * z
-        dz = float(expit(z)) - y
+        dz = _logistic(z) - y
         dH[ri] += dz * H[rj]
         dH[rj] += dz * H[ri]
     backward_hidden(dH, inp, caches, params, config, grads)

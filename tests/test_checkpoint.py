@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ponziscan.encoding import build_vocab
-from ponziscan.errors import DomainError, ShapeMismatch
+from ponziscan.errors import CorruptCheckpoint, DomainError, ShapeMismatch
 from ponziscan.model.checkpoint import (
     _pack_tensors,
     _unpack_tensors,
@@ -179,3 +179,16 @@ def test_corrupt_checkpoint_is_domain_error(tmp_path, payload, case):
     CORRUPTIONS[case](path)
     with pytest.raises(DomainError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, value", [("flow_len", 2.9), ("seed", True)])
+def test_config_value_that_is_no_json_integer_is_corrupt(tmp_path, payload, key, value):
+    """A fraction or a boolean in meta.json's config is refused, not
+    truncated to an int."""
+    params, vocab, config = payload
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, vocab, config)
+    _meta(lambda m: m["config"].update({key: value}))(path)
+    with pytest.raises(CorruptCheckpoint) as err:
+        load_checkpoint(path)
+    assert key in str(err.value)

@@ -9,6 +9,10 @@ so the whole chain stays fast.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -660,6 +664,24 @@ def test_corrupt_checkpoint_exits_1(workspace, tmp_path, capsys):
     assert err.startswith("error:") and "not a valid checkpoint" in err
 
 
+@pytest.mark.parametrize("key, value", [("flow_len", 2.9), ("seed", True)])
+def test_checkpoint_config_that_is_no_json_integer_exits_1(workspace, tmp_path,
+                                                           capsys, key, value):
+    edited = tmp_path / "edited.ckpt"
+    with zipfile.ZipFile(workspace["model"]) as src, zipfile.ZipFile(edited, "w") as dst:
+        for name in src.namelist():
+            data = src.read(name)
+            if name == "meta.json":
+                meta = json.loads(data)
+                meta["config"][key] = value
+                data = json.dumps(meta).encode()
+            dst.writestr(name, data)
+    assert run(["predict", "--source", str(workspace["source"]),
+                "--checkpoint", str(edited)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not a valid checkpoint" in err and key in err
+
+
 def test_non_utf8_source_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.sol"
     bad.write_bytes(b"contract C { uint a\xff; }")
@@ -727,6 +749,18 @@ def test_bad_format_choice_exits_2(workspace, capsys):
 def test_too_small_fetch_delay_exits_2(capsys):
     assert run(["fetch", "--address", ADDRESS, "--delay", "0.05"]) == 2
     assert "delay" in capsys.readouterr().err
+
+
+def test_cli_imports_no_scipy_or_requests():
+    """numpy is the only third-party package the command line loads."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = ("import sys, ponziscan.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('scipy', 'requests')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 def test_help_exits_0(capsys):

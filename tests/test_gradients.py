@@ -8,12 +8,16 @@ final layer pruned to the rows a loss reads, fed by a full-row layer.
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from ponziscan.errors import NoTargets
 from ponziscan.model.config import ModelConfig
 from ponziscan.model.losses import (
+    _logistic,
     add_grads,
     classification_loss_and_grads,
     mlm_loss_and_grads,
@@ -166,3 +170,16 @@ def test_gradients_flow_into_every_tensor(setup):
         add_grads(total, loss_grads)
     for name, g in total.items():
         assert g.any(), f"no gradient reached {name}"
+
+
+def test_logistic_is_total_over_finite_scores():
+    """The pair loss's sigmoid raises nothing and warns nothing however
+    far a score lies from 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = {z: _logistic(z) for z in (800.0, -800.0, 1e308, -1e308, -709.79, 0.0)}
+    assert values[800.0] == 1.0 and values[1e308] == 1.0
+    assert values[-800.0] == 0.0 and values[-1e308] == 0.0 and values[-709.79] == 0.0
+    assert values[0.0] == 0.5
+    for z in (-30.0, -1.5, 0.25, 2.0, 40.0):
+        assert _logistic(z) == 1.0 / (1.0 + math.exp(-z))

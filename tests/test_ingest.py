@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import io
 import json
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 
 import pytest
 
@@ -159,6 +163,53 @@ def test_requests_spaced_by_delay():
     fetch_verified_source(other, config)
     gap = stub.calls[1][3] - stub.calls[0][3]
     assert gap >= 0.2 - 0.005  # scheduler jitter allowance
+
+
+class FakeUrlopen:
+    """Stands in for urllib.request.urlopen: records each call, then returns
+    `reply` as the response body (bytes) or raises it, built from the URL
+    it was asked for (an exception), so an error text that echoed the URL
+    would carry the API key."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.calls = []
+
+    def __call__(self, url, timeout):
+        self.calls.append((url, timeout))
+        if isinstance(self.reply, bytes):
+            return io.BytesIO(self.reply)
+        raise self.reply(url)
+
+
+def test_default_http_get_decodes_json(monkeypatch):
+    fake = FakeUrlopen(json.dumps(ok_body("contract U {}")).encode())
+    monkeypatch.setattr(urllib.request, "urlopen", fake)
+    record = fetch_verified_source(ADDRESS, ApiConfig(api_key=SECRET, timeout=3.5))
+    assert record.source == "contract U {}"
+    [(url, timeout)] = fake.calls
+    base, query = url.split("?")
+    assert base == ApiConfig().base_url
+    assert urllib.parse.parse_qs(query) == {
+        "module": ["contract"], "action": ["getsourcecode"],
+        "address": [ADDRESS], "apikey": [SECRET]}
+    assert timeout == 3.5
+
+
+@pytest.mark.parametrize("reply, kind", [
+    (lambda url: urllib.error.HTTPError(url, 500, f"Internal Server Error at {url}",
+                                        None, None), "HTTPError"),
+    (lambda url: TimeoutError(f"timed out reading {url}"), "TimeoutError"),
+    (lambda url: urllib.error.URLError(f"connection refused: {url}"), "URLError"),
+    (b"<html>502 Bad Gateway</html>", "JSONDecodeError"),
+], ids=["http_500", "timeout", "unreachable", "not_json"])
+def test_default_http_get_failure_is_network_error(monkeypatch, reply, kind):
+    monkeypatch.setattr(urllib.request, "urlopen", FakeUrlopen(reply))
+    with pytest.raises(NetworkError) as err:
+        fetch_verified_source(ADDRESS, ApiConfig(api_key=SECRET))
+    assert str(err.value).endswith(f"failed: {kind}")
+    assert SECRET not in str(err.value)
+    assert err.value.__cause__ is None and err.value.__suppress_context__
 
 
 def test_delay_floor_enforced():

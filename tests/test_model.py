@@ -3,7 +3,9 @@ memory."""
 
 from __future__ import annotations
 
+import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +18,7 @@ from ponziscan.model.config import ModelConfig
 from ponziscan.model.encoder import (
     backward_hidden,
     embed,
+    erf,
     forward,
     forward_hidden,
     gelu,
@@ -51,6 +54,94 @@ def test_gelu_grad_matches_finite_difference():
     eps = 1e-6
     fd = (gelu(xs + eps) - gelu(xs - eps)) / (2 * eps)
     assert np.allclose(gelu_grad(xs), fd, atol=1e-8)
+
+
+def _ulps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance in units in the last place between float64 arrays, counting
+    across zero (+0 and -0 are 0 apart)."""
+    def ordered(v):
+        bits = np.asarray(v, dtype=np.float64).view(np.int64)
+        return np.where(bits < 0, np.int64(np.iinfo(np.int64).min) - bits, bits)
+    return np.abs(ordered(a) - ordered(b))
+
+
+def _erf_edge_cases() -> np.ndarray:
+    tiny = np.finfo(np.float64).smallest_subnormal
+    near_one = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+    saturation = np.linspace(5.8, 6.2, 401)
+    edges = np.concatenate([[0.0, tiny, 2 * tiny, 1e-310, np.finfo(np.float64).tiny,
+                             1e-300, 1e-8], near_one, saturation, [8.0, 1e300]])
+    return np.concatenate([edges, -edges])
+
+
+def test_erf_within_3_ulp_of_math_erf():
+    xs = np.concatenate([np.linspace(-7.0, 7.0, 140_001), _erf_edge_cases()])
+    want = np.array([math.erf(v) for v in xs])
+    got = erf(xs)
+    assert _ulps(got, want).max() <= 3
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 stays -0.0
+
+
+# Cephes' erf in compiled C (as scipy.special.erf 1.17 returns it): on
+# |x| <= 1 the numpy evaluation does the same operations in the same order
+CEPHES_ERF = [
+    (-1.0, "-0x1.af767a741088ap-1"),
+    (-0.9375, "-0x1.a1551a16aaeaep-1"),
+    (-0.7, "-0x1.5b08c21171645p-1"),
+    (-0.5, "-0x1.0a7ef5c18edd2p-1"),
+    (-0.3, "-0x1.50838881dea0fp-2"),
+    (-0.125, "-0x1.1f5e1a35c3b8ap-3"),
+    (-0.001, "-0x1.27cc3804d374bp-10"),
+    (0.001, "0x1.27cc3804d374bp-10"),
+    (0.0625, "0x1.207d480e90658p-4"),
+    (0.2, "0x1.c8184b8b25f1bp-3"),
+    (0.4142135623730951, "0x1.c496a836ccae7p-2"),
+    (0.55, "0x1.206beb96e0c0cp-1"),
+    (0.8, "0x1.7bf4a85b7fb83p-1"),
+    (0.99, "0x1.ad50ee005845bp-1"),
+    (1.0, "0x1.af767a741088ap-1"),
+]
+
+
+def test_erf_is_cephes_bit_for_bit_on_the_unit_interval():
+    xs = np.array([x for x, _ in CEPHES_ERF])
+    assert [v.hex() for v in erf(xs).tolist()] == [
+        float.fromhex(h).hex() for _, h in CEPHES_ERF]
+
+
+def test_erf_non_finite_inputs_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = erf(np.array([np.inf, -np.inf, np.nan, 1e300, -1e300, 3.0]))
+    assert got[0] == 1.0 and got[1] == -1.0
+    assert np.isnan(got[2])
+    assert got[3] == 1.0 and got[4] == -1.0
+    assert got[5] == math.erf(3.0)
+
+
+def test_erf_out_argument():
+    """erf runs over blocks of rows; a shape of several blocks, the last
+    one short, gives the values of one row at a time, and `out` may be x
+    itself."""
+    x = np.random.default_rng(4).normal(0.0, 2.0, size=(300, 3, 43))
+    want = erf(x)
+    assert np.array_equal(want, [erf(row) for row in x])
+    into = np.empty_like(x)
+    assert erf(x, out=into) is into and np.array_equal(into, want)
+    x0 = x.copy()
+    assert erf(x, out=x) is x and np.array_equal(x, want)
+    assert not np.array_equal(x, x0)
+
+
+def test_gelu_keeping_phi_is_bitwise_the_plain_gelu():
+    """Training's gelu(x, phi=...) and gelu_grad(x, phi) round exactly as
+    the one-argument calls, which form Phi themselves."""
+    x = np.random.default_rng(5).normal(0.0, 2.0, size=(6, 11))
+    phi = np.empty_like(x)
+    G = gelu(x, phi=phi)
+    assert np.array_equal(G, gelu(x))
+    assert np.array_equal(phi, 0.5 * (1.0 + erf(x / np.sqrt(2.0))))
+    assert np.array_equal(gelu_grad(x, phi=phi), gelu_grad(x))
 
 
 def test_softmax_rows_normalized_and_shift_invariant():
