@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from ponziscan.errors import ShapeMismatch
 
@@ -43,9 +43,13 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """The config a decoded JSON object describes. Every value must be a
-        JSON integer: a fraction or a boolean raises TypeError rather than
-        being truncated to an int, and so does an unknown key."""
+        """The config a decoded JSON object describes. It must name every
+        field and no other, each a JSON integer: a missing key raises
+        TypeError rather than taking its default, and so do an unknown key
+        and a fraction or a boolean, which would otherwise be truncated."""
+        missing = sorted(f.name for f in fields(cls) if f.name not in d)
+        if missing:
+            raise TypeError("config lacks " + ", ".join(missing))
         bad = sorted(k for k, v in d.items() if type(v) is not int)
         if bad:
             raise TypeError("config values must be integers: " + ", ".join(bad))

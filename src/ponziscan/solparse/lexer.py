@@ -42,19 +42,25 @@ _SIZED_TYPE_RE = re.compile(
     r"|u?fixed(?:\d+x\d+)?)$"
 )
 
-_IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
-_HEX_RE = re.compile(r"0[xX][0-9a-fA-F_]+")
-_NUM_RE = re.compile(r"[0-9][0-9_]*(?:\.[0-9_]+)?(?:[eE][+-]?[0-9]+)?")
+# The token grammar, one alternative per group, tried in this order at each
+# position. A group named after a token kind is that kind; `skip` drops
+# whitespace and comments, `open_comment` is a `/*` that never closes, and
+# `mismatch` is any other character, a quote among them when its string
+# never closes. Character classes are spelled out: \s, \d and \w would
+# admit non-ASCII spaces, digits and letters.
+_TOKEN_RE = re.compile(r"""
+    (?P<skip>(?:[ \t\n\v\f\r\u00a0\ufeff]+ | //[^\n]* | /\*.*?\*/)+)
+  | (?P<open_comment>/\*)
+  | (?P<string>"(?:\\.|[^"\\\n])*" | '(?:\\.|[^'\\\n])*')
+  | (?P<number>0[xX][0-9a-fA-F_]+ | [0-9][0-9_]*(?:\.[0-9_]+)?(?:[eE][+-]?[0-9]+)?)
+  | (?P<word>[A-Za-z_$][A-Za-z0-9_$]*)
+  | (?P<punctuation>>>= | <<= | \*\*= | [-+*/%=!<>&|^]= | => | && | \|\| | << | >> | \+\+
+      | -- | -> | \*\* | [-+*/%=<>!&|^~?:;,.(){}\[\]])
+  | (?P<mismatch>.)
+""", re.VERBOSE | re.DOTALL)
 
-_PUNCT3 = (">>=", "<<=", "**=")
-_PUNCT2 = ("=>", "==", "!=", "<=", ">=", "&&", "||", "+=", "-=", "*=", "/=",
-           "%=", "&=", "|=", "^=", "<<", ">>", "++", "--", "->", "**")
-_PUNCT1 = frozenset("+-*/%=<>!&|^~?:;,.(){}[]")
 
-_WHITESPACE = frozenset(" \t\r\n ﻿")
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     kind: str
     text: str
@@ -81,76 +87,26 @@ def lex(source: str) -> list[Token]:
     # Byte offset of each codepoint; spans must be byte-accurate even for
     # non-ASCII text inside strings and comments.
     if source.isascii():
-        byte_of = None
+        byte_of = range(len(source) + 1)
     else:
         byte_of = list(accumulate((len(c.encode("utf-8")) for c in source), initial=0))
 
-    def boff(cp: int) -> int:
-        return cp if byte_of is None else byte_of[cp]
-
     tokens: list[Token] = []
-    n = len(source)
-    i = 0
-
-    def emit(kind: str, start_cp: int, end_cp: int) -> None:
-        tokens.append(Token(kind, source[start_cp:end_cp], boff(start_cp),
-                            boff(end_cp), len(tokens)))
-
-    while i < n:
-        c = source[i]
-        if c in _WHITESPACE:
-            i += 1
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "skip":
             continue
-        if c == "/" and i + 1 < n and source[i + 1] == "/":
-            j = source.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if c == "/" and i + 1 < n and source[i + 1] == "*":
-            close = source.find("*/", i + 2)
-            if close < 0:
-                raise UnterminatedComment("unterminated block comment", boff(i))
-            i = close + 2
-            continue
-        if c in "\"'":
-            j = i + 1
-            while True:
-                if j >= n or source[j] == "\n":
-                    raise UnterminatedString("unterminated string literal", boff(i))
-                if source[j] == "\\" and j + 1 < n:
-                    j += 2
-                    continue
-                if source[j] == c:
-                    break
-                j += 1
-            emit(KIND_STRING, i, j + 1)
-            i = j + 1
-            continue
-        if "0" <= c <= "9":
-            m = _HEX_RE.match(source, i) or _NUM_RE.match(source, i)
-            emit(KIND_NUMBER, i, m.end())
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(source, i)
-        if m:
-            emit(_classify_word(m.group()), i, m.end())
-            i = m.end()
-            continue
-        three = source[i:i + 3]
-        if three in _PUNCT3:
-            emit(KIND_PUNCT, i, i + 3)
-            i += 3
-            continue
-        two = source[i:i + 2]
-        if two in _PUNCT2:
-            emit(KIND_PUNCT, i, i + 2)
-            i += 2
-            continue
-        if c in _PUNCT1:
-            emit(KIND_PUNCT, i, i + 1)
-            i += 1
-            continue
-        raise IllegalCharacter(f"illegal character {c!r}", boff(i))
-
+        start, end = m.span()
+        text = m.group()
+        if kind == "word":
+            kind = _classify_word(text)
+        elif kind == "open_comment":
+            raise UnterminatedComment("unterminated block comment", byte_of[start])
+        elif kind == "mismatch":
+            if text in "\"'":
+                raise UnterminatedString("unterminated string literal", byte_of[start])
+            raise IllegalCharacter(f"illegal character {text!r}", byte_of[start])
+        tokens.append(Token(kind, text, byte_of[start], byte_of[end], len(tokens)))
     return tokens
 
 

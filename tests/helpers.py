@@ -8,9 +8,11 @@ code with the implementation) so that agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+import re
 import signal
 from contextlib import contextmanager
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from ponziscan.encoding import (
     Vocabulary,
     build_mask,
 )
+from ponziscan.errors import IllegalCharacter, UnterminatedComment, UnterminatedString
 from ponziscan.model.config import ModelConfig
 from ponziscan.model.encoder import (
     gelu,
@@ -33,6 +36,13 @@ from ponziscan.model.encoder import (
     mask_additive,
     softmax_rows,
     softmax_rows_backward,
+)
+from ponziscan.solparse.lexer import (
+    KIND_NUMBER,
+    KIND_PUNCT,
+    KIND_STRING,
+    Token,
+    _classify_word,
 )
 
 
@@ -415,3 +425,94 @@ def deep_sources(max_nesting: int) -> dict[str, tuple[str, str]]:
             (max_nesting - 5) // 4),
     }
     return {name: (make(n), make(n + 1)) for name, (make, n) in shapes.items()}
+
+
+_IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
+_HEX_RE = re.compile(r"0[xX][0-9a-fA-F_]+")
+_NUM_RE = re.compile(r"[0-9][0-9_]*(?:\.[0-9_]+)?(?:[eE][+-]?[0-9]+)?")
+
+_PUNCT3 = (">>=", "<<=", "**=")
+_PUNCT2 = ("=>", "==", "!=", "<=", ">=", "&&", "||", "+=", "-=", "*=", "/=",
+           "%=", "&=", "|=", "^=", "<<", ">>", "++", "--", "->", "**")
+_PUNCT1 = frozenset("+-*/%=<>!&|^~?:;,.(){}[]")
+PUNCTUATION = (*_PUNCT3, *_PUNCT2, *sorted(_PUNCT1))
+
+_WHITESPACE = frozenset(" \t\r\n\v\f\u00a0\ufeff")
+
+
+def reference_lex(source: str) -> list[Token]:
+    """The lexer as a character-by-character dispatch loop: one branch per
+    token class, strings scanned escape by escape. Only the keyword test
+    (_classify_word) is shared with lex, so agreement checks the scanner."""
+    if source.isascii():
+        byte_of = None
+    else:
+        byte_of = list(accumulate((len(c.encode("utf-8")) for c in source), initial=0))
+
+    def boff(cp: int) -> int:
+        return cp if byte_of is None else byte_of[cp]
+
+    tokens: list[Token] = []
+    n = len(source)
+    i = 0
+
+    def emit(kind: str, start_cp: int, end_cp: int) -> None:
+        tokens.append(Token(kind, source[start_cp:end_cp], boff(start_cp),
+                            boff(end_cp), len(tokens)))
+
+    while i < n:
+        c = source[i]
+        if c in _WHITESPACE:
+            i += 1
+            continue
+        if c == "/" and i + 1 < n and source[i + 1] == "/":
+            j = source.find("\n", i)
+            i = n if j < 0 else j
+            continue
+        if c == "/" and i + 1 < n and source[i + 1] == "*":
+            close = source.find("*/", i + 2)
+            if close < 0:
+                raise UnterminatedComment("unterminated block comment", boff(i))
+            i = close + 2
+            continue
+        if c in "\"'":
+            j = i + 1
+            while True:
+                if j >= n or source[j] == "\n":
+                    raise UnterminatedString("unterminated string literal", boff(i))
+                if source[j] == "\\" and j + 1 < n:
+                    j += 2
+                    continue
+                if source[j] == c:
+                    break
+                j += 1
+            emit(KIND_STRING, i, j + 1)
+            i = j + 1
+            continue
+        if "0" <= c <= "9":
+            m = _HEX_RE.match(source, i) or _NUM_RE.match(source, i)
+            emit(KIND_NUMBER, i, m.end())
+            i = m.end()
+            continue
+        m = _IDENT_RE.match(source, i)
+        if m:
+            emit(_classify_word(m.group()), i, m.end())
+            i = m.end()
+            continue
+        three = source[i:i + 3]
+        if three in _PUNCT3:
+            emit(KIND_PUNCT, i, i + 3)
+            i += 3
+            continue
+        two = source[i:i + 2]
+        if two in _PUNCT2:
+            emit(KIND_PUNCT, i, i + 2)
+            i += 2
+            continue
+        if c in _PUNCT1:
+            emit(KIND_PUNCT, i, i + 1)
+            i += 1
+            continue
+        raise IllegalCharacter(f"illegal character {c!r}", boff(i))
+
+    return tokens

@@ -159,6 +159,8 @@ CORRUPTIONS = {
     "config_not_object": _meta(lambda m: m.update(config=[1, 8])),
     "config_bad_value": _meta(lambda m: m["config"].update(d_h="wide")),
     "config_unknown_key": _meta(lambda m: m["config"].update(depth=3)),
+    # the tensors also fit the default n_heads, so it must not be filled in
+    "config_missing_key": _meta(lambda m: m["config"].pop("n_heads")),
     "format_version_newer": _meta(lambda m: m.update(format_version=2)),
     "format_version_missing": _meta(lambda m: m.pop("format_version")),
     "tensor_missing": _tensors(lambda p: p.pop("cls_w")),

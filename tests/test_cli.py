@@ -664,22 +664,44 @@ def test_corrupt_checkpoint_exits_1(workspace, tmp_path, capsys):
     assert err.startswith("error:") and "not a valid checkpoint" in err
 
 
-@pytest.mark.parametrize("key, value", [("flow_len", 2.9), ("seed", True)])
-def test_checkpoint_config_that_is_no_json_integer_exits_1(workspace, tmp_path,
-                                                           capsys, key, value):
-    edited = tmp_path / "edited.ckpt"
-    with zipfile.ZipFile(workspace["model"]) as src, zipfile.ZipFile(edited, "w") as dst:
+def _with_config(checkpoint, out, edit):
+    """A copy of checkpoint at out whose meta.json config went through edit."""
+    with zipfile.ZipFile(checkpoint) as src, zipfile.ZipFile(out, "w") as dst:
         for name in src.namelist():
             data = src.read(name)
             if name == "meta.json":
                 meta = json.loads(data)
-                meta["config"][key] = value
+                edit(meta["config"])
                 data = json.dumps(meta).encode()
             dst.writestr(name, data)
+    return out
+
+
+@pytest.mark.parametrize("key, value", [("flow_len", 2.9), ("seed", True)])
+def test_checkpoint_config_that_is_no_json_integer_exits_1(workspace, tmp_path,
+                                                           capsys, key, value):
+    edited = _with_config(workspace["model"], tmp_path / "edited.ckpt",
+                          lambda config: config.update({key: value}))
     assert run(["predict", "--source", str(workspace["source"]),
                 "--checkpoint", str(edited)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not a valid checkpoint" in err and key in err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_config_missing_keys_exits_1(workspace, tmp_path, capsys, command):
+    """Without flow_len and n_heads the model would load with the defaults
+    (64, 4), which fit its tensors, and score silently with the wrong shape."""
+    def drop(config):
+        del config["flow_len"], config["n_heads"]
+
+    edited = _with_config(workspace["model"], tmp_path / "edited.ckpt", drop)
+    inputs = {"eval": ["--dataset", str(workspace["data"]), "--split", "all"],
+              "predict": ["--source", str(workspace["source"])]}[command]
+    assert run([command, *inputs, "--checkpoint", str(edited)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not a valid checkpoint" in err
+    assert "flow_len, n_heads" in err
 
 
 def test_non_utf8_source_exits_1(tmp_path, capsys):

@@ -6,12 +6,17 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ponziscan.datasynth import generate_corpus
 from ponziscan.dfg import extract_dfg, to_jsonable as dfg_to_jsonable
 from ponziscan.encoding import build_vocab, encode_input
-from ponziscan.errors import IllegalCharacter, UnterminatedComment, UnterminatedString
+from ponziscan.errors import (
+    IllegalCharacter,
+    LexError,
+    UnterminatedComment,
+    UnterminatedString,
+)
 from ponziscan.solparse.lexer import (
     KIND_IDENTIFIER,
     KIND_KEYWORD,
@@ -24,6 +29,8 @@ from ponziscan.solparse.lexer import (
 )
 from ponziscan.solparse.astnodes import to_jsonable as ast_to_jsonable
 from ponziscan.solparse.parser import parse
+
+from helpers import PUNCTUATION, reference_lex
 
 
 def kinds(source: str) -> list[tuple[str, str]]:
@@ -161,6 +168,53 @@ def test_round_trip_property(pieces):
     assert render(toks, src) == src
     for prev, cur in zip(toks, toks[1:]):
         assert prev.end <= cur.start
+
+
+def _lex_outcome(lexer, source: str):
+    """The tokens as plain tuples, or the error's type, message and offset."""
+    try:
+        return [(t.kind, t.text, t.start, t.end, t.index) for t in lexer(source)]
+    except LexError as err:
+        return type(err), str(err), err.offset
+
+
+# the characters where the token classes meet, repeated to draw them often,
+# with the pairs that open and close comments or start a hex number or an
+# exponent, and a few ordinary characters. U+00B2, U+0663 and U+3000 are a
+# digit, a digit and a space to str.isdigit and str.isspace, but illegal here
+_EDGE_PIECES = st.sampled_from(
+    list('"\'\\/*\r\n') * 4 + ["//", "/*", "*/", "\r\n", "0x", "1e"] * 2
+    + list("0123456789xXeE._") * 2
+    + list("\u00b2\u0663\u3000\u00a0\ufeff@\u00e9\v\f\t $+-=<>!&|^%~?:;,(){}[]aZ"))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.lists(_EDGE_PIECES, max_size=24).map("".join))
+@example('"a\\\nb"')
+@example("/*/")
+@example("/**/")
+@example("/**")
+@example("//*")
+@example("0x")
+@example("1e+")
+@example("1._")
+@example("'\\''")
+@example('x = "a\\')
+@example("\v\f")
+def test_lex_matches_reference(source):
+    """lex gives the dispatch loop's tokens, or its error type, message and
+    byte offset, on text dense in quotes, escapes, comment openers and
+    number edges."""
+    assert _lex_outcome(lex, source) == _lex_outcome(reference_lex, source)
+
+
+def test_lex_matches_reference_on_operator_pairs():
+    """Every punctuation token next to every other, so each longest match
+    and each split of a longer operator is checked."""
+    for a in PUNCTUATION:
+        for b in PUNCTUATION:
+            for source in (a + b, f"x{a}y{b}1"):
+                assert _lex_outcome(lex, source) == _lex_outcome(reference_lex, source)
 
 
 _LINE_COMMENTS = ("//", "// note", "// a // b", "// \"open 'quote", "// смарт – wörld")
