@@ -10,8 +10,8 @@ attention only along: classifier/separator queries (any key), code-to-code
 pairs, graph edges (a node attends the nodes its value comes from, plus
 itself), and node<->code alignment pairs, minus the withdrawn (query, key)
 entries. `build_mask` states it as an (n, n) matrix, the one statement of
-the rule; `attention_plan` groups that matrix's rows into the few layouts
-the encoder computes.
+the rule; `attention_plan` groups the rows it is given (all of them, or
+the few a final layer computes) into the few layouts the encoder scores.
 """
 
 from __future__ import annotations
@@ -224,65 +224,40 @@ class AttentionPart:
     key, the code keys, or none), then per row the keys listed in `keys`,
     padded to the longest list; `pad` is True on the padding."""
 
-    rows: np.ndarray               # query positions, sorted
-    out: slice | np.ndarray        # where they sit among a layer's query rows
+    out: slice | np.ndarray        # where the rows sit among the planned rows
     block: slice | np.ndarray
-    keys: np.ndarray               # (len(rows), m) key positions
-    pad: np.ndarray                # (len(rows), m) bool
+    keys: np.ndarray               # (r, m) key positions
+    pad: np.ndarray                # (r, m) bool
 
 
-@dataclass(frozen=True)
-class AttentionPlan:
-    """build_mask(inp) as row layouts, for an input of n slots."""
-
-    n: int
-    parts: tuple[AttentionPart, ...]
-
-    def select(self, rows: slice | np.ndarray) -> tuple[AttentionPart, ...]:
-        """The parts restricted to the query rows `rows` (a slice, or
-        sorted unique positions), each `out` then indexing into them."""
-        if isinstance(rows, slice) and rows == slice(None):
-            return self.parts
-        pick = np.zeros(self.n, dtype=bool)
-        pick[rows] = True
-        out_of = np.cumsum(pick) - 1
-        parts = []
-        for part in self.parts:
-            mine = pick[part.rows]
-            if mine.any():
-                picked = part.rows[mine]
-                parts.append(AttentionPart(picked, _index(out_of[picked]), part.block,
-                                           part.keys[mine], part.pad[mine]))
-        return tuple(parts)
-
-
-def attention_plan(inp: ModelInput) -> AttentionPlan:
-    """The rows of build_mask(inp), grouped into three kinds.
+def attention_plan(allow: np.ndarray, segments: np.ndarray) -> tuple[AttentionPart, ...]:
+    """The boolean mask rows `allow` (all of build_mask(inp), or some of
+    its rows, in order), grouped into three kinds; each row's kind follows
+    from that row alone, and `allow` is not written.
 
     Wide rows (allowed every key, or no key) score every key: a row with no
     allowed key attends every key by its raw score. Code rows (allowed the
     whole, non-empty code block) score that block densely, plus their other
     allowed keys. Listed rows score their allowed keys alone."""
-    allow = build_mask(inp)
-    n, is_code = len(inp), inp.segments == SEG_CODE
+    n, is_code = allow.shape[1], segments == SEG_CODE
     code = _index(np.flatnonzero(is_code))
     wide_rows = allow.all(axis=1) | ~allow.any(axis=1)
     code_rows = ~wide_rows & is_code.any() & allow[:, code].all(axis=1)
     listed = ~(wide_rows | code_rows)
     # the keys outside each row's block
-    allow[wide_rows] = False
-    allow[np.flatnonzero(code_rows)[:, None], code] = False
-    granted_q, granted_k = np.divmod(np.flatnonzero(allow), n)
-    count = np.bincount(granted_q, minlength=n)
+    extra = allow & ~wide_rows[:, None]
+    extra[np.flatnonzero(code_rows)[:, None], code] = False
+    granted_q, granted_k = np.divmod(np.flatnonzero(extra), n)
+    count = np.bincount(granted_q, minlength=len(allow))
 
     def part(kind: np.ndarray, block: slice | np.ndarray) -> AttentionPart:
         rows = np.flatnonzero(kind)
         pad = np.arange(count[rows].max(initial=0)) >= count[rows][:, None]
         keys = np.zeros(pad.shape, dtype=np.int64)
         keys[~pad] = granted_k[kind[granted_q]]
-        return AttentionPart(rows, _index(rows), block, keys, pad)
+        return AttentionPart(_index(rows), block, keys, pad)
 
     parts = (part(wide_rows, slice(None)),
              part(code_rows, code),
              part(listed, slice(0, 0)))
-    return AttentionPlan(n, tuple(p for p in parts if len(p.rows)))
+    return tuple(p for p in parts if len(p.keys))

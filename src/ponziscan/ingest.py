@@ -159,7 +159,9 @@ def fetch_verified_source(address: str, config: ApiConfig) -> ContractRecord:
     if not isinstance(result, dict):
         raise NetworkError("unexpected result payload")
     raw = result.get("SourceCode", "")
-    if not raw or not raw.strip():
+    if not isinstance(raw, str):
+        raise NetworkError("unexpected result payload")
+    if not raw.strip():
         raise NotVerified(f"no verified source for {address}")
 
     source = _flatten_source(raw)

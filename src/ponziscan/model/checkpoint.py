@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ponziscan.encoding import Vocabulary
-from ponziscan.errors import CorruptCheckpoint, ShapeMismatch
+from ponziscan.errors import CorruptCheckpoint, IdOutOfRange
 from ponziscan.model.config import ModelConfig
 from ponziscan.model.params import Params, param_shapes
 
@@ -45,7 +45,7 @@ def _pack_tensors(params: Params) -> bytes:
 
 def _unpack_tensors(blob: bytes) -> Params:
     if blob[:4] != _MAGIC:
-        raise ShapeMismatch("not a tensor archive (bad magic)")
+        raise ValueError("not a tensor archive (bad magic)")
     offset = 4
     (count,) = struct.unpack_from("<I", blob, offset)
     offset += 4
@@ -63,6 +63,8 @@ def _unpack_tensors(blob: bytes) -> Params:
         arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset)
         offset += 8 * n
         params[name] = arr.reshape(shape).astype(np.float64)
+    if offset != len(blob):
+        raise ValueError(f"{len(blob) - offset} bytes after the last tensor")
     return params
 
 
@@ -102,7 +104,7 @@ def load_checkpoint(path: str | Path):
                                     f"{meta.get('format_version')!r}")
         config = ModelConfig.from_dict(meta["config"])
     except (zipfile.BadZipFile, KeyError, struct.error, TypeError, ValueError,
-            OverflowError) as exc:
+            OverflowError, IdOutOfRange) as exc:
         raise CorruptCheckpoint(f"{path}: not a valid checkpoint ({exc})") from exc
     expected = param_shapes(config, len(vocab))
     actual = {name: arr.shape for name, arr in params.items()}

@@ -11,8 +11,9 @@ An input holds exactly its n = len(inp) slots ([CLS], code, [SEP],
 nodes), so hidden states are (n, d_h).
 
 Attention over the allowed keys only. Once per pass, `attention_plan`
-groups the rows of `build_mask` into three kinds of query row, and each
-layer scores each kind in its own buffer:
+groups the rows of `build_mask` into three kinds of query row (every row
+for the lower layers, the final layer's rows for it), and each layer
+scores each kind in its own buffer:
 - wide rows (allowed every key, as [CLS] and [SEP] are, or no key) score
   every key, unmasked: (heads, r, n);
 - code rows (allowed the whole code block, as code tokens are) score that
@@ -24,8 +25,8 @@ layer scores each kind in its own buffer:
   its edge sources and its aligned token): (heads, r, max degree).
 Padding scores are -inf, each row is normalised by one softmax across its
 parts (`softmax_rows(..., out=)` in place), and no forbidden entry is
-scored or exp'ed. The only (n, n) array is the boolean mask the plan is
-grouped from, built once per pass; no (n, n) score array is built.
+scored or exp'ed. The only (n, n) array is the boolean mask the plans
+are grouped from, built once per pass; no (n, n) score array is built.
 `layer_backward` mirrors this and sums the key and value gradients of the
 gathered columns into their key rows. Dropping the exact zeros of the
 forbidden entries changes summation order only, so results move in the
@@ -55,9 +56,10 @@ reads. `forward` reads the [CLS] row (`rows=slice(0, 1)`), and each loss
 passes the rows it reads: [CLS] for classification, the target positions
 for masked tokens, the pair ends for edge and alignment prediction. Keys
 and values are still projected from all n rows of the layer below, but Q,
-the scores (`AttentionPlan.select(rows)`), the softmax, A V, the output
-projection, both layer norms and the FFN run on those r rows alone, and
-the backward pass takes the query-side gradient through those rows only.
+the scores (planned from `build_mask(inp)[rows]`), the softmax, A V, the
+output projection, both layer norms and the FFN run on those r rows
+alone, and the backward pass takes the query-side gradient through those
+rows only.
 `rows` is a slice or an array of sorted, unique positions; every lower
 layer computes all n rows. Fewer rows change the shapes of the BLAS
 products (a one-row product takes the matrix-vector path), so results may
@@ -71,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ponziscan.encoding import AttentionPart, AttentionPlan, ModelInput, attention_plan
+from ponziscan.encoding import AttentionPart, ModelInput, attention_plan, build_mask
 from ponziscan.errors import IdOutOfRange, NonFiniteActivation
 from ponziscan.model.config import ModelConfig
 from ponziscan.model.params import Params
@@ -327,16 +329,17 @@ def _attend_backward(dctx: np.ndarray, Qp: np.ndarray, Kh: np.ndarray,
     return dQp * scale
 
 
-def layer_forward(W: np.ndarray, plan: AttentionPlan, params: Params,
+def layer_forward(W: np.ndarray, parts: tuple[AttentionPart, ...], params: Params,
                   prefix: str, n_heads: int,
                   rows: slice | np.ndarray = slice(None),
                   caches: list | None = None) -> np.ndarray:
     """One encoder layer for the query rows W[rows] (a slice, or positions
     that must be sorted and unique); keys and values come from every row of
-    W, and each query row attends the keys `plan` allows it. Returns the
-    (len(rows), d_h) output. Appends what layer_backward needs to `caches`;
-    with `caches` None (prediction) the attention weights are dropped as
-    soon as A V is formed."""
+    W, and each query row attends the keys that `parts`, the attention plan
+    of the mask rows `rows`, allows it. Returns the (len(rows), d_h)
+    output. Appends what layer_backward needs to `caches`; with `caches`
+    None (prediction) the attention weights are dropped as soon as A V is
+    formed."""
     wq, wk, wv, wo = (params[prefix + k] for k in ("wq", "wk", "wv", "wo"))
     d_k = wq.shape[1] // n_heads
     Q = W[rows] @ wq
@@ -344,7 +347,6 @@ def layer_forward(W: np.ndarray, plan: AttentionPlan, params: Params,
     Qh = _split_heads(Q, n_heads)
     Kh = _split_heads(W @ wk, n_heads)
     Vh = _split_heads(W @ wv, n_heads)
-    parts = plan.select(rows)
     ctxh = np.empty(Qh.shape)
     weights = []
     for part in parts:
@@ -430,11 +432,15 @@ def _run_layers(inp: ModelInput, params: Params, config: ModelConfig,
     """Embedding + all layers, the final one on the query rows `rows` only,
     so the result is (len(rows), d_h). Each layer appends its cache to
     `caches`; with `caches` None (prediction) no layer keeps one."""
-    plan = attention_plan(inp)
+    allow = build_mask(inp)
+    lower_parts = attention_plan(allow, inp.segments)
+    final_parts = attention_plan(allow[rows], inp.segments)
+    del allow
     W = embed(inp, params)
     last = config.n_layers - 1
     for i in range(config.n_layers):
-        W = layer_forward(W, plan, params, f"layer{i}.", config.n_heads,
+        W = layer_forward(W, final_parts if i == last else lower_parts, params,
+                          f"layer{i}.", config.n_heads,
                           rows=rows if i == last else slice(None), caches=caches)
     if not np.isfinite(W).all():
         raise NonFiniteActivation("non-finite hidden states after final layer")

@@ -13,12 +13,6 @@ from ponziscan.model.config import ModelConfig
 
 INIT_STD = 0.02
 
-_LAYER_FIELDS = (
-    "wq", "wk", "wv", "wo",
-    "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2",
-    "ln1_g", "ln1_b", "ln2_g", "ln2_b",
-)
-
 Params = dict[str, np.ndarray]
 
 

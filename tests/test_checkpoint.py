@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ponziscan.encoding import build_vocab
-from ponziscan.errors import CorruptCheckpoint, DomainError, ShapeMismatch
+from ponziscan.errors import CorruptCheckpoint
 from ponziscan.model.checkpoint import (
     _pack_tensors,
     _unpack_tensors,
@@ -93,7 +93,7 @@ def test_tensor_pack_is_name_sorted():
 
 
 def test_bad_magic_rejected():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match="bad magic"):
         _unpack_tensors(b"NOPE" + b"\x00" * 16)
 
 
@@ -153,9 +153,13 @@ CORRUPTIONS = {
     "meta_not_object": _set("meta.json", b"[1, 2]"),
     "vocab_not_utf8": _set("vocab.txt", b"\xff\xfe"),
     "vocab_bad_line": _set("vocab.txt", b"no-tab-here\n"),
+    "vocab_reserved_renamed": _set("vocab.txt",
+                                   lambda text: text.replace(b'"[UNK]"', b'"[unk]"')),
+    "vocab_id_gap": _set("vocab.txt", lambda text: text.rsplit(b"\t", 1)[0] + b"\t999\n"),
     "tensors_truncated_header": _set("tensors.bin", b"PSCT\x01"),
     "tensors_short_data": _set("tensors.bin", lambda blob: blob[:-8]),
     "tensors_bad_magic": _set("tensors.bin", lambda blob: b"NOPE" + blob[4:]),
+    "tensors_trailing_bytes": _set("tensors.bin", lambda blob: blob + b"\0" * 8),
     "config_not_object": _meta(lambda m: m.update(config=[1, 8])),
     "config_bad_value": _meta(lambda m: m["config"].update(d_h="wide")),
     "config_unknown_key": _meta(lambda m: m["config"].update(depth=3)),
@@ -179,7 +183,7 @@ def test_corrupt_checkpoint_is_domain_error(tmp_path, payload, case):
     save_checkpoint(path, params, vocab, config)
     load_checkpoint(path)  # intact before the corruption
     CORRUPTIONS[case](path)
-    with pytest.raises(DomainError):
+    with pytest.raises(CorruptCheckpoint):
         load_checkpoint(path)
 
 

@@ -104,6 +104,14 @@ def test_malformed_body_raises_network_error():
         fetch_verified_source(ADDRESS, make_config(stub2))
 
 
+@pytest.mark.parametrize("source", [5, ["a"], {"x": 1}], ids=["number", "list", "object"])
+def test_source_code_that_is_no_string_is_network_error(source):
+    stub = StubHttp([ok_body(source)])
+    with pytest.raises(NetworkError, match="unexpected result payload") as err:
+        fetch_verified_source(ADDRESS, make_config(stub))
+    assert SECRET not in str(err.value)
+
+
 def test_cache_write_then_offline_hit(tmp_path):
     stub = StubHttp([ok_body("contract C { uint a; }")])
     config = make_config(stub, cache_dir=tmp_path)

@@ -14,7 +14,6 @@ from ponziscan.encoding import (
     SEG_CODE,
     SEG_NODE,
     SEG_SEP,
-    attention_plan,
     build_mask,
     build_vocab,
     encode_input,
@@ -137,8 +136,8 @@ def test_zero_node_instance_reduces_to_code_only_rules():
 
 def test_out_of_range_positions_raise():
     """An edge, alignment pair or withdrawn entry outside [0, n) is an
-    IdOutOfRange for the mask and for the plan; a negative position does
-    not wrap around to the end of the input."""
+    IdOutOfRange for the mask; a negative position does not wrap around to
+    the end of the input."""
     record = generate_corpus(4, 1, 0)[0]
     vocab = build_vocab([record], 2048)
     inp = encode_record(record.source, vocab, ModelConfig())
@@ -153,8 +152,6 @@ def test_out_of_range_positions_raise():
     for case in bad:
         with pytest.raises(IdOutOfRange):
             build_mask(case)
-        with pytest.raises(IdOutOfRange):
-            attention_plan(case)
     edge = (n - 3, n - 2)
     assert not build_mask(inp)[edge[1], edge[0]]
     assert build_mask(replace(inp, dfg_edges=inp.dfg_edges + [edge]))[edge[1], edge[0]]

@@ -198,10 +198,15 @@ def _layer_params(rng, d_h: int, d_ff: int, prefix: str = "t.") -> dict:
     return params
 
 
+def _plan(inp, rows=slice(None)):
+    """The attention plan of build_mask(inp)'s rows `rows`."""
+    return attention_plan(build_mask(inp)[rows], inp.segments)
+
+
 def _attention(W, inp, params, n_heads, rows=slice(None), prefix="t."):
     """The attention sublayer's output (ctx wo) for the query rows."""
     caches = []
-    layer_forward(W, attention_plan(inp), params, prefix, n_heads, rows=rows, caches=caches)
+    layer_forward(W, _plan(inp, rows), params, prefix, n_heads, rows=rows, caches=caches)
     return caches[0]["ctx"] @ params[prefix + "wo"]
 
 
@@ -270,25 +275,74 @@ def test_attention_plan_row_kinds(long_input):
     its keys."""
     _, inp, _ = long_input
     n, sep = len(inp), 1 + inp.n_code
-    wide, code, listed = attention_plan(inp).parts
-    assert wide.rows.tolist() == [0, sep] and wide.block == slice(None)
-    assert code.rows.tolist() == list(range(1, sep)) and code.block == slice(1, sep)
+    positions = np.arange(n)
+    wide, code, listed = _plan(inp)
+    assert positions[wide.out].tolist() == [0, sep] and wide.block == slice(None)
+    assert positions[code.out].tolist() == list(range(1, sep)) and code.block == slice(1, sep)
     assert code.keys.shape == (inp.n_code, 1)
-    assert listed.rows.tolist() == list(range(sep + 1, n)) and listed.block == slice(0, 0)
+    assert positions[listed.out].tolist() == list(range(sep + 1, n))
+    assert listed.block == slice(0, 0)
     allow = build_mask(inp)
     for part in (code, listed):
-        for r, keys, pad in zip(part.rows, part.keys, part.pad):
-            block = np.arange(n)[part.block]
+        for r, keys, pad in zip(positions[part.out], part.keys, part.pad):
+            block = positions[part.block]
             assert sorted([*block, *keys[~pad]]) == np.flatnonzero(allow[r]).tolist()
 
     node = sep + 1
     keys = np.flatnonzero(allow[node])
     emptied = replace(inp, withdrawn=tuple((node, int(k)) for k in keys) + ((2, 3),))
-    wide, code, listed = attention_plan(emptied).parts
-    assert wide.rows.tolist() == [0, sep, node]
-    assert 2 not in code.rows and 2 in listed.rows and node not in listed.rows
-    i = listed.rows.tolist().index(2)
+    wide, code, listed = _plan(emptied)
+    assert positions[wide.out].tolist() == [0, sep, node]
+    listed_rows = positions[listed.out].tolist()
+    assert 2 not in positions[code.out] and 2 in listed_rows and node not in listed_rows
+    i = listed_rows.index(2)
     assert listed.keys[i][~listed.pad[i]].tolist() == np.flatnonzero(build_mask(emptied)[2]).tolist()
+
+
+def test_attention_plan_of_some_rows_covers_each_row_once():
+    """Planning rows of the mask, in order: every row, [CLS] alone, one
+    listed row, a row with no allowed key, and random sorted subsets. Each
+    planned row is in exactly one part; its block plus its unpadded keys
+    are its allowed keys (every key for a wide row, which lists none), and
+    the mask is not written."""
+    rng = np.random.default_rng(5)
+    seen = {"listed row": 0, "row with no key": 0}
+    for inp in _withdrawn_cases(rng, 40):
+        allow, n = build_mask(inp), len(inp)
+        untouched = allow.copy()
+        positions, is_code = np.arange(n), inp.segments == SEG_CODE
+        empty = np.flatnonzero(~allow.any(axis=1))
+        listed = np.flatnonzero(allow.any(axis=1) & ~allow.all(axis=1)
+                                & ~(is_code.any() & allow[:, is_code].all(axis=1)))
+        subsets = [slice(None), slice(0, 1), *(np.sort(rng.choice(n, size=k, replace=False))
+                                               for k in (1, n // 3, n - 1))]
+        if len(listed):
+            subsets.append(rng.choice(listed, size=1))
+            seen["listed row"] += 1
+        if len(empty):
+            subsets.append(empty[:1])
+            seen["row with no key"] += 1
+        for rows in subsets:
+            mine = allow[rows]
+            planned = np.zeros(len(mine), dtype=int)
+            for part in attention_plan(mine, inp.segments):
+                at = np.arange(len(mine))[part.out]
+                planned[at] += 1
+                assert part.keys.shape == part.pad.shape and len(part.keys) == len(at)
+                for i, keys, pad in zip(at, part.keys, part.pad):
+                    row = mine[i]
+                    if row.all() or not row.any():
+                        assert part.block == slice(None) and not (~pad).any()
+                        want = positions
+                    else:
+                        code_row = is_code.any() and row[is_code].all()
+                        block = positions[is_code] if code_row else positions[:0]
+                        assert np.array_equal(positions[part.block], block)
+                        want = np.flatnonzero(row)
+                    assert sorted([*positions[part.block], *keys[~pad]]) == want.tolist()
+            assert (planned == 1).all()
+            assert np.array_equal(allow, untouched)
+    assert all(seen.values()), seen
 
 
 def test_encoder_rejects_out_of_range_positions(tiny_config):
@@ -489,9 +543,9 @@ def test_layer_forward_cls_row_equals_row_0_of_all_rows(long_input):
         none = inp.withdrawn + tuple((0, k) for k in range(n))
         W = rng.normal(size=(n, d_h))
         for case in (inp, replace(inp, withdrawn=some), replace(inp, withdrawn=none)):
-            plan = attention_plan(case)
-            full = layer_forward(W, plan, small, "t.", n_heads)
-            row = layer_forward(W, plan, small, "t.", n_heads, rows=slice(0, 1))
+            full = layer_forward(W, _plan(case), small, "t.", n_heads)
+            row = layer_forward(W, _plan(case, slice(0, 1)), small, "t.", n_heads,
+                                rows=slice(0, 1))
             assert np.allclose(row, full[:1], rtol=0.0, atol=1e-12)
             want = attention_oracle(W, build_mask(case), wq, wk, wv, wo, n_heads)
             assert np.allclose(_attention(W, case, small, n_heads, rows=slice(0, 1)),
@@ -508,13 +562,12 @@ def test_layer_forward_cls_row_equals_row_0_of_all_rows(long_input):
         for i in range(config.n_layers):
             prefix = f"layer{i}."
             for case in (inp, some, none):
-                plan = attention_plan(case)
-                full = layer_forward(W, plan, params, prefix, config.n_heads)
-                row = layer_forward(W, plan, params, prefix, config.n_heads,
-                                    rows=slice(0, 1))
+                full = layer_forward(W, _plan(case), params, prefix, config.n_heads)
+                row = layer_forward(W, _plan(case, slice(0, 1)), params, prefix,
+                                    config.n_heads, rows=slice(0, 1))
                 assert row.shape == (1, config.d_h)
                 assert np.allclose(row, full[:1], rtol=0.0, atol=1e-12)
-            W = layer_forward(W, attention_plan(inp), params, prefix, config.n_heads)
+            W = layer_forward(W, _plan(inp), params, prefix, config.n_heads)
 
 
 def _row_sets(inp):
