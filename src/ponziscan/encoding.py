@@ -25,7 +25,7 @@ import numpy as np
 
 from ponziscan.dfg import DataFlowGraph
 from ponziscan.errors import CapTooSmall, EmptyCorpus, IdOutOfRange
-from ponziscan.solparse.lexer import Token, lex
+from ponziscan.solparse.lexer import Token, token_texts
 
 DEFAULT_CODE_LEN = 256
 DEFAULT_FLOW_LEN = 64
@@ -92,14 +92,19 @@ class Vocabulary:
             if not line:
                 continue
             text_json, _, id_text = line.rpartition("\t")
-            mapping[json.loads(text_json)] = int(id_text)
+            text = json.loads(text_json)
+            if not isinstance(text, str):
+                raise TypeError(f"vocabulary token {text_json} is no JSON string")
+            mapping[text] = int(id_text)
         return cls(mapping)
 
 
 def build_vocab(training_contracts: Iterable, cap: int) -> Vocabulary:
-    """Rank the tokens that `lex` returns for the training split (source
-    strings or records) by frequency (ties broken lexicographically) and
-    keep the top entries up to `cap` total, after the five reserved ids."""
+    """Rank the token texts of the training split (source strings or
+    records), as `lex` would return them, by frequency (ties broken
+    lexicographically) and keep the top entries up to `cap` total, after
+    the five reserved ids. `token_texts` gives the texts without building
+    the tokens."""
     if cap < len(Vocabulary.RESERVED) + 1:
         raise CapTooSmall(f"cap {cap} leaves no room beyond reserved ids")
     counts: Counter[str] = Counter()
@@ -107,7 +112,7 @@ def build_vocab(training_contracts: Iterable, cap: int) -> Vocabulary:
     for item in training_contracts:
         n_contracts += 1
         source = item if isinstance(item, str) else item.source
-        counts.update(tok.text for tok in lex(source))
+        counts.update(token_texts(source))
     if n_contracts == 0:
         raise EmptyCorpus("no training contracts to build a vocabulary from")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))

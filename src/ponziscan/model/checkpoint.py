@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 import zipfile
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ponziscan.encoding import Vocabulary
-from ponziscan.errors import CorruptCheckpoint, IdOutOfRange
+from ponziscan.errors import CorruptCheckpoint, IdOutOfRange, ShapeMismatch
 from ponziscan.model.config import ModelConfig
 from ponziscan.model.params import Params, param_shapes
 
@@ -59,7 +60,9 @@ def _unpack_tensors(blob: bytes) -> Params:
         offset += 1
         shape = struct.unpack_from(f"<{ndim}Q", blob, offset)
         offset += 8 * ndim
-        n = int(np.prod(shape)) if ndim else 1
+        n = math.prod(shape)  # exact, where numpy's product would overflow
+        if 8 * n > len(blob) - offset:
+            raise ValueError(f"tensor {name!r} runs past the end of the archive")
         arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset)
         offset += 8 * n
         params[name] = arr.reshape(shape).astype(np.float64)
@@ -104,7 +107,7 @@ def load_checkpoint(path: str | Path):
                                     f"{meta.get('format_version')!r}")
         config = ModelConfig.from_dict(meta["config"])
     except (zipfile.BadZipFile, KeyError, struct.error, TypeError, ValueError,
-            OverflowError, IdOutOfRange) as exc:
+            OverflowError, IdOutOfRange, ShapeMismatch) as exc:
         raise CorruptCheckpoint(f"{path}: not a valid checkpoint ({exc})") from exc
     expected = param_shapes(config, len(vocab))
     actual = {name: arr.shape for name, arr in params.items()}

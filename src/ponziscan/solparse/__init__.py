@@ -12,6 +12,7 @@ from ponziscan.solparse.lexer import (
     is_type_keyword,
     lex,
     render,
+    token_texts,
 )
 from ponziscan.solparse.parser import parse, var_occurrences
 
@@ -30,5 +31,6 @@ __all__ = [
     "parse",
     "render",
     "to_jsonable",
+    "token_texts",
     "var_occurrences",
 ]

@@ -4,7 +4,8 @@ Comments are scanned and dropped here, so the token list `lex` returns is
 the code sequence that the parser, the data-flow graph and the encoder all
 consume. Tokens carry byte spans into the original source, so `render`
 rebuilds the input exactly from the tokens and the bytes between them,
-comments included.
+comments included. `token_texts` gives only the tokens' texts, for
+counting a vocabulary.
 """
 
 from __future__ import annotations
@@ -42,22 +43,41 @@ _SIZED_TYPE_RE = re.compile(
     r"|u?fixed(?:\d+x\d+)?)$"
 )
 
-# The token grammar, one alternative per group, tried in this order at each
-# position. A group named after a token kind is that kind; `skip` drops
-# whitespace and comments, `open_comment` is a `/*` that never closes, and
-# `mismatch` is any other character, a quote among them when its string
-# never closes. Character classes are spelled out: \s, \d and \w would
-# admit non-ASCII spaces, digits and letters.
-_TOKEN_RE = re.compile(r"""
-    (?P<skip>(?:[ \t\n\v\f\r\u00a0\ufeff]+ | //[^\n]* | /\*.*?\*/)+)
-  | (?P<open_comment>/\*)
-  | (?P<string>"(?:\\.|[^"\\\n])*" | '(?:\\.|[^'\\\n])*')
-  | (?P<number>0[xX][0-9a-fA-F_]+ | [0-9][0-9_]*(?:\.[0-9_]+)?(?:[eE][+-]?[0-9]+)?)
-  | (?P<word>[A-Za-z_$][A-Za-z0-9_$]*)
-  | (?P<punctuation>>>= | <<= | \*\*= | [-+*/%=!<>&|^]= | => | && | \|\| | << | >> | \+\+
-      | -- | -> | \*\* | [-+*/%=<>!&|^~?:;,.(){}\[\]])
-  | (?P<mismatch>.)
-""", re.VERBOSE | re.DOTALL)
+# The token grammar. Whitespace and comments are skipped; they are runs of
+# space, \t, \n, \v, \f, \r, U+00A0 and U+FEFF, `//...` and `/*...*/`.
+# Character classes are spelled out: \s, \d and \w would admit non-ASCII
+# spaces, digits and letters.
+_SKIP = r"(?:[ \t\n\v\f\r\u00a0\ufeff]+ | //[^\n]* | /\*.*?\*/)+"
+
+# One alternative per kind, tried in this order at each position. A kind
+# named after a token kind is that kind; `open_comment` is a `/*` that never
+# closes, and `mismatch` is any other character, a quote among them when its
+# string never closes. Both are errors, so an error's text is `/*` or one
+# character.
+_GRAMMAR = (
+    ("open_comment", r"/\*"),
+    (KIND_STRING, r""" "(?:\\.|[^"\\\n])*" | '(?:\\.|[^'\\\n])*' """),
+    (KIND_NUMBER, r"0[xX][0-9a-fA-F_]+ | [0-9][0-9_]*(?:\.[0-9_]+)?(?:[eE][+-]?[0-9]+)?"),
+    ("word", r"[A-Za-z_$][A-Za-z0-9_$]*"),
+    (KIND_PUNCT, r""">>= | <<= | \*\*= | [-+*/%=!<>&|^]= | => | && | \|\| | << | >> | \+\+
+                    | -- | -> | \*\* | [-+*/%=<>!&|^~?:;,.(){}\[\]]"""),
+    ("mismatch", r"."),
+)
+_ERRORS = ("open_comment", "mismatch")
+
+
+def _compile(alternatives: str) -> re.Pattern:
+    """One match per token: the skipped text before it, then the token. The
+    last match is the trailing skipped text and the end of the source;
+    without that alternative, a trailing comment would be cut short to
+    find a token inside it."""
+    return re.compile(rf"(?:{_SKIP})?(?:{alternatives}|\Z)", re.VERBOSE | re.DOTALL)
+
+
+# `lex` reads the kind from the named group that matched; `token_texts`
+# reads the text from findall, "" at the end of the source.
+_TOKEN_RE = _compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _GRAMMAR))
+_TEXT_RE = _compile("(" + "|".join(pattern for _, pattern in _GRAMMAR) + ")")
 
 
 @dataclass(slots=True)
@@ -94,10 +114,10 @@ def lex(source: str) -> list[Token]:
     tokens: list[Token] = []
     for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        if kind == "skip":
-            continue
-        start, end = m.span()
-        text = m.group()
+        if kind is None:  # the end of the source
+            break
+        start, end = m.span(kind)
+        text = m.group(kind)
         if kind == "word":
             kind = _classify_word(text)
         elif kind == "open_comment":
@@ -108,6 +128,20 @@ def lex(source: str) -> list[Token]:
             raise IllegalCharacter(f"illegal character {text!r}", byte_of[start])
         tokens.append(Token(kind, text, byte_of[start], byte_of[end], len(tokens)))
     return tokens
+
+
+def token_texts(source: str) -> list[str]:
+    """The texts of `lex(source)`'s tokens, without building the tokens;
+    raises what `lex` raises."""
+    texts = _TEXT_RE.findall(source)
+    # the end of the source matches as "", once more after trailing skipped text
+    while texts and not texts[-1]:
+        texts.pop()
+    # a text matched alone is of the kind it was in the source
+    for text in set(texts):
+        if len(text) <= 2 and _TOKEN_RE.fullmatch(text).lastgroup in _ERRORS:
+            lex(source)  # raises the first error, with its byte offset
+    return texts
 
 
 def render(tokens: list[Token], source: str) -> str:

@@ -16,6 +16,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from ponziscan import datasynth
 from ponziscan.encoding import (
     NODE_POSITION_ID,
     SEG_CLS,
@@ -401,6 +402,21 @@ def mutate(source: str, mutations) -> str:
         else:
             source = source[:at] + text + source[at:]
     return source
+
+
+def mutated_sources(n: int = 48) -> list[str]:
+    """Synthetic contracts damaged by one to four seeded mutations."""
+    out = []
+    for k in range(n):
+        rng = np.random.default_rng([7, k])
+        source = datasynth.make_source(k % 2, rng)
+        mutations = [(("delete", "copy", "insert")[int(rng.integers(3))],
+                      int(rng.integers(10 ** 6)), int(rng.integers(41)),
+                      int(rng.integers(10 ** 6)),
+                      ALPHABET[int(rng.integers(len(ALPHABET)))])
+                     for _ in range(1 + int(rng.integers(4)))]
+        out.append(mutate(source, mutations))
+    return out
 
 
 def deep_sources(max_nesting: int) -> dict[str, tuple[str, str]]:

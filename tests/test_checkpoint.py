@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+import struct
 import time
 import zipfile
 
@@ -143,6 +145,14 @@ def _set(name, data):
                                         else data}))
 
 
+def _huge_tensor_header() -> bytes:
+    """tensors.bin holding one header and no data. Its dimensions multiply
+    past float64's range, where numpy's product overflows with a warning."""
+    dims = (2**63,) + (2**40,) * 25
+    return (b"PSCT" + struct.pack("<IH", 1, 5) + b"cls_w" + struct.pack("<B", len(dims))
+            + struct.pack(f"<{len(dims)}Q", *dims))
+
+
 CORRUPTIONS = {
     "not_a_zip": lambda path: path.write_bytes(b"not a zip archive"),
     "missing_meta": _entries(lambda e: e.pop("meta.json")),
@@ -160,11 +170,18 @@ CORRUPTIONS = {
     "tensors_short_data": _set("tensors.bin", lambda blob: blob[:-8]),
     "tensors_bad_magic": _set("tensors.bin", lambda blob: b"NOPE" + blob[4:]),
     "tensors_trailing_bytes": _set("tensors.bin", lambda blob: blob + b"\0" * 8),
+    "tensors_huge_dimension": _set("tensors.bin", _huge_tensor_header()),
+    # a token no lexed text can match, with the id and line count intact
+    "vocab_token_is_number": _set("vocab.txt", lambda text: text.replace(b'"uint"\t', b"7\t")),
+    "vocab_token_is_null": _set("vocab.txt", lambda text: text.replace(b'"uint"\t', b"null\t")),
     "config_not_object": _meta(lambda m: m.update(config=[1, 8])),
     "config_bad_value": _meta(lambda m: m["config"].update(d_h="wide")),
     "config_unknown_key": _meta(lambda m: m["config"].update(depth=3)),
     # the tensors also fit the default n_heads, so it must not be filled in
     "config_missing_key": _meta(lambda m: m["config"].pop("n_heads")),
+    # integers that ModelConfig itself refuses
+    "config_heads_do_not_divide": _meta(lambda m: m["config"].update(n_heads=44)),
+    "config_no_layers": _meta(lambda m: m["config"].update(n_layers=0)),
     "format_version_newer": _meta(lambda m: m.update(format_version=2)),
     "format_version_missing": _meta(lambda m: m.pop("format_version")),
     "tensor_missing": _tensors(lambda p: p.pop("cls_w")),
@@ -198,3 +215,42 @@ def test_config_value_that_is_no_json_integer_is_corrupt(tmp_path, payload, key,
     with pytest.raises(CorruptCheckpoint) as err:
         load_checkpoint(path)
     assert key in str(err.value)
+
+
+def _edit(data: bytes, rng: random.Random) -> bytes:
+    """One random flip, truncation, insertion or deletion of bytes."""
+    at = rng.randrange(len(data) + 1)
+    kind = rng.randrange(4)
+    if kind == 0 and at < len(data):
+        return data[:at] + bytes([data[at] ^ (1 << rng.randrange(8))]) + data[at + 1:]
+    if kind == 1:
+        return data[:at]
+    if kind == 2:
+        return data[:at] + rng.randbytes(rng.randint(1, 8)) + data[at:]
+    return data[:at] + data[at + rng.randint(1, 8):]
+
+
+def test_edited_archive_loads_or_is_corrupt(tmp_path, payload):
+    """One random edit to one entry, written back as a valid zip so the
+    CRCs pass: the archive loads, or loading raises CorruptCheckpoint, with
+    no warning on the way (warnings fail the suite)."""
+    params, vocab, config = payload
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, vocab, config)
+    with zipfile.ZipFile(path) as zf:
+        intact = {name: zf.read(name) for name in zf.namelist()}
+    rng = random.Random(13)
+    outcomes = {"loaded": 0, "corrupt": 0}
+    for _ in range(400):
+        entries = dict(intact)
+        name = rng.choice(sorted(entries))
+        entries[name] = _edit(entries[name], rng)
+        with zipfile.ZipFile(path, "w") as zf:
+            for entry, data in entries.items():
+                zf.writestr(entry, data)
+        try:
+            load_checkpoint(path)
+            outcomes["loaded"] += 1
+        except CorruptCheckpoint:
+            outcomes["corrupt"] += 1
+    assert outcomes["corrupt"] > 0 and outcomes["loaded"] > 0

@@ -773,16 +773,40 @@ def test_too_small_fetch_delay_exits_2(capsys):
     assert "delay" in capsys.readouterr().err
 
 
+def _subprocess_env(**overrides: str) -> dict[str, str]:
+    """This environment, with the package's sources first on PYTHONPATH."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]), **overrides)
+
+
 def test_cli_imports_no_scipy_or_requests():
     """numpy is the only third-party package the command line loads."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     probe = ("import sys, ponziscan.cli; print(sorted(m for m in sys.modules "
              "if m.split('.')[0] in ('scipy', 'requests')))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", probe], env=_subprocess_env(), check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def test_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
+    """pretrain writes the same checkpoint bytes under OPENBLAS_NUM_THREADS
+    1 and 2, because importing ponziscan pins one BLAS thread. With two
+    threads the matrix products sum in another order. OpenBLAS runs no more
+    threads than there are CPUs, so on a one-CPU machine this passes
+    trivially."""
+    data = tmp_path / "data.jsonl"
+    assert run(["synth", "--out", str(data), "--n", "12", "--ponzi", "4", "--seed", "3"]) == 0
+    capsys.readouterr()
+    checkpoints = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.ckpt"
+        subprocess.run([sys.executable, "-m", "ponziscan.cli", "pretrain",
+                        "--dataset", str(data), "--out", str(out), "--epochs", "1"],
+                       env=_subprocess_env(OPENBLAS_NUM_THREADS=threads), check=True,
+                       capture_output=True, timeout=300)
+        checkpoints.append(out.read_bytes())
+    assert checkpoints[0] == checkpoints[1]
 
 
 def test_help_exits_0(capsys):

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from ponziscan.datasynth import generate_corpus
 from ponziscan.dfg import extract_dfg
 from ponziscan.encoding import (
     NODE_POSITION_ID,
@@ -17,10 +21,12 @@ from ponziscan.encoding import (
     build_vocab,
     encode_input,
 )
-from ponziscan.errors import CapTooSmall, EmptyCorpus, IdOutOfRange
+from ponziscan.errors import CapTooSmall, EmptyCorpus, IdOutOfRange, LexError
 from ponziscan.pipeline import ContractRecord
 from ponziscan.solparse.lexer import lex
 from ponziscan.solparse.parser import parse
+
+from helpers import mutated_sources
 
 
 def encode(source: str, vocab: Vocabulary, code_len: int = 32, flow_len: int = 8):
@@ -108,6 +114,49 @@ def test_builder_accepts_strings_and_records():
     v1 = build_vocab([ContractRecord(idx=1, source="a;", label=0)], cap=16)
     v2 = build_vocab(["a;"], cap=16)
     assert v1.to_lines() == v2.to_lines()
+
+
+def _lines_from_lex(sources: list[str], cap: int) -> list[str]:
+    """build_vocab's ranking, stated over the texts of lex's tokens."""
+    counts = Counter(tok.text for source in sources for tok in lex(source))
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    texts = [*Vocabulary.RESERVED, *(t for t, _ in ranked[:cap - len(Vocabulary.RESERVED)])]
+    return [f"{json.dumps(text)}\t{i}" for i, text in enumerate(texts)]
+
+
+def _lexable(sources: list[str]) -> list[str]:
+    out = []
+    for source in sources:
+        try:
+            lex(source)
+        except LexError:
+            continue
+        out.append(source)
+    return out
+
+
+@pytest.mark.parametrize("cap", [64, 4096])
+@pytest.mark.parametrize("corpus", ["generate_corpus_64_16_0", "mutated_48"])
+def test_vocab_counts_what_lex_returns(corpus, cap):
+    """Counting token texts without building tokens ranks the same
+    vocabulary, on the golden corpora (the mutated sources that lex)."""
+    sources = ([r.source for r in generate_corpus(64, 16, 0)] if corpus == "generate_corpus_64_16_0"
+               else _lexable(mutated_sources()))
+    assert len(sources) > 16
+    assert build_vocab(sources, cap).to_lines() == _lines_from_lex(sources, cap)
+
+
+def test_vocab_raises_what_lex_raises():
+    errors = 0
+    for source in mutated_sources():
+        try:
+            lex(source)
+        except LexError as err:
+            errors += 1
+            with pytest.raises(type(err)) as raised:
+                build_vocab(["a;", source], cap=64)
+            assert (str(raised.value), raised.value.offset) == (str(err), err.offset)
+    assert errors
 
 
 def test_vocab_ignores_comments():

@@ -28,8 +28,6 @@ import shlex
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ponziscan import datasynth
 from ponziscan.cli import main
 from ponziscan.dfg import extract_dfg, to_jsonable as dfg_to_jsonable
@@ -39,7 +37,7 @@ from ponziscan.model.config import ModelConfig
 from ponziscan.pipeline import ContractRecord, write_dataset
 from ponziscan.solparse import lex, parse, to_jsonable as ast_to_jsonable
 
-from helpers import ALPHABET, mutate
+from helpers import mutated_sources
 
 GOLDEN = Path(__file__).with_name("golden")
 FRONTEND_GOLDEN = GOLDEN / "frontend.json"
@@ -56,21 +54,6 @@ def _sha(text: str) -> str:
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, default=int)
-
-
-def mutated_sources(n: int = 48) -> list[str]:
-    """Synthetic contracts damaged by one to four seeded mutations."""
-    out = []
-    for k in range(n):
-        rng = np.random.default_rng([7, k])
-        source = datasynth.make_source(k % 2, rng)
-        mutations = [(("delete", "copy", "insert")[int(rng.integers(3))],
-                      int(rng.integers(10 ** 6)), int(rng.integers(41)),
-                      int(rng.integers(10 ** 6)),
-                      ALPHABET[int(rng.integers(len(ALPHABET)))])
-                     for _ in range(1 + int(rng.integers(4)))]
-        out.append(mutate(source, mutations))
-    return out
 
 
 def source_digests(source: str, vocab, config: ModelConfig) -> dict[str, str]:

@@ -26,6 +26,7 @@ from ponziscan.solparse.lexer import (
     is_type_keyword,
     lex,
     render,
+    token_texts,
 )
 from ponziscan.solparse.astnodes import to_jsonable as ast_to_jsonable
 from ponziscan.solparse.parser import parse
@@ -206,6 +207,38 @@ def test_lex_matches_reference(source):
     byte offset, on text dense in quotes, escapes, comment openers and
     number edges."""
     assert _lex_outcome(lex, source) == _lex_outcome(reference_lex, source)
+
+
+def _texts_outcome(source: str):
+    try:
+        return token_texts(source)
+    except LexError as err:
+        return type(err), str(err), err.offset
+
+
+# comment delimiters, quotes, escapes and newlines, the two non-ASCII
+# spaces the grammar skips, and three characters it refuses (two non-ASCII
+# digits and @), with a few characters that make tokens
+_TEXT_PIECES = st.sampled_from(
+    ["//", "/*", "*/", '"', "'", "\\", "\n"] * 3
+    + ["\u00a0", "\ufeff", "\u00b2", "\u0663", "@"]
+    + list(" \t/*=+-;.(){}aZ_$09xe"))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.lists(_TEXT_PIECES, max_size=24).map("".join))
+@example("")
+@example("a // c")
+@example("a /* c */ ")
+@example("/*/")
+@example("x = '\\'")
+@example("\u00b2")
+def test_token_texts_match_lex(source):
+    """token_texts gives the texts of lex's tokens, or raises lex's error:
+    its type, message and byte offset."""
+    lexed = _lex_outcome(lex, source)
+    want = [text for _, text, *_ in lexed] if isinstance(lexed, list) else lexed
+    assert _texts_outcome(source) == want
 
 
 def test_lex_matches_reference_on_operator_pairs():
