@@ -240,7 +240,7 @@ def test_edited_archive_loads_or_is_corrupt(tmp_path, payload):
     with zipfile.ZipFile(path) as zf:
         intact = {name: zf.read(name) for name in zf.namelist()}
     rng = random.Random(13)
-    outcomes = {"loaded": 0, "corrupt": 0}
+    loaded = 0
     for _ in range(400):
         entries = dict(intact)
         name = rng.choice(sorted(entries))
@@ -250,7 +250,7 @@ def test_edited_archive_loads_or_is_corrupt(tmp_path, payload):
                 zf.writestr(entry, data)
         try:
             load_checkpoint(path)
-            outcomes["loaded"] += 1
         except CorruptCheckpoint:
-            outcomes["corrupt"] += 1
-    assert outcomes["corrupt"] > 0 and outcomes["loaded"] > 0
+            continue
+        loaded += 1
+    assert 0 < loaded < 400

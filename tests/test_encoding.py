@@ -135,13 +135,19 @@ def _lexable(sources: list[str]) -> list[str]:
     return out
 
 
+# the golden corpora, the mutated one without the sources that do not lex
+GOLDEN_CORPORA = {
+    "generate_corpus_64_16_0": lambda: [r.source for r in generate_corpus(64, 16, 0)],
+    "mutated_48": lambda: _lexable(mutated_sources()),
+}
+
+
 @pytest.mark.parametrize("cap", [64, 4096])
-@pytest.mark.parametrize("corpus", ["generate_corpus_64_16_0", "mutated_48"])
+@pytest.mark.parametrize("corpus", sorted(GOLDEN_CORPORA))
 def test_vocab_counts_what_lex_returns(corpus, cap):
     """Counting token texts without building tokens ranks the same
-    vocabulary, on the golden corpora (the mutated sources that lex)."""
-    sources = ([r.source for r in generate_corpus(64, 16, 0)] if corpus == "generate_corpus_64_16_0"
-               else _lexable(mutated_sources()))
+    vocabulary."""
+    sources = GOLDEN_CORPORA[corpus]()
     assert len(sources) > 16
     assert build_vocab(sources, cap).to_lines() == _lines_from_lex(sources, cap)
 
