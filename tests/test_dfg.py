@@ -110,6 +110,85 @@ def test_state_variables_thread_across_functions():
     assert edges(g) == [(1, 3), (1, 6), (3, 2), (6, 5)]
 
 
+def test_tuple_target_index_is_read_before_any_target_is_defined():
+    g = dfg_of("x = 1; (x, m[x]) = g();")
+    assert names(g) == ["x_1", "x_2", "m_1", "x_3"]
+    assert edges(g) == [(0, 3)]  # x_1 -> x_3, not x_2 -> x_3
+
+
+def test_tuple_targets_each_take_every_source():
+    g = dfg_of("(a, b) = f(c);")
+    assert names(g) == ["a_1", "b_1", "c_1"]
+    assert edges(g) == [(2, 0), (2, 1)]
+
+
+def test_tuple_target_with_a_hole():
+    g = dfg_of("(x, , y) = (1, 2, 3);")
+    assert names(g) == ["x_1", "y_1"]
+    assert edges(g) == []
+
+
+@pytest.mark.parametrize("stmt", ["m[k]++;", "++m[k];", "delete m[k];"])
+def test_indexed_increment_and_delete(stmt):
+    g = dfg_of(stmt)
+    assert names(g) == ["m_1", "k_1"]
+    assert edges(g) == []
+    # a weak update: the earlier m_1 still reaches the later use
+    g = dfg_of(f"m = 1; {stmt} y = m;")
+    assert names(g) == ["m_1", "m_2", "k_1", "y_1", "m_3"]
+    assert edges(g) == [(0, 1), (0, 4), (1, 4), (4, 3)]
+
+
+def test_delete_member_is_a_weak_update():
+    g = dfg_of("delete s.x;")
+    assert names(g) == ["s_1"]
+    assert edges(g) == []
+    g = dfg_of("s = 1; delete s.x; y = s;")
+    assert names(g) == ["s_1", "s_2", "y_1", "s_3"]
+    assert edges(g) == [(0, 1), (0, 3), (1, 3), (3, 2)]
+
+
+def test_delete_variable_is_a_strong_update_without_a_read():
+    g = dfg_of("x = 1; delete x; y = x;")
+    assert names(g) == ["x_1", "x_2", "y_1", "x_3"]
+    assert edges(g) == [(1, 3), (3, 2)]
+
+
+def test_decrement_reads_then_redefines():
+    g = dfg_of("x = 1; x--; y = x;")
+    assert names(g) == ["x_1", "x_2", "y_1", "x_3"]
+    assert edges(g) == [(0, 1), (1, 3), (3, 2)]
+
+
+def test_increment_without_a_variable_base_passes_its_sources_on():
+    g = dfg_of("y = this.m[k]++;")
+    assert names(g) == ["y_1", "k_1"]
+    assert edges(g) == [(1, 0)]  # k_1 -> y_1
+
+
+def test_parenthesised_increment_is_a_use():
+    assert edges(dfg_of("(x)++;")) == []
+    g = dfg_of("x = 1; (x)++; y = x;")
+    assert names(g) == ["x_1", "x_2", "y_1", "x_3"]
+    assert edges(g) == [(0, 1), (0, 3), (3, 2)]  # x_1 still reaches x_3
+
+
+def test_bare_modifier_argument_is_a_use():
+    g = dfg_of("function f() public only(s) {}")
+    assert names(g) == ["s_1"]
+    assert edges(g) == []
+    g = dfg_of("uint s = 1; function f() public only(s) {}")
+    assert names(g) == ["s_1", "s_2"]
+    assert edges(g) == [(0, 1)]
+
+
+def test_parameter_shadows_a_top_level_definition_for_one_function():
+    g = dfg_of("uint t = 1; function f(uint t) public { t = 2; }"
+               " function g() public { uint u = t; }")
+    assert names(g) == ["t_1", "t_2", "t_3", "u_1", "t_4"]
+    assert edges(g) == [(0, 4), (4, 3)]  # t_1 -> t_4
+
+
 def test_fee_and_net_payout_fragment():
     g = dfg_of("function pay(uint amount) public { uint fee = amount / 100;"
                " uint net = amount - fee; owner.transfer(fee); }")
