@@ -247,3 +247,32 @@ def test_builtin_ref_named_alike_in_expression_and_opaque_code():
         assert len(refs) == 1
         assert [name for leaf, name in var_occurrences(ast)
                 if leaf is refs[0].children[0]] == ["msg.sender"]
+
+
+# Constructs the grammar handles without the opaque fallback: each source
+# with the graph node names (var_occurrences) it must give.
+@pytest.mark.parametrize("source, node_names", [
+    ("contract A is B(s, 2), C { }", ["s"]),  # inheritance arguments
+    ("function f(uint[] memory xs, string calldata t) public { }", ["xs", "t"]),
+    ("contract C { function f() public override(A, B) { }"
+     " function g() public override { } }", []),
+    ("contract C { event E(uint indexed a) anonymous; }", ["a"]),
+    ("contract C { address payable o; function f() public"
+     " { address payable p = address payable(s); } }", ["o", "p", "s"]),
+    ("function f() public { while (a) { if (b) { break; } continue; } throw; }",
+     ["a", "b"]),
+    ("function f() public { unchecked { i = i + 1; } }", ["i", "i"]),
+    ("function f() public { for (; i < n; i++) { s += i; } }",
+     ["i", "n", "i", "s", "i"]),
+    ("function f() public { D d = new D(s); }", ["d", "s"]),
+    ("function f() public { g({a: s, b: t}); }", ["s", "t"]),  # named arguments
+    ("function f() public { (, uint b) = g(); (x, , y) = (1, 2, 3); }",
+     ["b", "x", "y"]),  # tuple holes
+    ("function f() public { (uint a, uint b) = g(); }", ["a", "b"]),
+    ("function f() public { uint8[3] memory xs = [a, 2, b]; }", ["xs", "a", "b"]),
+])
+def test_handled_construct_parses_without_opaque_statements(source, node_names):
+    ast = parse(source)
+    assert [n for n in walk(ast) if n.kind == A.OPAQUE] == []
+    assert [name for _, name in var_occurrences(ast)] == node_names
+    assert_leaf_totality(source)
