@@ -1,6 +1,6 @@
 """Independent oracles shared by the unit and acceptance tests, a time
-limit for tests of inputs that once hung, and the source mutator that the
-fuzz and golden tests share.
+limit for tests of inputs that once hung, the source mutator that the fuzz
+and golden tests share, and a loader for the benchmark's modules.
 
 Each oracle restates a contract from scratch (per-entry loops, no shared
 code with the implementation) so that agreement is evidence, not tautology.
@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import re
 import signal
+import sys
+import types
 from contextlib import contextmanager
 from dataclasses import replace
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 
@@ -417,6 +420,17 @@ def mutated_sources(n: int = 48) -> list[str]:
                      for _ in range(1 + int(rng.integers(4)))]
         out.append(mutate(source, mutations))
     return out
+
+
+def perfbench_module(name: str) -> types.ModuleType:
+    """perfbench/<name>.py, read from its file and executed without writing
+    anything next to it (no bytecode cache under perfbench/)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module  # dataclasses look their module up
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
 
 
 def deep_sources(max_nesting: int) -> dict[str, tuple[str, str]]:

@@ -8,21 +8,11 @@ file and executed here without writing anything next to it.
 
 from __future__ import annotations
 
-import types
-from pathlib import Path
-
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-
-
-def _load_tracer() -> types.ModuleType:
-    module = types.ModuleType("perfbench_tracer")
-    module.__file__ = str(TRACER)
-    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), module.__dict__)
-    return module
+from helpers import perfbench_module
 
 
 def test_every_traced_span_has_a_call_site():
-    tracer = _load_tracer().Tracer()
+    tracer = perfbench_module("tracer").Tracer()
     try:
         tracer.install()
         assert tracer.absent() == []

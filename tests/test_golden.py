@@ -1,8 +1,9 @@
 """Equivalence oracles against committed golden files.
 
-(a) Front-end digests: for each source of a fixed corpus, SHA-256 digests
-of its parse JSON, its data-flow graph JSON and its encoded model input (or
-of the DomainError it raises). One digest per corpus is checked; on a
+(a) Front-end digests: for each source of a fixed corpus (the synthetic
+training corpus, mutated sources, and the benchmark's flattened sources at
+two input budgets), SHA-256 digests of its parse JSON, its data-flow graph
+JSON and its encoded model input (or of the DomainError it raises). One digest per corpus is checked; on a
 mismatch the failure lists the sources that changed, and how.
 
 (b) A tiny CLI chain: synth, parse, dfg, pretrain, train and eval/predict
@@ -37,7 +38,7 @@ from ponziscan.model.config import ModelConfig
 from ponziscan.pipeline import ContractRecord, write_dataset
 from ponziscan.solparse import lex, parse, to_jsonable as ast_to_jsonable
 
-from helpers import mutated_sources
+from helpers import mutated_sources, perfbench_module
 
 GOLDEN = Path(__file__).with_name("golden")
 FRONTEND_GOLDEN = GOLDEN / "frontend.json"
@@ -74,14 +75,26 @@ def source_digests(source: str, vocab, config: ModelConfig) -> dict[str, str]:
 
 
 def frontend_digests() -> dict[str, dict]:
-    """Per corpus: its SHA-256 and the per-source digests behind it."""
+    """Per corpus: its SHA-256 and the per-source digests behind it.
+
+    The benchmark's flattened sources are the truncated inputs: 181 of the
+    256 overflow the default 256/64 budgets and all of them overflow
+    64/16, so they are digested at both."""
     corpus = datasynth.generate_corpus(64, 16, seed=0)
+    flattened = perfbench_module("workloads").flattened_records(0)
     vocab = build_vocab(corpus, 2048)
-    config = ModelConfig()
-    corpora = {"generate_corpus_64_16_0": [r.source for r in corpus],
-               "mutated_48": mutated_sources()}
+    flattened_vocab = build_vocab(flattened, 2048)
+    small = ModelConfig(code_len=64, flow_len=16)
+    corpora = {
+        "generate_corpus_64_16_0": ([r.source for r in corpus], vocab, ModelConfig()),
+        "mutated_48": (mutated_sources(), vocab, ModelConfig()),
+        "flattened_records_0_256_64": ([r.source for r in flattened],
+                                       flattened_vocab, ModelConfig()),
+        "flattened_records_0_64_16": ([r.source for r in flattened],
+                                      flattened_vocab, small),
+    }
     out = {}
-    for name, sources in corpora.items():
+    for name, (sources, vocab, config) in corpora.items():
         per_source = [source_digests(s, vocab, config) for s in sources]
         out[name] = {"sha256": _sha(_dump(per_source)), "sources": per_source}
     return out
