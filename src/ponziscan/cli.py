@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -248,8 +249,17 @@ _HANDLERS = {
 
 def _positive_delay(text: str) -> float:
     value = float(text)
-    if value < MIN_DELAY:
-        raise argparse.ArgumentTypeError(f"delay must be >= {MIN_DELAY} seconds")
+    if not (math.isfinite(value) and value >= MIN_DELAY):
+        raise argparse.ArgumentTypeError(
+            f"delay must be a finite number of seconds >= {MIN_DELAY}, got {text!r}")
+    return value
+
+
+def _timeout(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"timeout must be a finite number of seconds > 0, got {text!r}")
     return value
 
 
@@ -402,7 +412,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--api-key", dest="api_key",
                    default=os.environ.get("ETHERSCAN_API_KEY", ""))
     p.add_argument("--base-url", dest="base_url", default=DEFAULT_BASE_URL)
-    p.add_argument("--timeout", type=float, default=10.0)
+    p.add_argument("--timeout", type=_timeout, default=10.0)
     p.add_argument("--delay", type=_positive_delay, default=MIN_DELAY)
     p.add_argument("--cache-dir", dest="cache_dir")
     _add_common(p)

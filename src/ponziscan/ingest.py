@@ -9,6 +9,7 @@ config.delay seconds across threads.
 from __future__ import annotations
 
 import json
+import math
 import re
 import threading
 import time
@@ -57,8 +58,8 @@ class ApiConfig:
     http_get: Callable[[str, dict, float], dict] = field(default=_default_http_get)
 
     def __post_init__(self) -> None:
-        if self.delay < MIN_DELAY:
-            raise ValueError(f"delay must be >= {MIN_DELAY}s")
+        if not (math.isfinite(self.delay) and self.delay >= MIN_DELAY):
+            raise ValueError(f"delay must be a finite number >= {MIN_DELAY}s")
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from ponziscan.cli import main
+from ponziscan.cli import build_parser, main
 from ponziscan.dfg import extract_dfg, to_dot
 from ponziscan.dfg import to_jsonable as dfg_to_jsonable
 from ponziscan.model.checkpoint import load_checkpoint
@@ -771,6 +771,25 @@ def test_bad_format_choice_exits_2(workspace, capsys):
 def test_too_small_fetch_delay_exits_2(capsys):
     assert run(["fetch", "--address", ADDRESS, "--delay", "0.05"]) == 2
     assert "delay" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--delay", "inf"), ("--delay", "nan"), ("--timeout", "inf"),
+    ("--timeout", "nan"), ("--timeout", "-1"), ("--timeout", "0"),
+])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_fetch_seconds_must_be_finite_and_positive(flag, value, via_config, capsys):
+    """A usage error before any request: no sleep(inf) or sleep(nan) traceback,
+    and no unthrottled run behind a nan delay."""
+    argv = ["fetch", "--address", ADDRESS]
+    if via_config:
+        parser = build_parser({flag[2:]: float(value)})
+    else:
+        parser, argv = build_parser(), [*argv, flag, value]
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 2
+    assert f"{flag[2:]} must be a finite number of seconds" in capsys.readouterr().err
 
 
 def _subprocess_env(**overrides: str) -> dict[str, str]:

@@ -223,3 +223,9 @@ def test_default_http_get_failure_is_network_error(monkeypatch, reply, kind):
 def test_delay_floor_enforced():
     with pytest.raises(ValueError):
         ApiConfig(delay=0.1)
+
+
+@pytest.mark.parametrize("delay", [float("inf"), float("nan")])
+def test_delay_must_be_finite(delay):
+    with pytest.raises(ValueError, match="finite"):
+        ApiConfig(delay=delay)
