@@ -3,16 +3,25 @@
 Nodes are textual variable occurrences (every occurrence gets its own node,
 source-ordered). A directed edge (src, dst) records that the value of the
 dst occurrence comes from the src occurrence. Reaching definitions are
-tracked per function; state variables persist across a contract's functions
-in declaration order. msg/block/tx member reads are source-only nodes.
+tracked per function. Definitions made outside functions (state variables,
+top-level statements, inheritance arguments) reach the functions after
+them in declaration order, and so do a function's definitions of those
+names unless it declares the name itself. msg/block/tx member reads are
+source-only nodes.
 
 Edge rules:
   - declaration with initializer: initializer occurrences -> declared occurrence
   - assignment: RHS occurrences -> LHS occurrence, which becomes the sole
     reaching definition (strong update); indexed/member targets keep prior
     definitions and read the base first (weak update, read-modify-write)
+  - tuple assignment: every RHS occurrence feeds every target; the index and
+    member chains of all targets are read before any target is defined
   - compound assignment and ++/--: previous definitions also feed the new
     occurrence (self-update; may yield self-loops inside loops)
+  - delete x: a strong update that reads nothing; delete m[k] and
+    delete s.x are weak updates of m and s, as m[k]++ is
+  - ++/--/delete of an operand without a variable base (this.m[k]++,
+    (x)++) is a use of the operand and defines nothing
   - use: an occurrence in an expression gets edges from all reaching
     definitions of its name
   - if/else: the exit environment is the union of both branch exits
@@ -66,7 +75,7 @@ def extract_dfg(ast: AstNode) -> DataFlowGraph:
         vars_.append(VarNode(name, counts[name], i, leaf.token.index))
         token_to_node[leaf.token.index] = i
     walker = _Walker(token_to_node)
-    walker.walk_source_unit(ast)
+    walker.walk_members(ast, {})
     edges = [DfEdge(s, d) for s, d in sorted(walker.edges)]
     alignment = [(v.node_index, v.code_token_index) for v in vars_]
     return DataFlowGraph(vars_, edges, alignment)
@@ -100,7 +109,15 @@ def _merge_into(env: Env, other: Env) -> None:
         env[name] = (env[name] | defs) if name in env else set(defs)
 
 
+# Members that carry no data flow. An event's parameters and a struct's
+# fields declare no variable.
+_NO_FLOW = (a.PRAGMA, a.IMPORT, a.STRUCT_DECL, a.ENUM_DECL, a.EVENT_DECL)
+
+
 def _chain_base(node: AstNode) -> AstNode | None:
+    """The variable at the root of an index/member chain (m in m[k].x), the
+    node itself when it is a variable, or None when the root is no variable
+    (this.m[k], f()[k], (x))."""
     while node.kind in (a.INDEX, a.MEMBER) and node.children:
         node = node.children[0]
     if node.is_leaf and node.kind == a.LEAF_VAR:
@@ -112,87 +129,50 @@ class _Walker:
     def __init__(self, token_to_node: dict[int, int]):
         self.t2n = token_to_node
         self.edges: set[tuple[int, int]] = set()
-        self.declared: set[str] | None = None
+        self.declared: set[str] = set()  # names the current function declares
 
     def _node(self, leaf: AstNode) -> int:
         return self.t2n[leaf.token.index]
 
+    def _define(self, leaf: AstNode, sources, env: Env, strong: bool) -> int:
+        """Make the occurrence `leaf` a definition of its name, fed by
+        `sources`. A strong definition replaces the name's reaching
+        definitions; a weak one (indexed or member target) joins them."""
+        idx = self._node(leaf)
+        for s in sources:
+            self.edges.add((s, idx))
+        name = leaf.token.text
+        env[name] = {idx} if strong else env.get(name, set()) | {idx}
+        return idx
+
     # -- structure ---------------------------------------------------------
 
-    def walk_source_unit(self, unit: AstNode) -> None:
-        env: Env = {}
-        for child in unit.children:
-            if child.is_leaf:
+    def walk_members(self, node: AstNode, env: Env) -> None:
+        """A source unit's or a contract's members, in order. A contract
+        starts from no definitions; a function or modifier sees the
+        definitions made before it; every other member is a statement."""
+        for member in node.children:
+            if member.is_leaf or member.kind in _NO_FLOW:
                 continue
-            kind = child.kind
-            if kind == a.CONTRACT:
-                self.walk_contract(child)
-            elif kind in (a.PRAGMA, a.IMPORT, a.STRUCT_DECL, a.ENUM_DECL,
-                          a.EVENT_DECL):
-                continue
-            elif kind in (a.FUNCTION, a.MODIFIER_DECL):
-                # free functions thread the top-level definitions the same
-                # way contract members thread state variables
-                env = self._walk_function(child, env, set(env))
+            if member.kind == a.CONTRACT:
+                self.walk_members(member, {})
+            elif member.kind in (a.FUNCTION, a.MODIFIER_DECL):
+                env = self._walk_function(member, env)
             else:
-                self.declared = None
-                self.exec_stmt(child, env)
+                self.exec_stmt(member, env)
 
-    def walk_contract(self, contract: AstNode) -> None:
-        state_env: Env = {}
-        state_names: set[str] = set()
-        for member in contract.children:
-            if member.is_leaf:
-                continue
-            kind = member.kind
-            if kind == a.STATE_VAR:
-                self.declared = None
-                name = self.exec_decl(member, state_env)
-                if name is not None:
-                    state_names.add(name)
-            elif kind in (a.FUNCTION, a.MODIFIER_DECL):
-                state_env = self._walk_function(member, state_env, state_names)
-            elif kind in (a.STRUCT_DECL, a.ENUM_DECL, a.EVENT_DECL):
-                continue
-            else:
-                self.eval_expr(member, state_env)
-
-    def _walk_function(self, fn: AstNode, state_env: Env, state_names: set[str]) -> Env:
-        snapshot = {k: set(v) for k, v in state_env.items()}
-        env = dict(state_env)
+    def _walk_function(self, fn: AstNode, outer: Env) -> Env:
+        """Walk one function; return the definitions of outer's names that
+        reach the next member. Locals do not escape, and a name the
+        function declares keeps its definitions from before the function."""
+        env = dict(outer)
         self.declared = set()
         for child in fn.children:
-            if child.is_leaf:
-                if child.kind == a.LEAF_VAR:
-                    self.eval_expr(child, env)  # bare modifier argument
-                continue
-            if child.kind == a.PARAM:
-                self._bind_param(child, env)
-            elif child.kind == a.BLOCK:
-                self.exec_stmt(child, env)
-            else:
-                self.eval_expr(child, env)
-        # thread state variables to the next member; locals do not escape,
-        # and a shadowing local restores the pre-function state definition
-        next_env: Env = {}
-        for name in state_names:
-            if name in self.declared:
-                if name in snapshot:
-                    next_env[name] = snapshot[name]
-            elif name in env:
-                next_env[name] = env[name]
-        self.declared = None
-        return next_env
-
-    def _bind_param(self, param: AstNode, env: Env) -> None:
-        for child in param.children:
-            if child.is_leaf and child.kind == a.LEAF_VAR:
-                name = child.token.text
-                env[name] = {self._node(child)}
-                if self.declared is not None:
-                    self.declared.add(name)
+            if child.kind == a.LEAF_VAR:
+                self.eval_expr(child, env)  # bare modifier argument
             elif not child.is_leaf:
-                self.eval_expr(child, env)  # array sizes in the type
+                self.exec_stmt(child, env)  # parameters, modifier calls, body
+        return {name: (outer if name in self.declared else env)[name] for name in outer}
 
     # -- statements ---------------------------------------------------------
 
@@ -202,64 +182,46 @@ class _Walker:
             for child in node.children:
                 if not child.is_leaf:
                     self.exec_stmt(child, env)
-        elif kind == a.VAR_DECL_STMT:
+        elif kind in (a.VAR_DECL_STMT, a.STATE_VAR, a.PARAM):
             self.exec_decl(node, env)
         elif kind == a.IF_STMT:
             self._exec_if(node, env)
         elif kind == a.WHILE_STMT:
-            self._exec_while(node, env)
+            self._loop(node.children[2], node.children[4], None, env)
         elif kind == a.FOR_STMT:
             self._exec_for(node, env)
-        elif kind in (a.EXPR_STMT, a.RETURN_STMT, a.EMIT_STMT):
-            for child in node.children:
-                if not child.is_leaf or child.kind == a.LEAF_VAR:
-                    self.eval_expr(child, env)
         else:
             self.eval_expr(node, env)
 
-    def exec_decl(self, node: AstNode, env: Env) -> str | None:
-        """Shared by local and state variable declarations (and struct
-        members, which simply have no initializer): everything after '='
-        is the initializer."""
+    def exec_decl(self, node: AstNode, env: Env) -> None:
+        """A local, state or struct-member variable, or a parameter:
+        everything after '=' is the initializer."""
         declared: AstNode | None = None
-        sources: list[int] | None = None  # set at '='
+        sources: list[int] = []
+        initializer = False
         for child in node.children:
-            if sources is not None:
+            if initializer:
                 sources += self.eval_expr(child, env)
             elif child.is_leaf and child.token.text == "=":
-                sources = []
+                initializer = True
             elif child.kind == a.LEAF_VAR:
                 declared = child
             else:
                 self.eval_expr(child, env)  # type subtree (array sizes)
-        if declared is None:
-            return None
-        idx = self._node(declared)
-        name = declared.token.text
-        for s in sources or ():
-            self.edges.add((s, idx))
-        env[name] = {idx}
-        if self.declared is not None:
-            self.declared.add(name)
-        return name
+        if declared is not None:
+            self.declared.add(declared.token.text)
+            self._define(declared, sources, env, strong=True)
 
     def _exec_if(self, node: AstNode, env: Env) -> None:
         cond, then_stmt = node.children[2], node.children[4]
-        else_stmt = node.children[6] if len(node.children) >= 7 else None
         self.eval_expr(cond, env)
-        env_then = dict(env)
+        env_then, env_else = dict(env), dict(env)
         self.exec_stmt(then_stmt, env_then)
-        env_else = dict(env)
-        if else_stmt is not None:
-            self.exec_stmt(else_stmt, env_else)
-        merged: Env = {}
-        _merge_into(merged, env_then)
-        _merge_into(merged, env_else)
+        if len(node.children) >= 7:
+            self.exec_stmt(node.children[6], env_else)
+        _merge_into(env_then, env_else)
         env.clear()
-        env.update(merged)
-
-    def _exec_while(self, node: AstNode, env: Env) -> None:
-        self._loop(node.children[2], node.children[4], None, env)
+        env.update(env_then)
 
     def _exec_for(self, node: AstNode, env: Env) -> None:
         # for ( init-statement-or-';' cond? ';' update? ) body
@@ -274,7 +236,7 @@ class _Walker:
     def _loop(self, cond: AstNode | None, body: AstNode,
               update: AstNode | None, env: Env) -> None:
         """Two passes, so definitions at body exit reach uses at entry."""
-        entry = {k: set(v) for k, v in env.items()}
+        entry = dict(env)
         for _ in range(2):
             if cond is not None:
                 self.eval_expr(cond, env)
@@ -309,72 +271,37 @@ class _Walker:
         return out
 
     def _exec_assign(self, node: AstNode, env: Env) -> list[int]:
-        lhs, op_leaf, rhs = node.children[0], node.children[1], node.children[2]
-        op = op_leaf.token.text
-        rhs_src = self.eval_expr(rhs, env)
-        targets: list[tuple[str, int, str]] = []
+        lhs, op, rhs = node.children
+        sources = self.eval_expr(rhs, env)
+        targets: list[tuple[AstNode, bool]] = []
         self._collect_targets(lhs, env, targets)
-        result: list[int] = []
-        for mode, idx, name in targets:
-            if mode == "simple":
-                if op != "=":
-                    for d in env.get(name, ()):
-                        self.edges.add((d, idx))
-                for s in rhs_src:
-                    self.edges.add((s, idx))
-                env[name] = {idx}
-            else:  # weak: base use edges were added while collecting
-                for s in rhs_src:
-                    self.edges.add((s, idx))
-                env[name] = env.get(name, set()) | {idx}
-            result.append(idx)
-        return result or rhs_src
+        defined = []
+        for leaf, strong in targets:
+            # a compound assignment also reads the target's old value
+            old = env.get(leaf.token.text, ()) if strong and op.token.text != "=" else ()
+            defined.append(self._define(leaf, [*old, *sources], env, strong))
+        return defined or sources
 
     def _collect_targets(self, lhs: AstNode, env: Env,
-                         out: list[tuple[str, int, str]]) -> None:
-        if lhs.is_leaf:
-            if lhs.kind == a.LEAF_VAR:
-                out.append(("simple", self._node(lhs), lhs.token.text))
-            return
-        if lhs.kind == a.BUILTIN_REF:
-            return  # source-only, never a target
+                         out: list[tuple[AstNode, bool]]) -> None:
+        """Assignment targets as (leaf, strong), in source order. Index and
+        member chains are read here, before any target is defined."""
         if lhs.kind == a.TUPLE:
             for child in lhs.children:
-                if child.is_leaf and child.kind != a.LEAF_VAR:
-                    continue
                 self._collect_targets(child, env, out)
-            return
-        if lhs.kind in (a.INDEX, a.MEMBER):
+        elif lhs.kind == a.LEAF_VAR:
+            out.append((lhs, True))
+        else:
             self.eval_expr(lhs, env)
             base = _chain_base(lhs)
             if base is not None:
-                out.append(("weak", self._node(base), base.token.text))
-            return
-        self.eval_expr(lhs, env)
+                out.append((base, False))
 
     def _exec_unary(self, node: AstNode, env: Env) -> list[int]:
-        op_leaf = next((c for c in node.children
-                        if c.is_leaf and c.kind in (a.LEAF_PUNCT, a.LEAF_KW)), None)
-        operand = next((c for c in node.children if c is not op_leaf), None)
-        if operand is None:
-            return []
-        op = op_leaf.token.text if op_leaf is not None else ""
-        if op not in ("++", "--", "delete"):
+        op, operand = node.children if node.kind == a.UNARY else node.children[::-1]
+        base = _chain_base(operand)
+        if op.token.text not in ("++", "--", "delete") or base is None:
             return self.eval_expr(operand, env)
-        if operand.is_leaf and operand.kind == a.LEAF_VAR:
-            idx = self._node(operand)
-            name = operand.token.text
-            if op != "delete":
-                for d in env.get(name, ()):
-                    self.edges.add((d, idx))
-            env[name] = {idx}
-            return [idx]
-        if operand.kind in (a.INDEX, a.MEMBER):
-            sources = self.eval_expr(operand, env)
-            base = _chain_base(operand)
-            if base is not None:
-                idx = self._node(base)
-                env[base.token.text] = env.get(base.token.text, set()) | {idx}
-                return [idx]
-            return sources
-        return self.eval_expr(operand, env)
+        if op.token.text != "delete" or base is not operand:
+            self.eval_expr(operand, env)  # the old value is read, except by `delete x`
+        return [self._define(base, (), env, strong=base is operand)]

@@ -189,6 +189,20 @@ def test_parameter_shadows_a_top_level_definition_for_one_function():
     assert edges(g) == [(0, 4), (4, 3)]  # t_1 -> t_4
 
 
+def test_inheritance_argument_definition_reaches_every_member():
+    g = dfg_of("contract A is B(x = 1) { function f() public { y = x; }"
+               " function g() public { z = x; } }")
+    assert names(g) == ["x_1", "y_1", "x_2", "z_1", "x_3"]
+    assert edges(g) == [(0, 2), (0, 4), (2, 1), (4, 3)]  # x_1 -> x_3 too
+
+
+def test_state_initializer_definition_reaches_every_member():
+    g = dfg_of("contract A { uint a = b = 1; function f() public { y = b; }"
+               " function g() public { z = b; } }")
+    assert names(g) == ["a_1", "b_1", "y_1", "b_2", "z_1", "b_3"]
+    assert edges(g) == [(1, 0), (1, 3), (1, 5), (3, 2), (5, 4)]  # b_1 -> b_3 too
+
+
 def test_fee_and_net_payout_fragment():
     g = dfg_of("function pay(uint amount) public { uint fee = amount / 100;"
                " uint net = amount - fee; owner.transfer(fee); }")
