@@ -31,6 +31,7 @@ Edge rules:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -134,7 +135,8 @@ class _Walker:
     def _node(self, leaf: AstNode) -> int:
         return self.t2n[leaf.token.index]
 
-    def _define(self, leaf: AstNode, sources, env: Env, strong: bool) -> int:
+    def _define(self, leaf: AstNode, sources: Iterable[int], env: Env,
+                strong: bool) -> int:
         """Make the occurrence `leaf` a definition of its name, fed by
         `sources`. A strong definition replaces the name's reaching
         definitions; a weak one (indexed or member target) joins them."""
@@ -171,7 +173,7 @@ class _Walker:
             if child.kind == a.LEAF_VAR:
                 self.eval_expr(child, env)  # bare modifier argument
             elif not child.is_leaf:
-                self.exec_stmt(child, env)  # parameters, modifier calls, body
+                self.exec_stmt(child, env)  # parameters, modifier arguments, body
         return {name: (outer if name in self.declared else env)[name] for name in outer}
 
     # -- statements ---------------------------------------------------------
@@ -190,6 +192,10 @@ class _Walker:
             self._loop(node.children[2], node.children[4], None, env)
         elif kind == a.FOR_STMT:
             self._exec_for(node, env)
+        elif kind in (a.EXPR_STMT, a.RETURN_STMT, a.EMIT_STMT):
+            for child in node.children:
+                if not child.is_leaf or child.kind == a.LEAF_VAR:
+                    self.eval_expr(child, env)
         else:
             self.eval_expr(node, env)
 
@@ -197,20 +203,19 @@ class _Walker:
         """A local, state or struct-member variable, or a parameter:
         everything after '=' is the initializer."""
         declared: AstNode | None = None
-        sources: list[int] = []
-        initializer = False
+        sources: list[int] | None = None  # set at '='
         for child in node.children:
-            if initializer:
+            if sources is not None:
                 sources += self.eval_expr(child, env)
             elif child.is_leaf and child.token.text == "=":
-                initializer = True
+                sources = []
             elif child.kind == a.LEAF_VAR:
                 declared = child
             else:
                 self.eval_expr(child, env)  # type subtree (array sizes)
         if declared is not None:
             self.declared.add(declared.token.text)
-            self._define(declared, sources, env, strong=True)
+            self._define(declared, sources or (), env, strong=True)
 
     def _exec_if(self, node: AstNode, env: Env) -> None:
         cond, then_stmt = node.children[2], node.children[4]
@@ -299,8 +304,8 @@ class _Walker:
 
     def _exec_unary(self, node: AstNode, env: Env) -> list[int]:
         op, operand = node.children if node.kind == a.UNARY else node.children[::-1]
-        base = _chain_base(operand)
-        if op.token.text not in ("++", "--", "delete") or base is None:
+        base = _chain_base(operand) if op.token.text in ("++", "--", "delete") else None
+        if base is None:
             return self.eval_expr(operand, env)
         if op.token.text != "delete" or base is not operand:
             self.eval_expr(operand, env)  # the old value is read, except by `delete x`
