@@ -3,8 +3,9 @@
 (a) Front-end digests: for each source of a fixed corpus (the synthetic
 training corpus, mutated sources, and the benchmark's flattened sources at
 two input budgets), SHA-256 digests of its parse JSON, its data-flow graph
-JSON and its encoded model input (or of the DomainError it raises). One digest per corpus is checked; on a
-mismatch the failure lists the sources that changed, and how.
+JSON and its encoded model input (or of the DomainError it raises). One
+digest per corpus is checked; on a mismatch the failure lists the sources
+that changed, and how.
 
 (b) A tiny CLI chain: synth, parse, dfg, pretrain, train and eval/predict
 in a temporary directory, each subcommand's stdout compared with the
