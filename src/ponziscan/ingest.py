@@ -60,6 +60,8 @@ class ApiConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.delay) and self.delay >= MIN_DELAY):
             raise ValueError(f"delay must be a finite number >= {MIN_DELAY}s")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError("timeout must be a finite number > 0s")
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
 

@@ -229,3 +229,9 @@ def test_delay_floor_enforced():
 def test_delay_must_be_finite(delay):
     with pytest.raises(ValueError, match="finite"):
         ApiConfig(delay=delay)
+
+
+@pytest.mark.parametrize("timeout", [float("inf"), float("nan"), -1.0, 0.0])
+def test_timeout_must_be_finite_and_positive(timeout):
+    with pytest.raises(ValueError, match="finite"):
+        ApiConfig(timeout=timeout)
