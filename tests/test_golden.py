@@ -89,6 +89,7 @@ def frontend_digests() -> dict[str, dict]:
     corpora = {
         "generate_corpus_64_16_0": ([r.source for r in corpus], vocab, ModelConfig()),
         "mutated_48": (mutated_sources(), vocab, ModelConfig()),
+        "mutated_400": (mutated_sources(400), vocab, ModelConfig()),
         "flattened_records_0_256_64": ([r.source for r in flattened],
                                        flattened_vocab, ModelConfig()),
         "flattened_records_0_64_16": ([r.source for r in flattened],
