@@ -4,10 +4,11 @@ Nodes are textual variable occurrences (every occurrence gets its own node,
 source-ordered). A directed edge (src, dst) records that the value of the
 dst occurrence comes from the src occurrence. Reaching definitions are
 tracked per function. Definitions made outside functions (state variables,
-top-level statements, inheritance arguments) reach the functions after
-them in declaration order, and so do a function's definitions of those
-names unless it declares the name itself. msg/block/tx member reads are
-source-only nodes.
+file-level constants and statements, inheritance arguments) reach the
+functions after them in declaration order, and so do a function's
+definitions of those names unless it declares the name itself. A contract
+starts from the file-level definitions made before it. msg/block/tx member
+reads are source-only nodes.
 
 Edge rules:
   - declaration with initializer: initializer occurrences -> declared occurrence
@@ -151,13 +152,17 @@ class _Walker:
 
     def walk_members(self, node: AstNode, env: Env) -> None:
         """A source unit's or a contract's members, in order. A contract
-        starts from no definitions; a function or modifier sees the
-        definitions made before it; every other member is a statement."""
+        starts from the file-level definitions made before it, and its own
+        do not leave it; a function or modifier sees the definitions made
+        before it; a bare variable (an inheritance argument) is a use;
+        every other member is a statement."""
         for member in node.children:
-            if member.is_leaf or member.kind in _NO_FLOW:
+            if member.kind == a.LEAF_VAR:
+                self.eval_expr(member, env)
+            elif member.is_leaf or member.kind in _NO_FLOW:
                 continue
-            if member.kind == a.CONTRACT:
-                self.walk_members(member, {})
+            elif member.kind == a.CONTRACT:
+                self.walk_members(member, dict(env))
             elif member.kind in (a.FUNCTION, a.MODIFIER_DECL):
                 env = self._walk_function(member, env)
             else:

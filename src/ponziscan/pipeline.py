@@ -163,11 +163,15 @@ def split_random(records: list[ContractRecord],
 
 
 def encode_record(source: str, vocab: Vocabulary, config: ModelConfig) -> ModelInput:
-    """The model input of one source; with config.flow_len 0 (no graph) the
-    source is not parsed."""
+    """The model input of one source. The whole source is lexed, so code
+    tokens, `truncated` and lexer errors are those of the full text. It is
+    parsed only up to the member holding graph node config.flow_len (the
+    nodes before it come out as from a full parse), so a parse error after
+    that member raises nothing; with flow_len 0 (no graph) the source is not
+    parsed."""
     tokens = lex(source)
     if config.flow_len > 0:
-        graph = extract_dfg(parse(tokens))
+        graph = extract_dfg(parse(tokens, config.flow_len))
     else:
         graph = DataFlowGraph()
     return encode_input(tokens, graph, vocab,

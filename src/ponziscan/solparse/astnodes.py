@@ -57,7 +57,8 @@ LEAF_PUNCT = "punct"
 LEAF_NUMBER = "number"
 LEAF_STRING = "string"
 
-@dataclass
+
+@dataclass(slots=True)
 class AstNode:
     kind: str
     children: list["AstNode"] = field(default_factory=list)

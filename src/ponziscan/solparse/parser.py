@@ -10,15 +10,35 @@ variable positions, "name" for every excluded role (declared function,
 contract, event, struct, enum and modifier names, member fields, callees,
 user type names). msg/block/tx member accesses become a single dotted
 variable rooted at the first token.
+
+The parser reads one key per token, built once up front: the token's text
+for punctuation and keywords, a fixed tag for identifiers, numbers and
+strings, and an end key after the last token. Testing the current token is
+one list read, and no key of one kind equals a key of another.
+
+A declaration is attempted only where one can follow: at a type keyword or
+`mapping`, or at an identifier followed by an identifier, `.`, `[` or a
+declaration keyword (`memory`, `storage`, `calldata` in a statement;
+`public`, `constant`, ... in a contract). Anywhere else the attempt would
+fail at its first token or two, so skipping it changes no tree and no error.
+
+Given `nodes`, parse stops after the first top-level or contract member
+that takes the count of variable occurrences (as var_occurrences counts
+them, msg.x roots included) above `nodes`; a contract cut there ends
+without its `}`. Graph definitions flow forward only (members in order,
+loop back-edges inside one member), so graph nodes 0..nodes-1, with their
+edges and alignment, are the same as from the whole source. Parse errors
+past the cut are not seen.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from ponziscan.errors import NestingTooDeep, ParseError, UnbalancedBrackets
 from ponziscan.solparse import astnodes as a
-from ponziscan.solparse.astnodes import AstNode, leaf
+from ponziscan.solparse.astnodes import AstNode
 from ponziscan.solparse.lexer import (
     KIND_IDENTIFIER,
     KIND_KEYWORD,
@@ -50,6 +70,20 @@ _MUTABILITY_KWS = frozenset({"pure", "view", "payable", "constant", "immutable",
 _STORAGE_KWS = frozenset({"memory", "storage", "calldata"})
 _STATE_VAR_KWS = frozenset({"public", "private", "internal", "constant",
                             "immutable", "override"})
+_PARAM_KWS = _STORAGE_KWS | {"indexed", "payable"}
+_FUNCTION_ATTR_KWS = _VISIBILITY_KWS | _MUTABILITY_KWS
+_MEMBER_KWS = frozenset({"function", "constructor", "modifier", "event", "struct", "enum"})
+
+# Token keys: punctuation and keywords are keyed by their text, the other
+# kinds by a tag no token text equals; END follows the last token.
+IDENT, NUMBER, STRING, END = "<identifier>", "<number>", "<string>", "<end>"
+_TAGS = {KIND_IDENTIFIER: IDENT, KIND_NUMBER: NUMBER, KIND_STRING: STRING}
+# keys after the leading identifier of a type name that can go on declaring
+_TYPE_NAME_NEXT = frozenset({IDENT, ".", "["})
+# leaf kind by token kind alone; identifiers are plain names
+_LEAF_KINDS = {KIND_KEYWORD: a.LEAF_KW, KIND_NUMBER: a.LEAF_NUMBER,
+               KIND_STRING: a.LEAF_STRING, KIND_PUNCT: a.LEAF_PUNCT}
+_MEMBER_NAME_KINDS = (KIND_IDENTIFIER, KIND_KEYWORD)
 
 # Deepest nesting parse accepts. A statement, expression, operand or type
 # name being parsed is one level, and so is each operator or postfix that
@@ -60,81 +94,83 @@ MAX_NESTING = 150
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], nodes: int | None = None):
         self.toks = tokens
+        self.keys = [_TAGS.get(t.kind, t.text) for t in tokens] + [END]
+        self.n = len(tokens)
         self.pos = 0
         self.depth = 0
+        self.vars = 0  # variable occurrences so far, as var_occurrences counts
+        self.limit = math.inf if nodes is None else nodes
 
     # -- token navigation ---------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token | None:
-        i = self.pos + offset
-        return self.toks[i] if i < len(self.toks) else None
-
     def at_end(self) -> bool:
-        return self.pos >= len(self.toks)
+        return self.pos >= self.n
 
     def _offset(self) -> int:
-        if self.pos < len(self.toks):
+        if self.pos < self.n:
             return self.toks[self.pos].start
         return self.toks[-1].end if self.toks else 0
-
-    def advance(self) -> Token:
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
 
     def error(self, message: str, expected: frozenset[str] = frozenset()) -> ParseError:
         return ParseError(message, self._offset(), expected)
 
-    def at_punct(self, *texts: str) -> bool:
-        t = self.peek()
-        return t is not None and t.kind == KIND_PUNCT and t.text in texts
-
-    def at_kw(self, *texts: str) -> bool:
-        t = self.peek()
-        return t is not None and t.kind == KIND_KEYWORD and t.text in texts
+    def at(self, *texts: str) -> bool:
+        """At a punctuation or keyword token with one of these texts."""
+        return self.keys[self.pos] in texts
 
     def at_ident(self) -> bool:
-        t = self.peek()
-        return t is not None and t.kind == KIND_IDENTIFIER
-
-    def at_type_kw(self) -> bool:
-        t = self.peek()
-        return t is not None and t.kind == KIND_KEYWORD and is_type_keyword(t.text)
+        return self.keys[self.pos] == IDENT
 
     def _at_builtin_ref(self) -> bool:
         """At `msg.x`, `block.x` or `tx.x`."""
-        t, dot, member = self.peek(), self.peek(1), self.peek(2)
-        return (t is not None and t.kind == KIND_IDENTIFIER and t.text in BUILTIN_ROOTS
-                and dot is not None and dot.kind == KIND_PUNCT and dot.text == "."
-                and member is not None and member.kind == KIND_IDENTIFIER)
+        p, keys = self.pos, self.keys
+        return (keys[p] == IDENT and keys[p + 1] == "." and keys[p + 2] == IDENT
+                and self.toks[p].text in BUILTIN_ROOTS)
+
+    def _at_decl(self, keywords: frozenset[str]) -> bool:
+        """Whether `type keyword* name` can start here: at a type keyword or
+        `mapping`, or at an identifier followed by an identifier, `.`, `[`
+        or one of `keywords`. Anywhere else an attempt fails at once."""
+        k = self.keys[self.pos]
+        if k == IDENT:
+            nxt = self.keys[self.pos + 1]
+            return nxt in _TYPE_NAME_NEXT or nxt in keywords
+        return k == "mapping" or is_type_keyword(k)
 
     # -- leaf constructors ----------------------------------------------
 
     def take(self, kind: str) -> AstNode:
-        return leaf(kind, self.advance())
+        tok = self.toks[self.pos]
+        self.pos += 1
+        return AstNode(kind, token=tok)
+
+    def take_var(self) -> AstNode:
+        self.vars += 1
+        return self.take(a.LEAF_VAR)
 
     def take_auto(self) -> AstNode:
         """Consume one token as a leaf with a role-free classification."""
-        return self.take(_generic_leaf_kind(self.peek()))
+        return self.take(_LEAF_KINDS.get(self.toks[self.pos].kind, a.LEAF_NAME))
 
     def expect_punct(self, text: str) -> AstNode:
-        if not self.at_punct(text):
+        if self.keys[self.pos] != text:
             raise self.error(f"expected {text!r}", frozenset({text}))
         return self.take(a.LEAF_PUNCT)
 
     def expect_name(self) -> AstNode:
-        if not self.at_ident():
+        if self.keys[self.pos] != IDENT:
             raise self.error("expected identifier", frozenset({"identifier"}))
         return self.take(a.LEAF_NAME)
 
     def expect_var(self) -> AstNode:
-        if not self.at_ident():
+        if self.keys[self.pos] != IDENT:
             raise self.error("expected identifier", frozenset({"identifier"}))
         # Bare "_" is the modifier body placeholder, never a value.
-        kind = a.LEAF_NAME if self.peek().text == "_" else a.LEAF_VAR
-        return self.take(kind)
+        if self.toks[self.pos].text == "_":
+            return self.take(a.LEAF_NAME)
+        return self.take_var()
 
     def nest(self) -> None:
         """One level deeper, until the enclosing try_parse, parse_expression
@@ -145,13 +181,13 @@ class _Parser:
         self.depth += 1
 
     def try_parse(self, fn: Callable[[], AstNode]) -> AstNode | None:
-        save, depth = self.pos, self.depth
+        save, depth, n_vars = self.pos, self.depth, self.vars
         try:
             return fn()
         except NestingTooDeep:
             raise  # no fallback parses what is too deep
         except ParseError:
-            self.pos = save
+            self.pos, self.vars = save, n_vars
             return None
         finally:
             self.depth = depth
@@ -160,18 +196,20 @@ class _Parser:
 
     def parse_source_unit(self) -> AstNode:
         unit = AstNode(a.SOURCE_UNIT)
-        while not self.at_end():
-            if self.at_kw("pragma"):
+        while self.pos < self.n and self.vars <= self.limit:
+            k = self.keys[self.pos]
+            if k == "pragma":
                 unit.add(self._directive(a.PRAGMA))
-            elif self.at_kw("import"):
+            elif k == "import":
                 unit.add(self._directive(a.IMPORT))
-            elif self.at_kw("contract", "interface", "library"):
+            elif k in ("contract", "interface", "library"):
                 unit.add(self.parse_contract())
-            elif self.at_kw("function", "constructor", "modifier", "event",
-                            "struct", "enum"):
+            elif k in _MEMBER_KWS:
                 unit.add(self.parse_contract_member())
             else:
-                unit.add(self.parse_statement_or_opaque())
+                unit.add(self.try_parse(self.parse_statement)
+                         or self.try_parse(self.parse_file_constant)
+                         or self.parse_opaque_statement())
         return unit
 
     def _directive(self, kind: str) -> AstNode:
@@ -179,7 +217,7 @@ class _Parser:
         node = AstNode(kind)
         node.add(self.take(a.LEAF_KW))
         while not self.at_end():
-            if self.at_punct(";"):
+            if self.at(";"):
                 node.add(self.take(a.LEAF_PUNCT))
                 break
             node.add(self.take_auto())
@@ -189,40 +227,51 @@ class _Parser:
         node = AstNode(a.CONTRACT)
         node.add(self.take(a.LEAF_KW))
         node.add(self.expect_name())
-        if self.at_kw("is"):
+        if self.at("is"):
             node.add(self.take(a.LEAF_KW))
             while True:
                 node.add(self.expect_name())
-                if self.at_punct("("):
+                if self.at("("):
                     node.add(self.take(a.LEAF_PUNCT))
                     self._parse_call_args(node)
                     node.add(self.expect_punct(")"))
-                if self.at_punct(","):
+                if self.at(","):
                     node.add(self.take(a.LEAF_PUNCT))
                     continue
                 break
         node.add(self.expect_punct("{"))
-        while not self.at_end() and not self.at_punct("}"):
+        while self.keys[self.pos] not in ("}", END) and self.vars <= self.limit:
             node.add(self.parse_contract_member())
-        node.add(self.expect_punct("}"))
+        if self.vars <= self.limit:
+            node.add(self.expect_punct("}"))
         return node
 
     def parse_contract_member(self) -> AstNode:
-        if self.at_kw("function", "constructor"):
+        k = self.keys[self.pos]
+        if k in ("function", "constructor"):
             return self.parse_function()
-        if self.at_kw("modifier"):
+        if k == "modifier":
             return self.parse_modifier()
-        if self.at_kw("event"):
+        if k == "event":
             return self.parse_event()
-        if self.at_kw("struct"):
+        if k == "struct":
             return self.parse_struct()
-        if self.at_kw("enum"):
+        if k == "enum":
             return self.parse_enum()
         # `using ... for ...;` lands here too: it is no type name
-        return self.try_parse(self.parse_state_var) or self.parse_opaque_statement()
+        decl = self.try_parse(self.parse_state_var) if self._at_decl(_STATE_VAR_KWS) else None
+        return decl or self.parse_opaque_statement()
 
     def parse_state_var(self) -> AstNode:
         return self._var_decl(a.STATE_VAR, _STATE_VAR_KWS)
+
+    def parse_file_constant(self) -> AstNode:
+        """A state variable declared `constant` outside any contract."""
+        node = self.parse_state_var()
+        if not any(c.kind == a.LEAF_KW and c.token.text == "constant"
+                   for c in node.children):
+            raise self.error("expected a constant")
+        return node
 
     def parse_function(self) -> AstNode:
         node = AstNode(a.FUNCTION)
@@ -233,46 +282,47 @@ class _Parser:
         self._parse_params(node)
         node.add(self.expect_punct(")"))
         self._parse_function_attrs(node)
-        if self.at_punct(";"):
+        if self.at(";"):
             node.add(self.take(a.LEAF_PUNCT))
         else:
             node.add(self.parse_block())
         return node
 
     def _parse_params(self, node: AstNode) -> None:
-        while not self.at_punct(")") and not self.at_end():
+        while self.keys[self.pos] not in (")", END):
             param = AstNode(a.PARAM)
             param.add(self.parse_type_name())
-            while self.at_kw("memory", "storage", "calldata", "indexed", "payable"):
+            while self.keys[self.pos] in _PARAM_KWS:
                 param.add(self.take(a.LEAF_KW))
             if self.at_ident():
                 param.add(self.expect_var())
             node.add(param)
-            if self.at_punct(","):
+            if self.at(","):
                 node.add(self.take(a.LEAF_PUNCT))
             else:
                 break
 
     def _parse_function_attrs(self, node: AstNode) -> None:
         while True:
-            if self.at_kw(*(_VISIBILITY_KWS | _MUTABILITY_KWS)):
+            k = self.keys[self.pos]
+            if k in _FUNCTION_ATTR_KWS:
                 node.add(self.take(a.LEAF_KW))
-            elif self.at_kw("override"):
+            elif k == "override":
                 node.add(self.take(a.LEAF_KW))
-                if self.at_punct("("):
+                if self.at("("):
                     node.add(self.take(a.LEAF_PUNCT))
-                    while self.at_ident() or self.at_punct(","):
+                    while self.keys[self.pos] in (IDENT, ","):
                         node.add(self.take_auto())
                     node.add(self.expect_punct(")"))
-            elif self.at_kw("returns"):
+            elif k == "returns":
                 node.add(self.take(a.LEAF_KW))
                 node.add(self.expect_punct("("))
                 self._parse_params(node)
                 node.add(self.expect_punct(")"))
-            elif self.at_ident():
+            elif k == IDENT:
                 # custom modifier invocation; its arguments are real uses
                 node.add(self.take(a.LEAF_NAME))
-                if self.at_punct("("):
+                if self.at("("):
                     node.add(self.take(a.LEAF_PUNCT))
                     self._parse_call_args(node)
                     node.add(self.expect_punct(")"))
@@ -283,11 +333,11 @@ class _Parser:
         node = AstNode(a.MODIFIER_DECL)
         node.add(self.take(a.LEAF_KW))
         node.add(self.expect_name())
-        if self.at_punct("("):
+        if self.at("("):
             node.add(self.take(a.LEAF_PUNCT))
             self._parse_params(node)
             node.add(self.expect_punct(")"))
-        if self.at_punct(";"):
+        if self.at(";"):
             node.add(self.take(a.LEAF_PUNCT))
         else:
             node.add(self.parse_block())
@@ -300,7 +350,7 @@ class _Parser:
         node.add(self.expect_punct("("))
         self._parse_params(node)
         node.add(self.expect_punct(")"))
-        if self.at_kw("anonymous"):
+        if self.at("anonymous"):
             node.add(self.take(a.LEAF_KW))
         node.add(self.expect_punct(";"))
         return node
@@ -310,7 +360,7 @@ class _Parser:
         node.add(self.take(a.LEAF_KW))
         node.add(self.expect_name())
         node.add(self.expect_punct("{"))
-        while not self.at_punct("}") and not self.at_end():
+        while self.keys[self.pos] not in ("}", END):
             member = AstNode(a.VAR_DECL_STMT)
             member.add(self.parse_type_name())
             member.add(self.expect_var())
@@ -324,7 +374,7 @@ class _Parser:
         node.add(self.take(a.LEAF_KW))
         node.add(self.expect_name())
         node.add(self.expect_punct("{"))
-        while not self.at_punct("}") and not self.at_end():
+        while self.keys[self.pos] not in ("}", END):
             node.add(self.take_auto())
         node.add(self.expect_punct("}"))
         return node
@@ -336,27 +386,29 @@ class _Parser:
         self.nest()
         try:
             node = AstNode(a.TYPE_NAME)
-            if self.at_kw("mapping"):
+            keys = self.keys
+            k = keys[self.pos]
+            if k == "mapping":
                 node.add(self.take(a.LEAF_KW))
                 node.add(self.expect_punct("("))
                 node.add(self.parse_type_name())
                 node.add(self.expect_punct("=>"))
                 node.add(self.parse_type_name())
                 node.add(self.expect_punct(")"))
-            elif self.at_type_kw():
-                node.add(self.take(a.LEAF_KW))
-                if node.children[-1].token.text == "address" and self.at_kw("payable"):
-                    node.add(self.take(a.LEAF_KW))
-            elif self.at_ident():
+            elif k == IDENT:
                 node.add(self.take(a.LEAF_NAME))
-                while self.at_punct(".") and self.peek(1) is not None and self.peek(1).kind == KIND_IDENTIFIER:
+                while keys[self.pos] == "." and keys[self.pos + 1] == IDENT:
                     node.add(self.take(a.LEAF_PUNCT))
                     node.add(self.take(a.LEAF_NAME))
+            elif is_type_keyword(k):
+                node.add(self.take(a.LEAF_KW))
+                if k == "address" and keys[self.pos] == "payable":
+                    node.add(self.take(a.LEAF_KW))
             else:
                 raise self.error("expected type name", frozenset({"type"}))
-            while self.at_punct("["):
+            while keys[self.pos] == "[":
                 node.add(self.take(a.LEAF_PUNCT))
-                if not self.at_punct("]"):
+                if keys[self.pos] != "]":
                     node.add(self.parse_expression())
                 node.add(self.expect_punct("]"))
             return node
@@ -368,7 +420,7 @@ class _Parser:
     def parse_block(self) -> AstNode:
         node = AstNode(a.BLOCK)
         node.add(self.expect_punct("{"))
-        while not self.at_end() and not self.at_punct("}"):
+        while self.keys[self.pos] not in ("}", END):
             node.add(self.parse_statement_or_opaque())
         node.add(self.expect_punct("}"))
         return node
@@ -378,40 +430,41 @@ class _Parser:
 
     def parse_statement(self) -> AstNode:
         self.nest()  # only try_parse calls this
-        if self.at_punct("{"):
+        k = self.keys[self.pos]
+        if k == "{":
             return self.parse_block()
-        if self.at_kw("if"):
+        if k == "if":
             return self.parse_if()
-        if self.at_kw("for"):
+        if k == "for":
             return self.parse_for()
-        if self.at_kw("while"):
+        if k == "while":
             return self.parse_while()
-        if self.at_kw("return"):
+        if k == "return":
             node = AstNode(a.RETURN_STMT)
             node.add(self.take(a.LEAF_KW))
-            if not self.at_punct(";"):
+            if not self.at(";"):
                 node.add(self.parse_expression())
             node.add(self.expect_punct(";"))
             return node
-        if self.at_kw("emit"):
+        if k == "emit":
             node = AstNode(a.EMIT_STMT)
             node.add(self.take(a.LEAF_KW))
             node.add(self.parse_expression())
             node.add(self.expect_punct(";"))
             return node
-        if self.at_kw("throw", "break", "continue"):
+        if k in ("throw", "break", "continue"):
             node = AstNode(a.EXPR_STMT)
             node.add(self.take(a.LEAF_KW))
             node.add(self.expect_punct(";"))
             return node
-        if self.at_kw("unchecked"):
+        if k == "unchecked":
             node = AstNode(a.BLOCK)
             node.add(self.take(a.LEAF_KW))
             node.add(self.parse_block())
             return node
-        if self.at_kw("mapping") or self.at_type_kw():
+        if k == "mapping" or is_type_keyword(k):
             return self.parse_var_decl_stmt()
-        if self.at_ident():
+        if self._at_decl(_STORAGE_KWS):
             decl = self.try_parse(self.parse_var_decl_stmt)
             if decl is not None:
                 return decl
@@ -424,10 +477,10 @@ class _Parser:
         """`type keyword* name (= expression)? ;`"""
         node = AstNode(kind)
         node.add(self.parse_type_name())
-        while self.at_kw(*keywords):
+        while self.keys[self.pos] in keywords:
             node.add(self.take(a.LEAF_KW))
         node.add(self.expect_var())
-        if self.at_punct("="):
+        if self.at("="):
             node.add(self.take(a.LEAF_PUNCT))
             node.add(self.parse_expression())
         node.add(self.expect_punct(";"))
@@ -446,7 +499,7 @@ class _Parser:
         node.add(self.parse_expression())
         node.add(self.expect_punct(")"))
         node.add(self.parse_statement_or_opaque())
-        if self.at_kw("else"):
+        if self.at("else"):
             node.add(self.take(a.LEAF_KW))
             node.add(self.parse_statement_or_opaque())
         return node
@@ -464,17 +517,17 @@ class _Parser:
         node = AstNode(a.FOR_STMT)
         node.add(self.take(a.LEAF_KW))
         node.add(self.expect_punct("("))
-        if self.at_punct(";"):
+        if self.at(";"):
             node.add(self.take(a.LEAF_PUNCT))
         else:
-            init = self.try_parse(self.parse_var_decl_stmt)
-            if init is None:
-                init = self.parse_expr_stmt()
-            node.add(init)
-        if not self.at_punct(";"):
+            init = None
+            if self._at_decl(_STORAGE_KWS):
+                init = self.try_parse(self.parse_var_decl_stmt)
+            node.add(init or self.parse_expr_stmt())
+        if not self.at(";"):
             node.add(self.parse_expression())
         node.add(self.expect_punct(";"))
-        if not self.at_punct(")"):
+        if not self.at(")"):
             node.add(self.parse_expression())
         node.add(self.expect_punct(")"))
         node.add(self.parse_statement_or_opaque())
@@ -495,45 +548,42 @@ class _Parser:
         node = AstNode(a.OPAQUE)
         start_offset = self._offset()
         depth = 0
-        is_do = self.at_kw("do")
+        is_do = self.at("do")
         while True:
-            t = self.peek()
-            if t is None:
+            k = self.keys[self.pos]
+            if k == END:
                 if depth > 0:
                     raise UnbalancedBrackets("unbalanced brackets", start_offset)
                 break
-            text = t.text if t.kind == KIND_PUNCT else ""
-            if depth == 0 and text in (")", "]", "}"):
+            if depth == 0 and k in (")", "]", "}"):
                 break
             self._consume_opaque_unit(node)
-            if text in ("(", "[", "{"):
+            if k in ("(", "[", "{"):
                 depth += 1
-            elif text in (")", "]", "}"):
+            elif k in (")", "]", "}"):
                 depth -= 1
-                if (depth == 0 and text == "}"
-                        and not (is_do and self.at_kw("while"))):
+                if depth == 0 and k == "}" and not (is_do and self.at("while")):
                     break
-            elif text == ";" and depth == 0:
+            elif k == ";" and depth == 0:
                 break
         if not node.children and not self.at_end():
             node.add(self.take_auto())  # a stray ')', ']' or '}'
         return node
 
     def _consume_opaque_unit(self, node: AstNode) -> None:
-        t, nxt = self.peek(), self.peek(1)
         if self._at_builtin_ref():
             node.add(self._builtin_ref())
-        elif t.kind != KIND_IDENTIFIER:
-            node.add(self.take(_generic_leaf_kind(t)))
-        elif t.text == "_" or (nxt is not None and nxt.kind == KIND_PUNCT and nxt.text == "("):
+        elif self.keys[self.pos] != IDENT:
+            node.add(self.take_auto())
+        elif self.toks[self.pos].text == "_" or self.keys[self.pos + 1] == "(":
             node.add(self.take(a.LEAF_NAME))  # modifier placeholder or callee
         else:
-            node.add(self.take(a.LEAF_VAR))
+            node.add(self.take_var())
 
     def _builtin_ref(self) -> AstNode:
         """One dotted variable rooted at msg/block/tx: the root is its leaf."""
         node = AstNode(a.BUILTIN_REF)
-        node.add(self.take(a.LEAF_VAR), self.take(a.LEAF_PUNCT), self.take(a.LEAF_NAME))
+        node.add(self.take_var(), self.take(a.LEAF_PUNCT), self.take(a.LEAF_NAME))
         return node
 
     # -- expressions --------------------------------------------------------
@@ -543,31 +593,29 @@ class _Parser:
         self.nest()
         try:
             lhs = self.parse_unary()
+            keys = self.keys
             while True:
-                t = self.peek()
-                if t is None or t.kind != KIND_PUNCT:
-                    break
-                text = t.text
-                if text in ASSIGN_OPS:
+                k = keys[self.pos]
+                if k in ASSIGN_OPS:
                     if _ASSIGN_BP < min_bp:
                         break
                     node = AstNode(a.ASSIGN)
                     node.add(lhs, self.take(a.LEAF_PUNCT), self.parse_expression(_ASSIGN_BP))
                     lhs = node
-                elif text == "?":
+                elif k == "?":
                     if _TERNARY_BP < min_bp:
                         break
                     node = AstNode(a.TERNARY)
                     node.add(lhs, self.take(a.LEAF_PUNCT), self.parse_expression())
                     node.add(self.expect_punct(":"), self.parse_expression(_TERNARY_BP))
                     lhs = node
-                elif text in _BINARY_BP:
-                    bp = _BINARY_BP[text]
-                    if (bp < min_bp) or (bp == min_bp and text not in _RIGHT_ASSOC):
+                elif k in _BINARY_BP:
+                    bp = _BINARY_BP[k]
+                    if (bp < min_bp) or (bp == min_bp and k not in _RIGHT_ASSOC):
                         break
                     node = AstNode(a.BINARY)
                     node.add(lhs, self.take(a.LEAF_PUNCT))
-                    node.add(self.parse_expression(bp if text in _RIGHT_ASSOC else bp + 1))
+                    node.add(self.parse_expression(bp if k in _RIGHT_ASSOC else bp + 1))
                     lhs = node
                 else:
                     break
@@ -578,45 +626,48 @@ class _Parser:
 
     def parse_unary(self) -> AstNode:
         self.nest()  # only parse_expression and parse_unary call this
-        t = self.peek()
-        if t is not None and t.kind == KIND_PUNCT and t.text in _PREFIX_OPS:
+        k = self.keys[self.pos]
+        if k in _PREFIX_OPS:
             node = AstNode(a.UNARY)
             node.add(self.take(a.LEAF_PUNCT), self.parse_unary())
             return node
-        if self.at_kw("delete"):
+        if k == "delete":
             node = AstNode(a.UNARY)
             node.add(self.take(a.LEAF_KW), self.parse_unary())
             return node
-        if self.at_kw("new"):
+        if k == "new":
             node = AstNode(a.NEW_EXPR)
             node.add(self.take(a.LEAF_KW), self.parse_type_name())
             return self.parse_postfix(node)
         return self.parse_postfix(self.parse_primary())
 
     def parse_postfix(self, node: AstNode) -> AstNode:
+        keys = self.keys
         while True:
-            if self.at_punct("("):
-                if node.is_leaf and node.kind == a.LEAF_VAR:
+            k = keys[self.pos]
+            if k == "(":
+                if node.kind == a.LEAF_VAR:
                     node.kind = a.LEAF_NAME  # bare identifier in callee position
+                    self.vars -= 1
                 call = AstNode(a.CALL)
                 call.add(node, self.take(a.LEAF_PUNCT))
                 self._parse_call_args(call)
                 call.add(self.expect_punct(")"))
                 node = call
-            elif self.at_punct("["):
+            elif k == "[":
                 idx = AstNode(a.INDEX)
                 idx.add(node, self.take(a.LEAF_PUNCT))
-                if not self.at_punct("]"):
+                if keys[self.pos] != "]":
                     idx.add(self.parse_expression())
                 idx.add(self.expect_punct("]"))
                 node = idx
-            elif self.at_punct(".") and self.peek(1) is not None and self.peek(1).kind in (KIND_IDENTIFIER, KIND_KEYWORD):
+            elif (k == "." and keys[self.pos + 1] != END
+                    and self.toks[self.pos + 1].kind in _MEMBER_NAME_KINDS):
                 member = AstNode(a.MEMBER)
                 member.add(node, self.take(a.LEAF_PUNCT))
-                member.add(self.take(a.LEAF_NAME) if self.peek().kind == KIND_IDENTIFIER
-                           else self.take(a.LEAF_KW))
+                member.add(self.take(a.LEAF_NAME if keys[self.pos] == IDENT else a.LEAF_KW))
                 node = member
-            elif self.at_punct("++", "--"):
+            elif k in ("++", "--"):
                 post = AstNode(a.POSTFIX)
                 post.add(node, self.take(a.LEAF_PUNCT))
                 node = post
@@ -625,91 +676,84 @@ class _Parser:
             self.nest()  # every wrap is one level deeper
 
     def _parse_call_args(self, node: AstNode) -> None:
-        if self.at_punct("{"):
+        keys = self.keys
+        if keys[self.pos] == "{":
             node.add(self.take(a.LEAF_PUNCT))
-            while not self.at_punct("}") and not self.at_end():
+            while keys[self.pos] not in ("}", END):
                 node.add(self.expect_name())
                 node.add(self.expect_punct(":"))
                 node.add(self.parse_expression())
-                if self.at_punct(","):
+                if keys[self.pos] == ",":
                     node.add(self.take(a.LEAF_PUNCT))
             node.add(self.expect_punct("}"))
             return
-        while not self.at_punct(")") and not self.at_end():
+        while keys[self.pos] not in (")", END):
             node.add(self.parse_expression())
-            if self.at_punct(","):
+            if keys[self.pos] == ",":
                 node.add(self.take(a.LEAF_PUNCT))
             else:
                 break
 
     def parse_primary(self) -> AstNode:
-        t = self.peek()
-        if t is None:
-            raise self.error("expected expression", frozenset({"expression"}))
-        if self._at_builtin_ref():
-            return self._builtin_ref()
-        if t.kind == KIND_IDENTIFIER:
+        k = self.keys[self.pos]
+        if k == IDENT:
+            if self._at_builtin_ref():
+                return self._builtin_ref()
             return self.expect_var()
-        if t.kind == KIND_NUMBER:
+        if k == NUMBER:
             num = self.take(a.LEAF_NUMBER)
-            if self.at_kw(*UNIT_KEYWORDS):
+            if self.keys[self.pos] in UNIT_KEYWORDS:
                 node = AstNode(a.UNIT_LITERAL)
                 node.add(num, self.take(a.LEAF_KW))
                 return node
             return num
-        if t.kind == KIND_STRING:
+        if k == STRING:
             return self.take(a.LEAF_STRING)
-        if t.kind == KIND_KEYWORD:
-            if t.text in ("true", "false", "this"):
+        if k == END:
+            raise self.error("expected expression", frozenset({"expression"}))
+        if self.toks[self.pos].kind == KIND_KEYWORD:
+            if k in ("true", "false", "this"):
                 return self.take(a.LEAF_KW)
-            if is_type_keyword(t.text) or t.text == "payable":
+            if is_type_keyword(k) or k == "payable":
                 # elementary type in expression position: a cast callee
                 node = self.take(a.LEAF_KW)
-                if t.text == "address" and self.at_kw("payable"):
+                if k == "address" and self.at("payable"):
                     wrap = AstNode(a.TYPE_NAME)
                     wrap.add(node, self.take(a.LEAF_KW))
                     node = wrap
                 return node
-            if t.text == "mapping":
+            if k == "mapping":
                 return self.parse_type_name()
-            raise self.error(f"unexpected keyword {t.text!r} in expression")
-        if t.kind == KIND_PUNCT and t.text == "(":
+            raise self.error(f"unexpected keyword {k!r} in expression")
+        if k == "(":
             node = AstNode(a.TUPLE)
             node.add(self.take(a.LEAF_PUNCT))
-            while not self.at_punct(")") and not self.at_end():
-                if self.at_punct(","):
+            while self.keys[self.pos] not in (")", END):
+                if self.at(","):
                     node.add(self.take(a.LEAF_PUNCT))  # empty tuple slot
                     continue
                 node.add(self.parse_expression())
-                if self.at_punct(","):
+                if self.at(","):
                     node.add(self.take(a.LEAF_PUNCT))
             node.add(self.expect_punct(")"))
             return node
-        if t.kind == KIND_PUNCT and t.text == "[":
+        if k == "[":
             node = AstNode(a.ARRAY_LITERAL)
             node.add(self.take(a.LEAF_PUNCT))
-            while not self.at_punct("]") and not self.at_end():
+            while self.keys[self.pos] not in ("]", END):
                 node.add(self.parse_expression())
-                if self.at_punct(","):
+                if self.at(","):
                     node.add(self.take(a.LEAF_PUNCT))
             node.add(self.expect_punct("]"))
             return node
-        raise self.error(f"unexpected token {t.text!r} in expression")
+        raise self.error(f"unexpected token {k!r} in expression")
 
 
-def _generic_leaf_kind(t: Token) -> str:
-    """Leaf kind by token kind alone; identifiers are plain names."""
-    return {
-        KIND_KEYWORD: a.LEAF_KW,
-        KIND_NUMBER: a.LEAF_NUMBER,
-        KIND_STRING: a.LEAF_STRING,
-        KIND_PUNCT: a.LEAF_PUNCT,
-    }.get(t.kind, a.LEAF_NAME)
-
-
-def parse(tokens: list[Token]) -> AstNode:
-    """Parse a token stream (from lex) into a lossless syntax tree."""
-    return _Parser(tokens).parse_source_unit()
+def parse(tokens: list[Token], nodes: int | None = None) -> AstNode:
+    """Parse a token stream (from lex) into a lossless syntax tree. With
+    `nodes`, stop after the first top-level or contract member that takes
+    the count of variable occurrences above `nodes`."""
+    return _Parser(tokens, nodes).parse_source_unit()
 
 
 def var_occurrences(ast: AstNode) -> list[tuple[AstNode, str]]:

@@ -297,6 +297,31 @@ def test_predict_reports_probability(workspace, capsys):
     assert 0.0 < payload["probability"] < 1.0
 
 
+# More than TINY's 12 graph nodes in contract A, then a header that does not parse.
+CUT_OK = ("contract A { uint a; uint b; function f(uint x) public {"
+          " a = a + x; b = b + a; a = b * x; b = a - x; } }")
+BROKEN = "contract B { function g( }"
+
+
+@pytest.mark.parametrize("broken_first", [False, True])
+def test_predict_sees_parse_errors_only_before_the_cut(workspace, tmp_path, capsys,
+                                                       broken_first):
+    source = tmp_path / "cut.sol"
+    parts = [BROKEN, CUT_OK] if broken_first else [CUT_OK, BROKEN]
+    source.write_text("\n".join(parts) + "\n", encoding="utf-8")
+    assert run(["parse", "--source", str(source)]) == 1
+    parse_err = capsys.readouterr().err
+    assert parse_err.startswith("error: expected type name at byte ")
+    code = run(["predict", "--source", str(source),
+                "--checkpoint", str(workspace["model"])])
+    captured = capsys.readouterr()
+    if broken_first:
+        assert (code, captured.err) == (1, parse_err)
+    else:
+        assert code == 0
+        assert json.loads(captured.out)["label"] in (0, 1)
+
+
 def test_predict_threshold_flips_label(workspace, capsys):
     base = ["predict", "--source", str(workspace["source"]),
             "--checkpoint", str(workspace["model"])]

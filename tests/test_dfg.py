@@ -196,6 +196,31 @@ def test_inheritance_argument_definition_reaches_every_member():
     assert edges(g) == [(0, 2), (0, 4), (2, 1), (4, 3)]  # x_1 -> x_3 too
 
 
+def test_bare_inheritance_argument_is_a_use():
+    g = dfg_of("contract A is B(x = 1), C(x) { }")
+    assert names(g) == ["x_1", "x_2"]
+    assert edges(g) == [(0, 1)]
+
+
+def test_file_level_constant_reaches_a_contract():
+    g = dfg_of("uint constant FEE = 10;"
+               " contract A { function f() public { uint y = FEE; } }")
+    assert names(g) == ["FEE_1", "y_1", "FEE_2"]
+    assert edges(g) == [(0, 2), (2, 1)]
+
+
+def test_file_level_definition_reaches_an_inheritance_argument():
+    g = dfg_of("uint x = 1; contract A is B(x) { }")
+    assert names(g) == ["x_1", "x_2"]
+    assert edges(g) == [(0, 1)]
+
+
+def test_contract_definitions_stay_in_the_contract():
+    g = dfg_of("uint x = 1; contract A { uint x = 2; } contract B is C(x) { }")
+    assert names(g) == ["x_1", "x_2", "x_3"]
+    assert edges(g) == [(0, 2)]
+
+
 def test_state_initializer_definition_reaches_every_member():
     g = dfg_of("contract A { uint a = b = 1; function f() public { y = b; }"
                " function g() public { z = b; } }")

@@ -276,3 +276,65 @@ def test_handled_construct_parses_without_opaque_statements(source, node_names):
     assert [n for n in walk(ast) if n.kind == A.OPAQUE] == []
     assert [name for _, name in var_occurrences(ast)] == node_names
     assert_leaf_totality(source)
+
+
+def test_file_level_constant_is_a_state_variable():
+    ast = parse("uint constant FEE = 10; uint256 public constant X = FEE;"
+                " contract A { }")
+    assert [m.kind for m in ast.children] == [A.STATE_VAR, A.STATE_VAR, A.CONTRACT]
+    assert [name for _, name in var_occurrences(ast)] == ["FEE", "X", "FEE"]
+
+
+@pytest.mark.parametrize("source, kind", [
+    ("uint x = 1;", A.VAR_DECL_STMT),        # a statement stays a statement
+    ("uint public x = 1;", A.OPAQUE),        # a state variable needs `constant`
+    ("uint constant;", A.OPAQUE),
+])
+def test_other_file_level_declarations_keep_their_parse(source, kind):
+    assert [m.kind for m in parse(source).children] == [kind]
+
+
+CUT_SOURCE = ("contract A { uint a; function f() public { a = a + 1; }"
+              " function g() public { a = 2; } }"
+              " contract B { uint b; }")
+
+
+def _unit_var_count(ast) -> int:
+    return len(var_occurrences(ast))
+
+
+@pytest.mark.parametrize("nodes, kept", [
+    (0, "uint a;"),                              # 1 > 0 after the state variable
+    (1, "function f() public { a = a + 1; }"),   # 3 > 1
+    (3, "function g() public { a = 2; }"),       # 4 > 3
+    (4, None),                                   # 4 + 1 in contract B
+])
+def test_parse_stops_after_the_member_that_passes_nodes(nodes, kept):
+    full = parse(CUT_SOURCE)
+    cut = parse_tokens(lex(CUT_SOURCE), nodes)
+    assert _unit_var_count(cut) > nodes
+    got = [leaf.token.index for leaf in leaves(cut)]
+    assert got == [leaf.token.index for leaf in leaves(full)][:len(got)]
+    if kept is None:
+        assert len(cut.children) == 2
+        assert leaves(cut.children[1])[-1].token.text == ";"  # B ends without '}'
+    else:
+        contract = cut.children[0]
+        last = " ".join(leaf.token.text for leaf in leaves(contract.children[-1]))
+        assert (len(cut.children), last) == (1, " ".join(t.text for t in lex(kept)))
+
+
+def test_parse_error_past_the_cut_is_not_raised():
+    tokens = lex("contract A { uint a; function f() public { a = 1; } }"
+                 " contract B { function g( }")
+    with pytest.raises(ParseError):
+        parse_tokens(tokens)
+    assert _unit_var_count(parse_tokens(tokens, 1)) == 2
+
+
+def test_callee_demotion_is_not_counted():
+    # f is demoted from variable to callee, so only x and y count
+    ast = parse_tokens(lex("contract A { function g() public { f(x); y = 1; } }"
+                           " contract B { uint b; }"), 1)
+    assert [name for _, name in var_occurrences(ast)] == ["x", "y"]
+    assert len(ast.children) == 1
