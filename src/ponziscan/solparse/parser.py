@@ -17,10 +17,11 @@ strings, and an end key after the last token. Testing the current token is
 one list read, and no key of one kind equals a key of another.
 
 A declaration is attempted only where one can follow: at a type keyword or
-`mapping`, or at an identifier followed by an identifier, `.`, `[` or a
-declaration keyword (`memory`, `storage`, `calldata` in a statement;
-`public`, `constant`, ... in a contract). Anywhere else the attempt would
-fail at its first token or two, so skipping it changes no tree and no error.
+`mapping`, or at an identifier or dotted identifier (`a.b`) followed by an
+identifier, `[` or a declaration keyword (`memory`, `storage`, `calldata`
+in a statement; `public`, `constant`, ... in a contract). Anywhere else the
+attempt would fail before its type name ends, so skipping it changes no
+tree and no error.
 
 Given `nodes`, parse stops after the first top-level or contract member
 that takes the count of variable occurrences (as var_occurrences counts
@@ -78,8 +79,8 @@ _MEMBER_KWS = frozenset({"function", "constructor", "modifier", "event", "struct
 # kinds by a tag no token text equals; END follows the last token.
 IDENT, NUMBER, STRING, END = "<identifier>", "<number>", "<string>", "<end>"
 _TAGS = {KIND_IDENTIFIER: IDENT, KIND_NUMBER: NUMBER, KIND_STRING: STRING}
-# keys after the leading identifier of a type name that can go on declaring
-_TYPE_NAME_NEXT = frozenset({IDENT, ".", "["})
+# keys after a dotted identifier that can go on declaring
+_TYPE_NAME_NEXT = frozenset({IDENT, "["})
 # leaf kind by token kind alone; identifiers are plain names
 _LEAF_KINDS = {KIND_KEYWORD: a.LEAF_KW, KIND_NUMBER: a.LEAF_NUMBER,
                KIND_STRING: a.LEAF_STRING, KIND_PUNCT: a.LEAF_PUNCT}
@@ -131,20 +132,23 @@ class _Parser:
 
     def _at_decl(self, keywords: frozenset[str]) -> bool:
         """Whether `type keyword* name` can start here: at a type keyword or
-        `mapping`, or at an identifier followed by an identifier, `.`, `[`
-        or one of `keywords`. Anywhere else an attempt fails at once."""
-        k = self.keys[self.pos]
-        if k == IDENT:
-            nxt = self.keys[self.pos + 1]
-            return nxt in _TYPE_NAME_NEXT or nxt in keywords
-        return k == "mapping" or is_type_keyword(k)
+        `mapping`, or at a dotted identifier (`a.b.c`, as parse_type_name
+        reads it) followed by an identifier, `[` or one of `keywords`.
+        Anywhere else an attempt fails before its type name ends."""
+        keys, p = self.keys, self.pos
+        if keys[p] != IDENT:
+            return keys[p] == "mapping" or is_type_keyword(keys[p])
+        p += 1
+        while keys[p] == "." and keys[p + 1] == IDENT:
+            p += 2
+        return keys[p] in _TYPE_NAME_NEXT or keys[p] in keywords
 
     # -- leaf constructors ----------------------------------------------
 
     def take(self, kind: str) -> AstNode:
         tok = self.toks[self.pos]
         self.pos += 1
-        return AstNode(kind, token=tok)
+        return AstNode(kind, [], tok)  # positional: a keyword call costs more
 
     def take_var(self) -> AstNode:
         self.vars += 1
