@@ -73,7 +73,6 @@ _STATE_VAR_KWS = frozenset({"public", "private", "internal", "constant",
                             "immutable", "override"})
 _PARAM_KWS = _STORAGE_KWS | {"indexed", "payable"}
 _FUNCTION_ATTR_KWS = _VISIBILITY_KWS | _MUTABILITY_KWS
-_MEMBER_KWS = frozenset({"function", "constructor", "modifier", "event", "struct", "enum"})
 
 # Token keys: punctuation and keywords are keyed by their text, the other
 # kinds by a tag no token text equals; END follows the last token.
@@ -84,7 +83,6 @@ _TYPE_NAME_NEXT = frozenset({IDENT, "["})
 # leaf kind by token kind alone; identifiers are plain names
 _LEAF_KINDS = {KIND_KEYWORD: a.LEAF_KW, KIND_NUMBER: a.LEAF_NUMBER,
                KIND_STRING: a.LEAF_STRING, KIND_PUNCT: a.LEAF_PUNCT}
-_MEMBER_NAME_KINDS = (KIND_IDENTIFIER, KIND_KEYWORD)
 
 # Deepest nesting parse accepts. A statement, expression, operand or type
 # name being parsed is one level, and so is each operator or postfix that
@@ -200,15 +198,13 @@ class _Parser:
 
     def parse_source_unit(self) -> AstNode:
         unit = AstNode(a.SOURCE_UNIT)
-        while self.pos < self.n and self.vars <= self.limit:
+        while not self.at_end() and self.vars <= self.limit:
             k = self.keys[self.pos]
-            if k == "pragma":
-                unit.add(self._directive(a.PRAGMA))
-            elif k == "import":
-                unit.add(self._directive(a.IMPORT))
+            if k in ("pragma", "import"):
+                unit.add(self._directive(a.PRAGMA if k == "pragma" else a.IMPORT))
             elif k in ("contract", "interface", "library"):
                 unit.add(self.parse_contract())
-            elif k in _MEMBER_KWS:
+            elif k in _MEMBER_PARSERS:
                 unit.add(self.parse_contract_member())
             else:
                 unit.add(self.try_parse(self.parse_statement)
@@ -218,8 +214,7 @@ class _Parser:
 
     def _directive(self, kind: str) -> AstNode:
         """pragma/import: consumed through ';', no variable occurrences."""
-        node = AstNode(kind)
-        node.add(self.take(a.LEAF_KW))
+        node = AstNode(kind, [self.take(a.LEAF_KW)])
         while not self.at_end():
             if self.at(";"):
                 node.add(self.take(a.LEAF_PUNCT))
@@ -227,22 +222,21 @@ class _Parser:
             node.add(self.take_auto())
         return node
 
+    def _declared(self, kind: str) -> AstNode:
+        """A node started with its keyword and declared name."""
+        return AstNode(kind, [self.take(a.LEAF_KW), self.expect_name()])
+
     def parse_contract(self) -> AstNode:
-        node = AstNode(a.CONTRACT)
-        node.add(self.take(a.LEAF_KW))
-        node.add(self.expect_name())
+        node = self._declared(a.CONTRACT)
         if self.at("is"):
             node.add(self.take(a.LEAF_KW))
             while True:
                 node.add(self.expect_name())
                 if self.at("("):
-                    node.add(self.take(a.LEAF_PUNCT))
                     self._parse_call_args(node)
-                    node.add(self.expect_punct(")"))
-                if self.at(","):
-                    node.add(self.take(a.LEAF_PUNCT))
-                    continue
-                break
+                if not self.at(","):
+                    break
+                node.add(self.take(a.LEAF_PUNCT))
         node.add(self.expect_punct("{"))
         while self.keys[self.pos] not in ("}", END) and self.vars <= self.limit:
             node.add(self.parse_contract_member())
@@ -251,17 +245,9 @@ class _Parser:
         return node
 
     def parse_contract_member(self) -> AstNode:
-        k = self.keys[self.pos]
-        if k in ("function", "constructor"):
-            return self.parse_function()
-        if k == "modifier":
-            return self.parse_modifier()
-        if k == "event":
-            return self.parse_event()
-        if k == "struct":
-            return self.parse_struct()
-        if k == "enum":
-            return self.parse_enum()
+        parse_member = _MEMBER_PARSERS.get(self.keys[self.pos])
+        if parse_member is not None:
+            return parse_member(self)
         # `using ... for ...;` lands here too: it is no type name
         decl = self.try_parse(self.parse_state_var) if self._at_decl(_STATE_VAR_KWS) else None
         return decl or self.parse_opaque_statement()
@@ -278,33 +264,28 @@ class _Parser:
         return node
 
     def parse_function(self) -> AstNode:
-        node = AstNode(a.FUNCTION)
-        node.add(self.take(a.LEAF_KW))
+        node = AstNode(a.FUNCTION, [self.take(a.LEAF_KW)])
         if self.at_ident():
             node.add(self.take(a.LEAF_NAME))
-        node.add(self.expect_punct("("))
         self._parse_params(node)
-        node.add(self.expect_punct(")"))
         self._parse_function_attrs(node)
-        if self.at(";"):
-            node.add(self.take(a.LEAF_PUNCT))
-        else:
-            node.add(self.parse_block())
+        node.add(self.take(a.LEAF_PUNCT) if self.at(";") else self.parse_block())
         return node
 
     def _parse_params(self, node: AstNode) -> None:
+        """`(type keyword* name?, ...)`"""
+        node.add(self.expect_punct("("))
         while self.keys[self.pos] not in (")", END):
-            param = AstNode(a.PARAM)
-            param.add(self.parse_type_name())
+            param = AstNode(a.PARAM, [self.parse_type_name()])
             while self.keys[self.pos] in _PARAM_KWS:
                 param.add(self.take(a.LEAF_KW))
             if self.at_ident():
                 param.add(self.expect_var())
             node.add(param)
-            if self.at(","):
-                node.add(self.take(a.LEAF_PUNCT))
-            else:
+            if not self.at(","):
                 break
+            node.add(self.take(a.LEAF_PUNCT))
+        node.add(self.expect_punct(")"))
 
     def _parse_function_attrs(self, node: AstNode) -> None:
         while True:
@@ -320,63 +301,41 @@ class _Parser:
                     node.add(self.expect_punct(")"))
             elif k == "returns":
                 node.add(self.take(a.LEAF_KW))
-                node.add(self.expect_punct("("))
                 self._parse_params(node)
-                node.add(self.expect_punct(")"))
             elif k == IDENT:
                 # custom modifier invocation; its arguments are real uses
                 node.add(self.take(a.LEAF_NAME))
                 if self.at("("):
-                    node.add(self.take(a.LEAF_PUNCT))
                     self._parse_call_args(node)
-                    node.add(self.expect_punct(")"))
             else:
                 break
 
     def parse_modifier(self) -> AstNode:
-        node = AstNode(a.MODIFIER_DECL)
-        node.add(self.take(a.LEAF_KW))
-        node.add(self.expect_name())
+        node = self._declared(a.MODIFIER_DECL)
         if self.at("("):
-            node.add(self.take(a.LEAF_PUNCT))
             self._parse_params(node)
-            node.add(self.expect_punct(")"))
-        if self.at(";"):
-            node.add(self.take(a.LEAF_PUNCT))
-        else:
-            node.add(self.parse_block())
+        node.add(self.take(a.LEAF_PUNCT) if self.at(";") else self.parse_block())
         return node
 
     def parse_event(self) -> AstNode:
-        node = AstNode(a.EVENT_DECL)
-        node.add(self.take(a.LEAF_KW))
-        node.add(self.expect_name())
-        node.add(self.expect_punct("("))
+        node = self._declared(a.EVENT_DECL)
         self._parse_params(node)
-        node.add(self.expect_punct(")"))
         if self.at("anonymous"):
             node.add(self.take(a.LEAF_KW))
         node.add(self.expect_punct(";"))
         return node
 
     def parse_struct(self) -> AstNode:
-        node = AstNode(a.STRUCT_DECL)
-        node.add(self.take(a.LEAF_KW))
-        node.add(self.expect_name())
+        node = self._declared(a.STRUCT_DECL)
         node.add(self.expect_punct("{"))
         while self.keys[self.pos] not in ("}", END):
-            member = AstNode(a.VAR_DECL_STMT)
-            member.add(self.parse_type_name())
-            member.add(self.expect_var())
-            member.add(self.expect_punct(";"))
-            node.add(member)
+            node.add(AstNode(a.VAR_DECL_STMT, [self.parse_type_name(), self.expect_var(),
+                                               self.expect_punct(";")]))
         node.add(self.expect_punct("}"))
         return node
 
     def parse_enum(self) -> AstNode:
-        node = AstNode(a.ENUM_DECL)
-        node.add(self.take(a.LEAF_KW))
-        node.add(self.expect_name())
+        node = self._declared(a.ENUM_DECL)
         node.add(self.expect_punct("{"))
         while self.keys[self.pos] not in ("}", END):
             node.add(self.take_auto())
@@ -393,17 +352,13 @@ class _Parser:
             keys = self.keys
             k = keys[self.pos]
             if k == "mapping":
-                node.add(self.take(a.LEAF_KW))
-                node.add(self.expect_punct("("))
-                node.add(self.parse_type_name())
-                node.add(self.expect_punct("=>"))
-                node.add(self.parse_type_name())
-                node.add(self.expect_punct(")"))
+                node.add(self.take(a.LEAF_KW), self.expect_punct("("), self.parse_type_name(),
+                         self.expect_punct("=>"), self.parse_type_name(),
+                         self.expect_punct(")"))
             elif k == IDENT:
                 node.add(self.take(a.LEAF_NAME))
                 while keys[self.pos] == "." and keys[self.pos + 1] == IDENT:
-                    node.add(self.take(a.LEAF_PUNCT))
-                    node.add(self.take(a.LEAF_NAME))
+                    node.add(self.take(a.LEAF_PUNCT), self.take(a.LEAF_NAME))
             elif is_type_keyword(k):
                 node.add(self.take(a.LEAF_KW))
                 if k == "address" and keys[self.pos] == "payable":
@@ -422,8 +377,7 @@ class _Parser:
     # -- statements -------------------------------------------------------
 
     def parse_block(self) -> AstNode:
-        node = AstNode(a.BLOCK)
-        node.add(self.expect_punct("{"))
+        node = AstNode(a.BLOCK, [self.expect_punct("{")])
         while self.keys[self.pos] not in ("}", END):
             node.add(self.parse_statement_or_opaque())
         node.add(self.expect_punct("}"))
@@ -444,28 +398,18 @@ class _Parser:
         if k == "while":
             return self.parse_while()
         if k == "return":
-            node = AstNode(a.RETURN_STMT)
-            node.add(self.take(a.LEAF_KW))
+            node = AstNode(a.RETURN_STMT, [self.take(a.LEAF_KW)])
             if not self.at(";"):
                 node.add(self.parse_expression())
             node.add(self.expect_punct(";"))
             return node
         if k == "emit":
-            node = AstNode(a.EMIT_STMT)
-            node.add(self.take(a.LEAF_KW))
-            node.add(self.parse_expression())
-            node.add(self.expect_punct(";"))
-            return node
+            return AstNode(a.EMIT_STMT, [self.take(a.LEAF_KW), self.parse_expression(),
+                                         self.expect_punct(";")])
         if k in ("throw", "break", "continue"):
-            node = AstNode(a.EXPR_STMT)
-            node.add(self.take(a.LEAF_KW))
-            node.add(self.expect_punct(";"))
-            return node
+            return AstNode(a.EXPR_STMT, [self.take(a.LEAF_KW), self.expect_punct(";")])
         if k == "unchecked":
-            node = AstNode(a.BLOCK)
-            node.add(self.take(a.LEAF_KW))
-            node.add(self.parse_block())
-            return node
+            return AstNode(a.BLOCK, [self.take(a.LEAF_KW), self.parse_block()])
         if k == "mapping" or is_type_keyword(k):
             return self.parse_var_decl_stmt()
         if self._at_decl(_STORAGE_KWS):
@@ -479,48 +423,35 @@ class _Parser:
 
     def _var_decl(self, kind: str, keywords: frozenset[str]) -> AstNode:
         """`type keyword* name (= expression)? ;`"""
-        node = AstNode(kind)
-        node.add(self.parse_type_name())
+        node = AstNode(kind, [self.parse_type_name()])
         while self.keys[self.pos] in keywords:
             node.add(self.take(a.LEAF_KW))
         node.add(self.expect_var())
         if self.at("="):
-            node.add(self.take(a.LEAF_PUNCT))
-            node.add(self.parse_expression())
+            node.add(self.take(a.LEAF_PUNCT), self.parse_expression())
         node.add(self.expect_punct(";"))
         return node
 
     def parse_expr_stmt(self) -> AstNode:
-        node = AstNode(a.EXPR_STMT)
-        node.add(self.parse_expression())
-        node.add(self.expect_punct(";"))
-        return node
+        return AstNode(a.EXPR_STMT, [self.parse_expression(), self.expect_punct(";")])
+
+    def _guarded(self, kind: str) -> AstNode:
+        """`keyword ( expression ) statement`: an if without its else, or a while."""
+        return AstNode(kind, [self.take(a.LEAF_KW), self.expect_punct("("),
+                              self.parse_expression(), self.expect_punct(")"),
+                              self.parse_statement_or_opaque()])
 
     def parse_if(self) -> AstNode:
-        node = AstNode(a.IF_STMT)
-        node.add(self.take(a.LEAF_KW))
-        node.add(self.expect_punct("("))
-        node.add(self.parse_expression())
-        node.add(self.expect_punct(")"))
-        node.add(self.parse_statement_or_opaque())
+        node = self._guarded(a.IF_STMT)
         if self.at("else"):
-            node.add(self.take(a.LEAF_KW))
-            node.add(self.parse_statement_or_opaque())
+            node.add(self.take(a.LEAF_KW), self.parse_statement_or_opaque())
         return node
 
     def parse_while(self) -> AstNode:
-        node = AstNode(a.WHILE_STMT)
-        node.add(self.take(a.LEAF_KW))
-        node.add(self.expect_punct("("))
-        node.add(self.parse_expression())
-        node.add(self.expect_punct(")"))
-        node.add(self.parse_statement_or_opaque())
-        return node
+        return self._guarded(a.WHILE_STMT)
 
     def parse_for(self) -> AstNode:
-        node = AstNode(a.FOR_STMT)
-        node.add(self.take(a.LEAF_KW))
-        node.add(self.expect_punct("("))
+        node = AstNode(a.FOR_STMT, [self.take(a.LEAF_KW), self.expect_punct("(")])
         if self.at(";"):
             node.add(self.take(a.LEAF_PUNCT))
         else:
@@ -533,8 +464,7 @@ class _Parser:
         node.add(self.expect_punct(";"))
         if not self.at(")"):
             node.add(self.parse_expression())
-        node.add(self.expect_punct(")"))
-        node.add(self.parse_statement_or_opaque())
+        node.add(self.expect_punct(")"), self.parse_statement_or_opaque())
         return node
 
     # -- opaque fallback ---------------------------------------------------
@@ -586,9 +516,8 @@ class _Parser:
 
     def _builtin_ref(self) -> AstNode:
         """One dotted variable rooted at msg/block/tx: the root is its leaf."""
-        node = AstNode(a.BUILTIN_REF)
-        node.add(self.take_var(), self.take(a.LEAF_PUNCT), self.take(a.LEAF_NAME))
-        return node
+        return AstNode(a.BUILTIN_REF, [self.take_var(), self.take(a.LEAF_PUNCT),
+                                       self.take(a.LEAF_NAME)])
 
     # -- expressions --------------------------------------------------------
 
@@ -603,24 +532,20 @@ class _Parser:
                 if k in ASSIGN_OPS:
                     if _ASSIGN_BP < min_bp:
                         break
-                    node = AstNode(a.ASSIGN)
-                    node.add(lhs, self.take(a.LEAF_PUNCT), self.parse_expression(_ASSIGN_BP))
-                    lhs = node
+                    lhs = AstNode(a.ASSIGN, [lhs, self.take(a.LEAF_PUNCT),
+                                             self.parse_expression(_ASSIGN_BP)])
                 elif k == "?":
                     if _TERNARY_BP < min_bp:
                         break
-                    node = AstNode(a.TERNARY)
-                    node.add(lhs, self.take(a.LEAF_PUNCT), self.parse_expression())
-                    node.add(self.expect_punct(":"), self.parse_expression(_TERNARY_BP))
-                    lhs = node
+                    lhs = AstNode(a.TERNARY, [lhs, self.take(a.LEAF_PUNCT),
+                                              self.parse_expression(), self.expect_punct(":"),
+                                              self.parse_expression(_TERNARY_BP)])
                 elif k in _BINARY_BP:
                     bp = _BINARY_BP[k]
                     if (bp < min_bp) or (bp == min_bp and k not in _RIGHT_ASSOC):
                         break
-                    node = AstNode(a.BINARY)
-                    node.add(lhs, self.take(a.LEAF_PUNCT))
-                    node.add(self.parse_expression(bp if k in _RIGHT_ASSOC else bp + 1))
-                    lhs = node
+                    lhs = AstNode(a.BINARY, [lhs, self.take(a.LEAF_PUNCT), self.parse_expression(
+                        bp if k in _RIGHT_ASSOC else bp + 1)])
                 else:
                     break
                 self.nest()  # every wrap is one level deeper
@@ -631,18 +556,12 @@ class _Parser:
     def parse_unary(self) -> AstNode:
         self.nest()  # only parse_expression and parse_unary call this
         k = self.keys[self.pos]
-        if k in _PREFIX_OPS:
-            node = AstNode(a.UNARY)
-            node.add(self.take(a.LEAF_PUNCT), self.parse_unary())
-            return node
-        if k == "delete":
-            node = AstNode(a.UNARY)
-            node.add(self.take(a.LEAF_KW), self.parse_unary())
-            return node
+        if k in _PREFIX_OPS or k == "delete":
+            return AstNode(a.UNARY, [self.take(a.LEAF_PUNCT if k in _PREFIX_OPS else a.LEAF_KW),
+                                     self.parse_unary()])
         if k == "new":
-            node = AstNode(a.NEW_EXPR)
-            node.add(self.take(a.LEAF_KW), self.parse_type_name())
-            return self.parse_postfix(node)
+            return self.parse_postfix(AstNode(a.NEW_EXPR, [self.take(a.LEAF_KW),
+                                                           self.parse_type_name()]))
         return self.parse_postfix(self.parse_primary())
 
     def parse_postfix(self, node: AstNode) -> AstNode:
@@ -653,63 +572,50 @@ class _Parser:
                 if node.kind == a.LEAF_VAR:
                     node.kind = a.LEAF_NAME  # bare identifier in callee position
                     self.vars -= 1
-                call = AstNode(a.CALL)
-                call.add(node, self.take(a.LEAF_PUNCT))
-                self._parse_call_args(call)
-                call.add(self.expect_punct(")"))
-                node = call
+                node = AstNode(a.CALL, [node])
+                self._parse_call_args(node)
             elif k == "[":
-                idx = AstNode(a.INDEX)
-                idx.add(node, self.take(a.LEAF_PUNCT))
+                node = AstNode(a.INDEX, [node, self.take(a.LEAF_PUNCT)])
                 if keys[self.pos] != "]":
-                    idx.add(self.parse_expression())
-                idx.add(self.expect_punct("]"))
-                node = idx
+                    node.add(self.parse_expression())
+                node.add(self.expect_punct("]"))
             elif (k == "." and keys[self.pos + 1] != END
-                    and self.toks[self.pos + 1].kind in _MEMBER_NAME_KINDS):
-                member = AstNode(a.MEMBER)
-                member.add(node, self.take(a.LEAF_PUNCT))
-                member.add(self.take(a.LEAF_NAME if keys[self.pos] == IDENT else a.LEAF_KW))
-                node = member
+                    and self.toks[self.pos + 1].kind in (KIND_IDENTIFIER, KIND_KEYWORD)):
+                node = AstNode(a.MEMBER, [node, self.take(a.LEAF_PUNCT), self.take(
+                    a.LEAF_NAME if keys[self.pos] == IDENT else a.LEAF_KW)])
             elif k in ("++", "--"):
-                post = AstNode(a.POSTFIX)
-                post.add(node, self.take(a.LEAF_PUNCT))
-                node = post
+                node = AstNode(a.POSTFIX, [node, self.take(a.LEAF_PUNCT)])
             else:
                 return node
             self.nest()  # every wrap is one level deeper
 
     def _parse_call_args(self, node: AstNode) -> None:
+        """`(expression, ...)` or `({name: expression, ...})`"""
         keys = self.keys
+        node.add(self.take(a.LEAF_PUNCT))
         if keys[self.pos] == "{":
             node.add(self.take(a.LEAF_PUNCT))
             while keys[self.pos] not in ("}", END):
-                node.add(self.expect_name())
-                node.add(self.expect_punct(":"))
-                node.add(self.parse_expression())
+                node.add(self.expect_name(), self.expect_punct(":"), self.parse_expression())
                 if keys[self.pos] == ",":
                     node.add(self.take(a.LEAF_PUNCT))
             node.add(self.expect_punct("}"))
-            return
-        while keys[self.pos] not in (")", END):
-            node.add(self.parse_expression())
-            if keys[self.pos] == ",":
+        else:
+            while keys[self.pos] not in (")", END):
+                node.add(self.parse_expression())
+                if keys[self.pos] != ",":
+                    break
                 node.add(self.take(a.LEAF_PUNCT))
-            else:
-                break
+        node.add(self.expect_punct(")"))
 
     def parse_primary(self) -> AstNode:
         k = self.keys[self.pos]
         if k == IDENT:
-            if self._at_builtin_ref():
-                return self._builtin_ref()
-            return self.expect_var()
+            return self._builtin_ref() if self._at_builtin_ref() else self.expect_var()
         if k == NUMBER:
             num = self.take(a.LEAF_NUMBER)
             if self.keys[self.pos] in UNIT_KEYWORDS:
-                node = AstNode(a.UNIT_LITERAL)
-                node.add(num, self.take(a.LEAF_KW))
-                return node
+                return AstNode(a.UNIT_LITERAL, [num, self.take(a.LEAF_KW)])
             return num
         if k == STRING:
             return self.take(a.LEAF_STRING)
@@ -722,16 +628,13 @@ class _Parser:
                 # elementary type in expression position: a cast callee
                 node = self.take(a.LEAF_KW)
                 if k == "address" and self.at("payable"):
-                    wrap = AstNode(a.TYPE_NAME)
-                    wrap.add(node, self.take(a.LEAF_KW))
-                    node = wrap
+                    node = AstNode(a.TYPE_NAME, [node, self.take(a.LEAF_KW)])
                 return node
             if k == "mapping":
                 return self.parse_type_name()
             raise self.error(f"unexpected keyword {k!r} in expression")
         if k == "(":
-            node = AstNode(a.TUPLE)
-            node.add(self.take(a.LEAF_PUNCT))
+            node = AstNode(a.TUPLE, [self.take(a.LEAF_PUNCT)])
             while self.keys[self.pos] not in (")", END):
                 if self.at(","):
                     node.add(self.take(a.LEAF_PUNCT))  # empty tuple slot
@@ -742,8 +645,7 @@ class _Parser:
             node.add(self.expect_punct(")"))
             return node
         if k == "[":
-            node = AstNode(a.ARRAY_LITERAL)
-            node.add(self.take(a.LEAF_PUNCT))
+            node = AstNode(a.ARRAY_LITERAL, [self.take(a.LEAF_PUNCT)])
             while self.keys[self.pos] not in ("]", END):
                 node.add(self.parse_expression())
                 if self.at(","):
@@ -751,6 +653,11 @@ class _Parser:
             node.add(self.expect_punct("]"))
             return node
         raise self.error(f"unexpected token {k!r} in expression")
+
+
+_MEMBER_PARSERS = {"function": _Parser.parse_function, "constructor": _Parser.parse_function,
+                   "modifier": _Parser.parse_modifier, "event": _Parser.parse_event,
+                   "struct": _Parser.parse_struct, "enum": _Parser.parse_enum}
 
 
 def parse(tokens: list[Token], nodes: int | None = None) -> AstNode:
