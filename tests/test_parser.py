@@ -299,10 +299,6 @@ CUT_SOURCE = ("contract A { uint a; function f() public { a = a + 1; }"
               " contract B { uint b; }")
 
 
-def _unit_var_count(ast) -> int:
-    return len(var_occurrences(ast))
-
-
 @pytest.mark.parametrize("nodes, kept", [
     (0, "uint a;"),                              # 1 > 0 after the state variable
     (1, "function f() public { a = a + 1; }"),   # 3 > 1
@@ -312,7 +308,7 @@ def _unit_var_count(ast) -> int:
 def test_parse_stops_after_the_member_that_passes_nodes(nodes, kept):
     full = parse(CUT_SOURCE)
     cut = parse_tokens(lex(CUT_SOURCE), nodes)
-    assert _unit_var_count(cut) > nodes
+    assert len(var_occurrences(cut)) > nodes
     got = [leaf.token.index for leaf in leaves(cut)]
     assert got == [leaf.token.index for leaf in leaves(full)][:len(got)]
     if kept is None:
@@ -329,7 +325,7 @@ def test_parse_error_past_the_cut_is_not_raised():
                  " contract B { function g( }")
     with pytest.raises(ParseError):
         parse_tokens(tokens)
-    assert _unit_var_count(parse_tokens(tokens, 1)) == 2
+    assert len(var_occurrences(parse_tokens(tokens, 1))) == 2
 
 
 def test_callee_demotion_is_not_counted():

@@ -49,7 +49,8 @@ def assert_same_input(got: ModelInput, want: ModelInput) -> None:
             assert g == w, f.name
 
 
-def _corpora() -> dict[str, tuple[list[str], object]]:
+@pytest.fixture(scope="module")
+def corpora() -> dict[str, tuple[list[str], object]]:
     corpus = datasynth.generate_corpus(64, 16, seed=0)
     flattened = perfbench_module("workloads").flattened_records(0)
     vocab = build_vocab(corpus, 2048)
@@ -59,11 +60,6 @@ def _corpora() -> dict[str, tuple[list[str], object]]:
                                 build_vocab(flattened, 2048)),
         "mutated_400": (mutated_sources(400), vocab),
     }
-
-
-@pytest.fixture(scope="module")
-def corpora():
-    return _corpora()
 
 
 @pytest.mark.parametrize("code_len,flow_len", BUDGETS)
