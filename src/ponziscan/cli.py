@@ -24,7 +24,7 @@ from pathlib import Path
 from ponziscan import datasynth
 from ponziscan.dfg import extract_dfg, to_dot, to_jsonable as dfg_to_jsonable
 from ponziscan.encoding import build_vocab
-from ponziscan.errors import DomainError, UnlabeledRecord
+from ponziscan.errors import DomainError, NoTargets, UnlabeledRecord
 from ponziscan.ingest import DEFAULT_BASE_URL, MIN_DELAY, ApiConfig, fetch_verified_source
 from ponziscan.model.adam import DEFAULT_LR, AdamState
 from ponziscan.model.checkpoint import load_checkpoint, save_checkpoint
@@ -147,7 +147,13 @@ def _cmd_pretrain(ns: argparse.Namespace) -> None:
         samples = pretrain_epoch(inputs, vocab, params, state, config,
                                  seed=ns.seed, epoch=epoch, flags=flags,
                                  lr=ns.lr)
-        trace.append(sum(s["total"] for s in samples) / max(1, len(samples)))
+        # a sample runs no objective when its input has nothing an enabled
+        # one reads, such as an empty or comment-only source
+        totals = [s["total"] for s in samples if s]
+        if not totals:
+            raise NoTargets("no record has a code token or graph node for the"
+                            " enabled pre-training objectives")
+        trace.append(sum(totals) / len(totals))
     save_checkpoint(ns.out, params, vocab, config,
                     extra={"stage": "pretrain", "epochs": ns.epochs,
                            "seed": ns.seed, "loss_trace": trace})
@@ -450,7 +456,8 @@ def main(argv: list[str] | None = None) -> int:
     if config_file:
         try:
             defaults = json.loads(Path(config_file).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+        # ValueError: not UTF-8 or not JSON; RecursionError: nested too deep
+        except (OSError, ValueError, RecursionError) as exc:
             print(f"error: cannot read config file: {exc}", file=sys.stderr)
             return 2
         if not isinstance(defaults, dict):
@@ -464,6 +471,10 @@ def main(argv: list[str] | None = None) -> int:
                 and not 0 <= ns.ponzi <= ns.n):
             parser.error(f"synth needs 0 <= --ponzi <= --n, got --n {ns.n}"
                          f" --ponzi {ns.ponzi}")
+        if ns.command == "pretrain" and not (ns.use_mlm or ns.use_edgepred
+                                             or ns.use_nodealign):
+            parser.error("pretrain needs an objective; --no-mlm, --no-edgepred"
+                         " and --no-nodealign are all given")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -73,11 +73,6 @@ class Vocabulary:
     def id_of(self, text: str) -> int:
         return self._token_to_id.get(text, self.UNK_ID)
 
-    def token_of(self, token_id: int) -> str:
-        if token_id not in self._id_to_token:
-            raise IdOutOfRange(f"no token with id {token_id}")
-        return self._id_to_token[token_id]
-
     def to_lines(self) -> list[str]:
         """One line per entry, id-ordered, token json-escaped (token text
         may contain tabs or quotes inside string literals)."""

@@ -42,9 +42,10 @@ def _default_http_get(url: str, params: dict, timeout: float) -> dict:
         with urllib.request.urlopen(url + "?" + urllib.parse.urlencode(params),
                                     timeout=timeout) as resp:
             return json.load(resp)
-    except (OSError, http.client.HTTPException, ValueError) as exc:
+    except (OSError, http.client.HTTPException, ValueError, RecursionError) as exc:
         # OSError covers HTTPError, URLError and TimeoutError; ValueError a
-        # body that is not JSON (or not text)
+        # body that is not JSON (or not text); RecursionError one nested too
+        # deep
         raise NetworkError(f"request to {url} failed: {type(exc).__name__}") from None
 
 
@@ -89,7 +90,7 @@ def _cached_record(path: Path | None) -> ContractRecord | None:
         return None
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError:  # not UTF-8 or not JSON
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, nested too deep
         return None
     if (isinstance(payload, dict) and type(payload.get("idx")) is int
             and isinstance(payload.get("source"), str)):
@@ -106,7 +107,7 @@ def _flatten_source(raw: str) -> str:
     if text.startswith("{"):
         try:
             bundle = json.loads(text)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):  # nested too deep
             return raw
         sources = bundle.get("sources", bundle)
         if isinstance(sources, dict):

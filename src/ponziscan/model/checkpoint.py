@@ -107,7 +107,7 @@ def load_checkpoint(path: str | Path):
                                     f"{meta.get('format_version')!r}")
         config = ModelConfig.from_dict(meta["config"])
     except (zipfile.BadZipFile, KeyError, struct.error, TypeError, ValueError,
-            OverflowError, IdOutOfRange, ShapeMismatch) as exc:
+            OverflowError, RecursionError, IdOutOfRange, ShapeMismatch) as exc:
         raise CorruptCheckpoint(f"{path}: not a valid checkpoint ({exc})") from exc
     expected = param_shapes(config, len(vocab))
     actual = {name: arr.shape for name, arr in params.items()}

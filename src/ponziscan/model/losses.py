@@ -6,13 +6,12 @@ token embedding table (mean cross-entropy over targets). Edge and
 alignment prediction score position pairs with sigmoid(h_i . h_j) and sum
 binary cross-entropy over the sampled candidates.
 
-Each loss asks forward_hidden for the final-layer rows it reads (sorted,
-unique positions) and finds a position's row with np.searchsorted.
+Every loss is one round trip (`_round_trip`): forward_hidden over the
+unique final-layer rows the loss reads, a head over those rows as arrays,
+and backward_hidden of the head's gradient scattered back onto the rows.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -23,38 +22,56 @@ from ponziscan.model.encoder import backward_hidden, forward_hidden
 from ponziscan.model.params import Params, check_finite, zeros_like_params
 
 
-def _logistic(z: float) -> float:
-    """1 / (1 + e^-z) for a finite z, rounded as the C expression rounds
-    it: 0.0 where e^-z overflows (z below about -709.78)."""
-    try:
-        return 1.0 / (1.0 + math.exp(-z))
-    except OverflowError:
-        return 0.0
+def _round_trip(inp: ModelInput, positions: np.ndarray, head,
+                params: Params, config: ModelConfig):
+    """Loss and gradients of head(h, grads) over the final-layer rows at
+    positions (any shape, repeats allowed): h holds one hidden row per
+    position, positions.shape + (d_h,). The head adds its own parameters'
+    gradients into grads and returns (loss, dLoss/dh)."""
+    rows, at = np.unique(positions, return_inverse=True)
+    at = at.reshape(positions.shape)
+    H, caches = forward_hidden(inp, params, config, rows=rows)
+    grads = zeros_like_params(params)
+    loss, dh = head(H[at], grads)
+    dH = np.zeros_like(H)
+    np.add.at(dH, at, dh)
+    backward_hidden(dH, inp, caches, params, config, grads)
+    check_finite(grads, NonFiniteGradient)
+    return loss, grads
 
 
-def _log_softmax_pick(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy of one softmax row and its dLoss/dlogits."""
-    m = logits.max()
-    lse = m + np.log(np.exp(logits - m).sum())
+def _cross_entropy(h: np.ndarray, weight: np.ndarray, dweight: np.ndarray,
+                   targets) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy of the rows of h @ weight at their target
+    columns. Adds dLoss/dweight into dweight; returns (loss, dLoss/dh)."""
+    logits = h @ weight
+    m = logits.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
     dlogits = np.exp(logits - lse)
-    dlogits[target] -= 1.0
-    return float(lse - logits[target]), dlogits
+    picked = np.arange(len(targets)), targets
+    dlogits[picked] -= 1.0
+    dlogits /= len(targets)
+    dweight += h.T @ dlogits
+    return float((lse[:, 0] - logits[picked]).mean()), dlogits @ weight.T
+
+
+def _pair_bce(h: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Summed binary cross-entropy of sigmoid(h_i . h_j) over pair rows
+    h[:, 0] and h[:, 1]; returns (loss, dLoss/dh). The sigmoid is 0.0
+    where e^-z overflows, without a warning."""
+    z = np.einsum("pd,pd->p", h[:, 0], h[:, 1])
+    with np.errstate(over="ignore"):
+        dz = 1.0 / (1.0 + np.exp(-z)) - labels
+    loss = float((np.logaddexp(0.0, z) - labels * z).sum())
+    return loss, dz[:, None, None] * h[:, ::-1]
 
 
 def classification_loss_and_grads(inp: ModelInput, label: int,
                                   params: Params, config: ModelConfig):
     """Label cross-entropy of one input, with gradients."""
-    H, caches = forward_hidden(inp, params, config, rows=slice(0, 1))
-    h = H[0]
-    cls_w = params["cls_w"]
-    loss, dlogits = _log_softmax_pick(h @ cls_w, label)
-    grads = zeros_like_params(params)
-    grads["cls_w"] += np.outer(h, dlogits)
-    dH = np.zeros_like(H)
-    dH[0] = cls_w @ dlogits
-    backward_hidden(dH, inp, caches, params, config, grads)
-    check_finite(grads, NonFiniteGradient)
-    return loss, grads
+    def head(h, grads):
+        return _cross_entropy(h, params["cls_w"], grads["cls_w"], [label])
+    return _round_trip(inp, np.array([0]), head, params, config)  # the [CLS] row
 
 
 def mlm_loss_and_grads(inp: ModelInput, targets: list[tuple[int, int]],
@@ -63,24 +80,11 @@ def mlm_loss_and_grads(inp: ModelInput, targets: list[tuple[int, int]],
     already-corrupted token ids. Mean cross-entropy over targets."""
     if not targets:
         raise NoTargets("no masked positions to predict")
-    positions = [pos for pos, _ in targets]
-    rows = np.unique(positions)
-    H, caches = forward_hidden(inp, params, config, rows=rows)
-    tok_emb = params["tok_emb"]
-    grads = zeros_like_params(params)
-    dH = np.zeros_like(H)
-    total = 0.0
-    scale = 1.0 / len(targets)
-    for r, (_, true_id) in zip(np.searchsorted(rows, positions).tolist(), targets):
-        h = H[r]
-        loss, dlogits = _log_softmax_pick(tok_emb @ h, true_id)
-        total += loss
-        dlogits *= scale
-        grads["tok_emb"] += np.outer(dlogits, h)
-        dH[r] += tok_emb.T @ dlogits
-    backward_hidden(dH, inp, caches, params, config, grads)
-    check_finite(grads, NonFiniteGradient)
-    return total * scale, grads
+    positions, ids = np.array(targets).T
+
+    def head(h, grads):
+        return _cross_entropy(h, params["tok_emb"].T, grads["tok_emb"].T, ids)
+    return _round_trip(inp, positions, head, params, config)
 
 
 def pair_bce_loss_and_grads(inp: ModelInput, pairs: list[tuple[int, int, int]],
@@ -88,24 +92,11 @@ def pair_bce_loss_and_grads(inp: ModelInput, pairs: list[tuple[int, int, int]],
     """pairs: (position i, position j, label). p = sigmoid(h_i . h_j);
     binary cross-entropy summed over the pairs. An empty candidate list is
     a valid degenerate case contributing zero loss and zero gradients."""
-    grads = zeros_like_params(params)
     if not pairs:
-        return 0.0, grads
-    ends = np.array([(i, j) for i, j, _ in pairs])
-    rows = np.unique(ends)
-    H, caches = forward_hidden(inp, params, config, rows=rows)
-    dH = np.zeros_like(H)
-    total = 0.0
-    at = np.searchsorted(rows, ends).tolist()
-    for (ri, rj), (_, _, y) in zip(at, pairs):
-        z = float(H[ri] @ H[rj])
-        total += float(np.logaddexp(0.0, z)) - y * z
-        dz = _logistic(z) - y
-        dH[ri] += dz * H[rj]
-        dH[rj] += dz * H[ri]
-    backward_hidden(dH, inp, caches, params, config, grads)
-    check_finite(grads, NonFiniteGradient)
-    return total, grads
+        return 0.0, zeros_like_params(params)
+    table = np.array(pairs)
+    return _round_trip(inp, table[:, :2], lambda h, _: _pair_bce(h, table[:, 2]),
+                       params, config)
 
 
 def add_grads(into: Params, more: Params) -> None:

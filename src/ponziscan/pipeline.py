@@ -13,7 +13,6 @@ Two split protocols:
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -35,8 +34,6 @@ from ponziscan.model.losses import classification_loss_and_grads
 from ponziscan.model.params import Params, init_params
 from ponziscan.solparse.lexer import lex
 from ponziscan.solparse.parser import parse
-
-log = logging.getLogger(__name__)
 
 PARTITION_PONZI_STEP = 50
 TRAIN_PONZI_COUNT = 5 * PARTITION_PONZI_STEP  # the fixed protocol's, P0..P4
@@ -82,7 +79,7 @@ def load_dataset(path: str | Path) -> list[ContractRecord]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep
                 raise MalformedRecord(f"invalid JSON: {exc}", line_no) from exc
             if not isinstance(obj, dict):
                 raise MalformedRecord("record is not an object", line_no)
@@ -102,8 +99,6 @@ def load_dataset(path: str | Path) -> list[ContractRecord]:
     if not records:
         raise EmptyDataset(f"no records in {path}")
     records.sort(key=lambda r: r.idx)
-    log.info("loaded %d records (%d positive, %d negative)", len(records),
-             sum(r.label == 1 for r in records), sum(r.label == 0 for r in records))
     return records
 
 

@@ -183,7 +183,8 @@ def pretrain_epoch(inputs: list[ModelInput], vocab: Vocabulary, params: Params,
     """One pass over the corpus: per sample, run each enabled task as its
     own forward/backward (so disabling one task never changes another's
     step-0 value), sum the losses and gradients unweighted, and take one
-    Adam step. Returns the per-sample loss records."""
+    Adam step. Returns the per-sample loss records; a sample whose input
+    has nothing an enabled task reads gets an empty record and no step."""
     flags = flags or PretrainFlags()
     trace: list[dict[str, float]] = []
     for sample_idx, inp in enumerate(inputs):

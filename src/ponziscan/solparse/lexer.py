@@ -102,6 +102,18 @@ def _classify_word(text: str) -> str:
     return KIND_IDENTIFIER
 
 
+def _refuse_surrogates(source: str) -> None:
+    """A lone surrogate (json.loads reads \\ud800 as one) has no UTF-8
+    form, so it is an illegal character wherever it sits, even inside a
+    string or a comment. It is looked for before tokenizing, so it is
+    reported ahead of any other lex error."""
+    try:
+        source.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise IllegalCharacter(f"illegal character {source[exc.start]!r}",
+                               len(source[:exc.start].encode("utf-8"))) from None
+
+
 def lex(source: str) -> list[Token]:
     """Tokenize Solidity source; comments are skipped like whitespace."""
     # Byte offset of each codepoint; spans must be byte-accurate even for
@@ -109,6 +121,7 @@ def lex(source: str) -> list[Token]:
     if source.isascii():
         byte_of = range(len(source) + 1)
     else:
+        _refuse_surrogates(source)
         byte_of = list(accumulate((len(c.encode("utf-8")) for c in source), initial=0))
 
     tokens: list[Token] = []
@@ -133,6 +146,8 @@ def lex(source: str) -> list[Token]:
 def token_texts(source: str) -> list[str]:
     """The texts of `lex(source)`'s tokens, without building the tokens;
     raises what `lex` raises."""
+    if not source.isascii():
+        _refuse_surrogates(source)
     texts = _TEXT_RE.findall(source)
     # the end of the source matches as "", once more after trailing skipped text
     while texts and not texts[-1]:

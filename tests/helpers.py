@@ -8,6 +8,7 @@ code with the implementation) so that agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+import math
 import re
 import signal
 import sys
@@ -33,6 +34,8 @@ from ponziscan.encoding import (
 from ponziscan.errors import IllegalCharacter, UnterminatedComment, UnterminatedString
 from ponziscan.model.config import ModelConfig
 from ponziscan.model.encoder import (
+    backward_hidden,
+    forward_hidden,
     gelu,
     gelu_grad,
     layer_norm,
@@ -363,6 +366,59 @@ def max_relative_error_two_scale(loss_fn, grads: dict[str, np.ndarray],
                   _relative_error(an, fine[(name, idx)]))
         worst = max(worst, err)
     return worst
+
+
+def _loop_cross_entropy(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
+    lse = math.log(sum(math.exp(v) for v in logits.tolist()))
+    dlogits = np.exp(logits - lse)
+    dlogits[target] -= 1.0
+    return lse - float(logits[target]), dlogits
+
+
+def _loop_round_trip(inp, positions, params, config, head):
+    """head(dH, h_row, k) per position k: adds into dH and the grads it
+    closes over and returns that position's loss."""
+    H, caches = forward_hidden(inp, params, config, rows=slice(None))
+    grads = {name: np.zeros_like(p) for name, p in params.items()}
+    dH = np.zeros_like(H)
+    total = sum(head(H, dH, grads, k) for k in range(len(positions)))
+    backward_hidden(dH, inp, caches, params, config, grads)
+    return total, grads
+
+
+def loop_classification_loss(inp, label, params, config):
+    """classification_loss_and_grads as a loop over logits, on every row."""
+    def head(H, dH, grads, k):
+        loss, dlogits = _loop_cross_entropy(H[0] @ params["cls_w"], label)
+        grads["cls_w"] += np.outer(H[0], dlogits)
+        dH[0] += params["cls_w"] @ dlogits
+        return loss
+    return _loop_round_trip(inp, [0], params, config, head)
+
+
+def loop_mlm_loss(inp, targets, params, config):
+    """mlm_loss_and_grads as a loop over targets, on every row."""
+    scale = 1.0 / len(targets)
+
+    def head(H, dH, grads, k):
+        pos, true_id = targets[k]
+        loss, dlogits = _loop_cross_entropy(params["tok_emb"] @ H[pos], true_id)
+        grads["tok_emb"] += np.outer(dlogits * scale, H[pos])
+        dH[pos] += params["tok_emb"].T @ (dlogits * scale)
+        return loss * scale
+    return _loop_round_trip(inp, targets, params, config, head)
+
+
+def loop_pair_bce_loss(inp, pairs, params, config):
+    """pair_bce_loss_and_grads as a loop over pairs, on every row."""
+    def head(H, dH, grads, k):
+        i, j, y = pairs[k]
+        z = float(H[i] @ H[j])
+        p = 1.0 / (1.0 + math.exp(-z))
+        dH[i] += (p - y) * H[j]
+        dH[j] += (p - y) * H[i]
+        return math.log1p(math.exp(z)) - y * z
+    return _loop_round_trip(inp, pairs, params, config, head)
 
 
 def count_params(config: ModelConfig, vocab_size: int) -> int:

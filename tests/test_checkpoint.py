@@ -161,6 +161,8 @@ CORRUPTIONS = {
     "meta_not_json": _set("meta.json", b"{not json"),
     "meta_not_utf8": _set("meta.json", b"\xff\xfe"),
     "meta_not_object": _set("meta.json", b"[1, 2]"),
+    # json.loads raises RecursionError, which is no ValueError
+    "meta_nested_too_deep": _set("meta.json", b"[" * 200_000 + b"]" * 200_000),
     "vocab_not_utf8": _set("vocab.txt", b"\xff\xfe"),
     "vocab_bad_line": _set("vocab.txt", b"no-tab-here\n"),
     "vocab_reserved_renamed": _set("vocab.txt",
@@ -174,6 +176,8 @@ CORRUPTIONS = {
     # a token no lexed text can match, with the id and line count intact
     "vocab_token_is_number": _set("vocab.txt", lambda text: text.replace(b'"uint"\t', b"7\t")),
     "vocab_token_is_null": _set("vocab.txt", lambda text: text.replace(b'"uint"\t', b"null\t")),
+    "vocab_token_nested_too_deep": _set("vocab.txt", lambda text: text.replace(
+        b'"uint"\t', b"[" * 200_000 + b"]" * 200_000 + b"\t")),
     "config_not_object": _meta(lambda m: m.update(config=[1, 8])),
     "config_bad_value": _meta(lambda m: m["config"].update(d_h="wide")),
     "config_unknown_key": _meta(lambda m: m["config"].update(depth=3)),

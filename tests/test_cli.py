@@ -646,6 +646,85 @@ def test_pretrain_reads_fetched_records(tmp_path, capsys):
     capsys.readouterr()
 
 
+# sources with no code token and no graph node, so no objective runs on them
+_NOTHING_TO_PRETRAIN = ["", "// only a comment\n"]
+
+
+def test_pretrain_averages_over_samples_that_ran_an_objective(workspace, tmp_path,
+                                                               capsys):
+    """Records that run no objective take no Adam step and stay out of
+    the epoch mean: the checkpoint is the one built without them."""
+    lines = workspace["data"].read_text().splitlines(keepends=True)
+    last = max(json.loads(line)["idx"] for line in lines)
+    data = tmp_path / "data.jsonl"
+    data.write_text("".join(lines) + "".join(
+        json.dumps({"idx": last + k, "source": source, "label": None}) + "\n"
+        for k, source in enumerate(_NOTHING_TO_PRETRAIN, start=1)))
+    out = tmp_path / "pre.ckpt"
+    assert run(["pretrain", "--dataset", str(data), "--out", str(out),
+                "--epochs", "1", "--seed", "3", *TINY]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == workspace["pre"].read_bytes()
+
+
+def test_pretrain_with_nothing_to_pretrain_on_exits_1(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    data.write_text("".join(json.dumps({"idx": k, "source": source, "label": None})
+                            + "\n" for k, source in enumerate(_NOTHING_TO_PRETRAIN)))
+    out = tmp_path / "pre.ckpt"
+    assert run(["pretrain", "--dataset", str(data), "--out", str(out), *TINY]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no record has a code token or graph node")
+    assert not out.exists()
+
+
+def test_pretrain_with_every_objective_off_is_usage_error(workspace, tmp_path, capsys):
+    out = tmp_path / "pre.ckpt"
+    assert run(["pretrain", "--dataset", str(workspace["data"]), "--out", str(out),
+                "--no-mlm", "--no-edgepred", "--no-nodealign"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "pretrain needs an objective" in captured.err
+    assert not out.exists()
+
+
+def test_pretrain_on_lone_surrogate_exits_1(tmp_path, capsys):
+    """json.loads reads the escape \\ud800 as a lone surrogate, which lex
+    refuses as an illegal character."""
+    data = tmp_path / "data.jsonl"
+    source = 'contract C { string s = "\ud800"; }'
+    data.write_text(json.dumps({"idx": 1, "source": source, "label": None}) + "\n")
+    assert run(["pretrain", "--dataset", str(data), "--out",
+                str(tmp_path / "pre.ckpt"), *TINY]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: illegal character '\\ud800' at byte 25")
+
+
+# deeper than the recursion limit: json.loads raises RecursionError
+_NESTED_TOO_DEEP = "[" * 200_000 + "]" * 200_000
+
+
+def test_dataset_line_nested_too_deep_exits_1(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    data.write_text(_NESTED_TOO_DEEP + "\n")
+    assert run(["pretrain", "--dataset", str(data), "--out",
+                str(tmp_path / "pre.ckpt")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 1: invalid JSON")
+
+
+def test_config_nested_too_deep_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(_NESTED_TOO_DEEP, encoding="utf-8")
+    assert run(["parse", "--source", "unused.sol", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read config file")
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--out", "unused.ckpt", "--split", "fixed"],
     ["train", "--out", "unused.ckpt", "--split", "random"],

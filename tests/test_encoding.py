@@ -82,12 +82,14 @@ def test_oov_maps_to_unk():
     assert v.id_of("zzz") == Vocabulary.UNK_ID
 
 
-def test_token_of_inverse_and_range_check():
+def test_lines_inverse_and_range():
+    """Line i of to_lines holds the token whose id is i, one line per id."""
     v = build_vocab(["a;"], cap=16)
+    lines = v.to_lines()
+    assert len(lines) == len(v)
     for text in ("a", ";", "[PAD]"):
-        assert v.token_of(v.id_of(text)) == text
-    with pytest.raises(IdOutOfRange):
-        v.token_of(len(v))
+        assert json.loads(lines[v.id_of(text)].rsplit("\t", 1)[0]) == text
+        assert Vocabulary.from_lines(lines).id_of(text) == v.id_of(text)
 
 
 def test_lines_round_trip():

@@ -17,7 +17,7 @@ import pytest
 from ponziscan.errors import NoTargets
 from ponziscan.model.config import ModelConfig
 from ponziscan.model.losses import (
-    _logistic,
+    _pair_bce,
     add_grads,
     classification_loss_and_grads,
     mlm_loss_and_grads,
@@ -26,6 +26,9 @@ from ponziscan.model.losses import (
 from ponziscan.model.params import init_params, zeros_like_params
 
 from helpers import (
+    loop_classification_loss,
+    loop_mlm_loss,
+    loop_pair_bce_loss,
     max_relative_error,
     max_relative_error_two_scale,
     random_model_input,
@@ -132,6 +135,28 @@ def test_two_scale_check_catches_corrupted_gradients(setup):
     assert err > TOL
 
 
+def test_array_heads_match_the_loops(setup_two_layers):
+    """Each loss equals a per-target or per-pair loop over every row's
+    hidden state, within float64 rounding of the changed summation order;
+    repeated positions and a pair of a row with itself included."""
+    config, params, inp, _ = setup_two_layers
+    node_base = 2 + inp.n_code
+    cases = [
+        (classification_loss_and_grads, loop_classification_loss, 1),
+        (mlm_loss_and_grads, loop_mlm_loss, [(2, 5), (1, 7), (2, 3)]),
+        (pair_bce_loss_and_grads, loop_pair_bce_loss,
+         [(node_base + 1, node_base, 1), (node_base, 1, 0),
+          (node_base + 1, node_base, 0), (node_base, node_base, 1)]),
+    ]
+    for loss_fn, loop_fn, arg in cases:
+        loss, grads = loss_fn(inp, arg, params, config)
+        want_loss, want = loop_fn(inp, arg, params, config)
+        assert math.isclose(loss, want_loss, rel_tol=1e-12)
+        for name, g in grads.items():
+            scale = np.abs(want[name]).max()
+            assert np.allclose(g, want[name], rtol=0.0, atol=1e-12 * scale), name
+
+
 def test_empty_pair_list_gives_zero(setup):
     config, params, inp, _ = setup
     loss, grads = pair_bce_loss_and_grads(inp, [], params, config)
@@ -174,12 +199,17 @@ def test_gradients_flow_into_every_tensor(setup):
 
 def test_logistic_is_total_over_finite_scores():
     """The pair loss's sigmoid raises nothing and warns nothing however
-    far a score lies from 0."""
+    far a score lies from 0. Each pair is ([z], [1.0]), so its score is z
+    and, with label 0, its dLoss/dh_i is sigmoid(z)."""
+    scores = (800.0, -800.0, 1e308, -1e308, -709.79, 0.0,
+              -30.0, -1.5, 0.25, 2.0, 40.0)
+    h = np.array([[[z], [1.0]] for z in scores])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values = {z: _logistic(z) for z in (800.0, -800.0, 1e308, -1e308, -709.79, 0.0)}
+        _, dh = _pair_bce(h, np.zeros(len(scores)))
+    values = dict(zip(scores, dh[:, 0, 0].tolist()))
     assert values[800.0] == 1.0 and values[1e308] == 1.0
     assert values[-800.0] == 0.0 and values[-1e308] == 0.0 and values[-709.79] == 0.0
     assert values[0.0] == 0.5
     for z in (-30.0, -1.5, 0.25, 2.0, 40.0):
-        assert _logistic(z) == 1.0 / (1.0 + math.exp(-z))
+        assert values[z] == 1.0 / (1.0 + math.exp(-z))

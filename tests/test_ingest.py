@@ -138,6 +138,19 @@ def test_corrupt_cache_entry_is_fetched_again(tmp_path, entry):
         "idx": record.idx, "source": record.source}
 
 
+# deeper than the recursion limit: json.loads raises RecursionError
+NESTED_TOO_DEEP = "[" * 200_000 + "]" * 200_000
+
+
+def test_cache_entry_nested_too_deep_is_a_miss(tmp_path):
+    cache_file = tmp_path / f"{ADDRESS.lower()}.json"
+    cache_file.write_text(NESTED_TOO_DEEP, encoding="utf-8")
+    stub = StubHttp([ok_body("contract C { uint a; }")])
+    record = fetch_verified_source(ADDRESS, make_config(stub, cache_dir=tmp_path))
+    assert len(stub.calls) == 1
+    assert record.source == "contract C { uint a; }"
+
+
 def test_multi_file_bundle_flattened():
     bundle = {"sources": {
         "A.sol": {"content": "contract A {}"},
@@ -155,6 +168,11 @@ def test_multi_file_bundle_flattened():
 def test_flatten_plain_source_passthrough():
     assert _flatten_source("contract C {}") == "contract C {}"
     assert _flatten_source("{ not json") == "{ not json"
+
+
+def test_flatten_bundle_nested_too_deep_passthrough():
+    raw = '{"sources": ' + NESTED_TOO_DEEP + "}"
+    assert _flatten_source(raw) == raw
 
 
 def test_flatten_single_brace_bundle():
@@ -210,7 +228,8 @@ def test_default_http_get_decodes_json(monkeypatch):
     (lambda url: TimeoutError(f"timed out reading {url}"), "TimeoutError"),
     (lambda url: urllib.error.URLError(f"connection refused: {url}"), "URLError"),
     (b"<html>502 Bad Gateway</html>", "JSONDecodeError"),
-], ids=["http_500", "timeout", "unreachable", "not_json"])
+    (NESTED_TOO_DEEP.encode(), "RecursionError"),
+], ids=["http_500", "timeout", "unreachable", "not_json", "nested_too_deep"])
 def test_default_http_get_failure_is_network_error(monkeypatch, reply, kind):
     monkeypatch.setattr(urllib.request, "urlopen", FakeUrlopen(reply))
     with pytest.raises(NetworkError) as err:

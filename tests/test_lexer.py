@@ -139,6 +139,23 @@ def test_illegal_character_offset():
     assert err.value.offset == 4
 
 
+@pytest.mark.parametrize("source, offset", [
+    ("\ud800", 0),
+    ('x = "a\udfff";', 6),
+    ("// é \ud800\nx", 6),
+    ("/* \udfff */ x", 3),
+    ("é @ \ud800", 5),  # refused before tokenizing, so ahead of the @
+])
+def test_lone_surrogate_is_illegal_character(source, offset):
+    """json.loads admits a lone surrogate (\\ud800), which has no UTF-8
+    form: lex and token_texts refuse it at its byte offset wherever it
+    sits, inside a string or a comment too."""
+    for lexer in (lex, token_texts):
+        with pytest.raises(IllegalCharacter) as err:
+            lexer(source)
+        assert err.value.offset == offset
+
+
 def test_only_ascii_digits_start_a_number():
     """str.isdigit and str.isnumeric hold for hundreds of code points
     besides 0-9 (superscripts, other scripts' digits); each of those is an
@@ -217,11 +234,11 @@ def _texts_outcome(source: str):
 
 
 # comment delimiters, quotes, escapes and newlines, the two non-ASCII
-# spaces the grammar skips, and three characters it refuses (two non-ASCII
-# digits and @), with a few characters that make tokens
+# spaces the grammar skips, and five characters it refuses (two non-ASCII
+# digits, @ and two lone surrogates), with a few characters that make tokens
 _TEXT_PIECES = st.sampled_from(
     ["//", "/*", "*/", '"', "'", "\\", "\n"] * 3
-    + ["\u00a0", "\ufeff", "\u00b2", "\u0663", "@"]
+    + ["\u00a0", "\ufeff", "\u00b2", "\u0663", "@", "\ud800", "\udfff"]
     + list(" \t/*=+-;.(){}aZ_$09xe"))
 
 
