@@ -253,20 +253,19 @@ _HANDLERS = {
 # -- argument plumbing -------------------------------------------------------
 
 
-def _positive_delay(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= MIN_DELAY):
-        raise argparse.ArgumentTypeError(
-            f"delay must be a finite number of seconds >= {MIN_DELAY}, got {text!r}")
-    return value
+def _finite(name: str, unit: str = "", minimum: float | None = None):
+    """The argparse type of option `name`: a finite number > 0, or >=
+    minimum when one is given; `unit` says what the number counts."""
+    rule = "> 0" if minimum is None else f">= {minimum}"
 
-
-def _timeout(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"timeout must be a finite number of seconds > 0, got {text!r}")
-    return value
+    def number(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value)
+                and (value > 0 if minimum is None else value >= minimum)):
+            raise argparse.ArgumentTypeError(
+                f"{name} must be a finite number{unit} {rule}, got {text!r}")
+        return value
+    return number
 
 
 def _probability(text: str) -> float:
@@ -368,7 +367,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=1)
-    p.add_argument("--lr", type=float, default=DEFAULT_LR)
+    p.add_argument("--lr", type=_finite("lr"), default=DEFAULT_LR)
     p.add_argument("--vocab-cap", type=int, default=DEFAULT_VOCAB_CAP,
                    dest="vocab_cap")
     p.add_argument("--no-mlm", action="store_false", dest="use_mlm")
@@ -385,7 +384,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
                    help="warm-start checkpoint (its vocab and shape win)")
     p.add_argument("--split", choices=SPLITS, default="fixed")
     p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--lr", type=float, default=DEFAULT_LR)
+    p.add_argument("--lr", type=_finite("lr"), default=DEFAULT_LR)
     p.add_argument("--threshold", type=_probability, default=DEFAULT_THRESHOLD)
     p.add_argument("--vocab-cap", type=int, default=DEFAULT_VOCAB_CAP,
                    dest="vocab_cap")
@@ -418,8 +417,9 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--api-key", dest="api_key",
                    default=os.environ.get("ETHERSCAN_API_KEY", ""))
     p.add_argument("--base-url", dest="base_url", default=DEFAULT_BASE_URL)
-    p.add_argument("--timeout", type=_timeout, default=10.0)
-    p.add_argument("--delay", type=_positive_delay, default=MIN_DELAY)
+    p.add_argument("--timeout", type=_finite("timeout", " of seconds"), default=10.0)
+    p.add_argument("--delay", type=_finite("delay", " of seconds", MIN_DELAY),
+                   default=MIN_DELAY)
     p.add_argument("--cache-dir", dest="cache_dir")
     _add_common(p)
 
@@ -440,19 +440,15 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _config_path(argv: list[str]) -> str | None:
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        # the --config file as argparse reads the flag: abbreviated (--conf)
+        # or repeated (the last one wins)
+        config_file = build_parser().parse_args(argv).config
+    except SystemExit as exc:
+        return int(exc.code or 0)
     defaults = None
-    config_file = _config_path(argv)
     if config_file:
         try:
             defaults = json.loads(Path(config_file).read_text(encoding="utf-8"))

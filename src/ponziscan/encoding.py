@@ -7,11 +7,12 @@ each, so an input of n_code tokens and n_nodes nodes has length
 The attention mask is not stored: it is derived from the segments, the
 graph edges, the alignment and the input's withdrawn entries. It permits
 attention only along: classifier/separator queries (any key), code-to-code
-pairs, graph edges (a node attends the nodes its value comes from, plus
-itself), and node<->code alignment pairs, minus the withdrawn (query, key)
-entries. `build_mask` states it as an (n, n) matrix, the one statement of
-the rule; `attention_plan` groups the rows it is given (all of them, or
-the few a final layer computes) into the few layouts the encoder scores.
+pairs, graph edges (a node attends itself and the nodes its value comes
+from) and node<->code alignment pairs (both ways), as `granted_entries`
+states them, minus the withdrawn (query, key) entries. `build_mask` states
+it as an (n, n) matrix, the one statement of the rule; `attention_plan`
+groups the rows it is given (all of them, or the few a final layer
+computes) into the few layouts the encoder scores.
 """
 
 from __future__ import annotations
@@ -183,18 +184,28 @@ def _positions(pairs, n: int, what: str) -> np.ndarray:
     return arr
 
 
+def granted_entries(relations, directed: bool) -> np.ndarray:
+    """The (query, key) entries that graph relations open in attention, as
+    a (k, 2) int64 array: a data-flow edge (src, dst), directed, lets dst
+    attend src, whose value it reads; an alignment pair (node, code) lets
+    each side attend the other."""
+    pairs = np.asarray(relations, dtype=np.int64).reshape(-1, 2)
+    return pairs[:, ::-1] if directed else np.concatenate([pairs[:, ::-1], pairs])
+
+
 def build_mask(inp: ModelInput) -> np.ndarray:
     """(n, n) boolean permission matrix, n = len(inp), rows = queries,
     columns = keys.
 
     Allowed pairs: [CLS]/[SEP] query over any key, code query with code
-    key, node i over node j when an edge j->i exists or i == j, and
-    node/code pairs that are aligned (both directions). The input's
-    withdrawn entries are forbidden last, whatever the rules above granted.
+    key, a node over itself, and the entries the graph edges and the
+    alignment pairs grant (`granted_entries`). The input's withdrawn
+    entries are forbidden last, whatever the rules above granted.
     """
     n, seg = len(inp), inp.segments
-    edges = _positions(inp.dfg_edges, n, "dfg edge")
-    align = _positions(inp.node_alignment, n, "alignment pair")
+    edges = granted_entries(_positions(inp.dfg_edges, n, "dfg edge"), directed=True)
+    align = granted_entries(_positions(inp.node_alignment, n, "alignment pair"),
+                            directed=False)
     withdrawn = _positions(inp.withdrawn, n, "withdrawn entry")
     allow = np.zeros((n, n), dtype=bool)
 
@@ -203,9 +214,8 @@ def build_mask(inp: ModelInput) -> np.ndarray:
     allow[code] = code
     node_positions = np.flatnonzero(seg == SEG_NODE)
     allow[node_positions, node_positions] = True
-    allow[edges[:, 1], edges[:, 0]] = True  # the value of dst comes from src
+    allow[edges[:, 0], edges[:, 1]] = True
     allow[align[:, 0], align[:, 1]] = True
-    allow[align[:, 1], align[:, 0]] = True
     allow[withdrawn[:, 0], withdrawn[:, 1]] = False
     return allow
 

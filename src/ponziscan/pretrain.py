@@ -20,6 +20,7 @@ from ponziscan.encoding import (
     SEG_CODE,
     SEG_NODE,
     Vocabulary,
+    granted_entries,
 )
 from ponziscan.model.adam import DEFAULT_LR, AdamState, adam_step
 from ponziscan.model.config import ModelConfig
@@ -93,7 +94,7 @@ def sample_mlm(inp: ModelInput, vocab: Vocabulary,
                     targets=targets, corruption=corruption)
 
 
-def _balance(positives: list, pool: list, rng: np.random.Generator):
+def _balance(positives: list, pool: set, rng: np.random.Generator):
     """Exact |neg| = |pos|. When the negative pool is too small, the
     positive side is subsampled to match, keeping the balance strict."""
     positives = sorted(positives)
@@ -109,59 +110,45 @@ def _balance(positives: list, pool: list, rng: np.random.Generator):
     return positives, negatives
 
 
-def _sample_node_subset(inp: ModelInput, rng: np.random.Generator) -> list[int]:
+def _sample_relation_mask(inp: ModelInput, rng: np.random.Generator,
+                          relations: list[tuple[int, int]], partner: int,
+                          directed: bool) -> PairMaskBatch:
+    """Draw 20% of the nodes (at least one). The relations touching a drawn
+    node are masked: they are the positives, and the entries they granted
+    (a self-loop's is the diagonal) are withdrawn from attention.
+    Candidates pair each drawn node with each position of the `partner`
+    segment, in both orders when the relation is directed; negatives come
+    uniformly from the candidates that are no relation."""
     node_positions = np.flatnonzero(inp.segments == SEG_NODE)
-    if len(node_positions) == 0:
-        return []
-    n = max(1, _round_half_up(NODE_FRACTION * len(node_positions)))
-    return sorted(rng.choice(node_positions, size=n, replace=False).tolist())
+    sampled: list[int] = []
+    if len(node_positions):
+        n = max(1, _round_half_up(NODE_FRACTION * len(node_positions)))
+        sampled = sorted(rng.choice(node_positions, size=n, replace=False).tolist())
+    sampled_set = set(sampled)
+    masked = sorted(r for r in set(relations)
+                    if r[0] in sampled_set or r[1] in sampled_set)
+    partners = np.flatnonzero(inp.segments == partner).tolist()
+    candidates = {(i, j) for i in sampled for j in partners}
+    if directed:
+        candidates |= {(j, i) for i, j in candidates}
+    positives, negatives = _balance(masked, candidates - set(relations), rng)
+    granted = granted_entries(masked, directed).tolist()
+    withdrawn = inp.withdrawn + tuple(map(tuple, granted))
+    return PairMaskBatch(input=replace(inp, withdrawn=withdrawn),
+                         sampled_nodes=sampled, masked_relations=masked,
+                         positives=positives, negatives=negatives)
 
 
 def sample_edge_mask(inp: ModelInput, rng: np.random.Generator) -> PairMaskBatch:
-    """Draw 20% of nodes (at least one); their incident graph edges are
-    masked out of attention and become the positives. Candidates are every
-    ordered node pair touching a sampled node; negatives come uniformly
-    from candidates that are not true edges."""
-    sampled = _sample_node_subset(inp, rng)
-    sampled_set = set(sampled)
-    edges = set(inp.dfg_edges)
-    masked = sorted((s, d) for s, d in edges
-                    if s in sampled_set or d in sampled_set)
-    node_positions = np.flatnonzero(inp.segments == SEG_NODE).tolist()
-    candidates = {(i, j) for i in sampled for j in node_positions}
-    candidates |= {(i, j) for i in node_positions for j in sampled}
-    masked_set = set(masked)
-    positives = [c for c in candidates if c in masked_set]
-    pool = [c for c in candidates if c not in edges]
-    positives, negatives = _balance(positives, pool, rng)
-    # the allow entry each edge granted; a self-loop's is the diagonal
-    withdrawn = inp.withdrawn + tuple((d, s) for s, d in masked)
-    return PairMaskBatch(input=replace(inp, withdrawn=withdrawn),
-                         sampled_nodes=sampled,
-                         masked_relations=masked, positives=positives,
-                         negatives=negatives)
+    """Data-flow edges touching the drawn nodes, predicted against the
+    other ordered node pairs that touch one."""
+    return _sample_relation_mask(inp, rng, inp.dfg_edges, SEG_NODE, directed=True)
 
 
 def sample_align_mask(inp: ModelInput, rng: np.random.Generator) -> PairMaskBatch:
-    """Same scheme over node-code alignment: alignment pairs of sampled
-    nodes are hidden from attention (both directions) and predicted
-    against non-aligned (sampled node, code token) candidates."""
-    sampled = _sample_node_subset(inp, rng)
-    sampled_set = set(sampled)
-    alignment = set(inp.node_alignment)
-    masked = sorted((n, c) for n, c in alignment if n in sampled_set)
-    code_positions = np.flatnonzero(inp.segments == SEG_CODE).tolist()
-    candidates = {(n, c) for n in sampled for c in code_positions}
-    masked_set = set(masked)
-    positives = [c for c in candidates if c in masked_set]
-    pool = [c for c in candidates if c not in alignment]
-    positives, negatives = _balance(positives, pool, rng)
-    withdrawn = inp.withdrawn + tuple(entry for n, c in masked
-                                      for entry in ((n, c), (c, n)))
-    return PairMaskBatch(input=replace(inp, withdrawn=withdrawn),
-                         sampled_nodes=sampled,
-                         masked_relations=masked, positives=positives,
-                         negatives=negatives)
+    """Alignment pairs of the drawn nodes, predicted against the other
+    (drawn node, code token) pairs."""
+    return _sample_relation_mask(inp, rng, inp.node_alignment, SEG_CODE, directed=False)
 
 
 TASK_MLM = 0
@@ -196,18 +183,15 @@ def pretrain_epoch(inputs: list[ModelInput], vocab: Vocabulary, params: Params,
             loss, g = mlm_loss_and_grads(batch.input, batch.targets, params, config)
             record["mlm"] = loss
             add_grads(grads, g)
-        if flags.edgepred and inp.n_nodes >= 1:
-            rng = np.random.default_rng([seed, epoch, sample_idx, TASK_EDGEPRED])
-            batch = sample_edge_mask(inp, rng)
-            loss, g = pair_bce_loss_and_grads(batch.input, batch.pairs, params, config)
-            record["edgepred"] = loss
-            add_grads(grads, g)
-        if flags.nodealign and inp.n_nodes >= 1:
-            rng = np.random.default_rng([seed, epoch, sample_idx, TASK_NODEALIGN])
-            batch = sample_align_mask(inp, rng)
-            loss, g = pair_bce_loss_and_grads(batch.input, batch.pairs, params, config)
-            record["nodealign"] = loss
-            add_grads(grads, g)
+        # looked up per call, so a rebound module attribute is the one used
+        for task, key, sample in ((TASK_EDGEPRED, "edgepred", sample_edge_mask),
+                                  (TASK_NODEALIGN, "nodealign", sample_align_mask)):
+            if getattr(flags, key) and inp.n_nodes >= 1:
+                rng = np.random.default_rng([seed, epoch, sample_idx, task])
+                batch = sample(inp, rng)
+                loss, g = pair_bce_loss_and_grads(batch.input, batch.pairs, params, config)
+                record[key] = loss
+                add_grads(grads, g)
         if record:
             record["total"] = sum(record.values())
             adam_step(params, grads, state, lr)

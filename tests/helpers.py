@@ -1,6 +1,7 @@
 """Independent oracles shared by the unit and acceptance tests, a time
 limit for tests of inputs that once hung, the source mutator that the fuzz
-and golden tests share, and a loader for the benchmark's modules.
+and golden tests share, the byte editor of the input-boundary sweeps, and a
+loader for the benchmark's modules.
 
 Each oracle restates a contract from scratch (per-entry loops, no shared
 code with the implementation) so that agreement is evidence, not tautology.
@@ -9,6 +10,7 @@ code with the implementation) so that agreement is evidence, not tautology.
 from __future__ import annotations
 
 import math
+import random
 import re
 import signal
 import sys
@@ -476,6 +478,27 @@ def mutated_sources(n: int = 48) -> list[str]:
                      for _ in range(1 + int(rng.integers(4)))]
         out.append(mutate(source, mutations))
     return out
+
+
+# a JSON array nested deeper than the recursion limit: json.loads raises
+# RecursionError on it, which is no ValueError
+NESTED_TOO_DEEP = b"[" * 200_000 + b"]" * 200_000
+
+
+def edit_bytes(data: bytes, rng: random.Random, deep: bool = True) -> bytes:
+    """One seeded edit: a bit flip, a truncation, an insertion or a deletion
+    of up to 8 bytes, or (when deep) NESTED_TOO_DEEP inserted whole."""
+    at = rng.randrange(len(data) + 1)
+    kind = rng.randrange(5 if deep else 4)
+    if kind == 0 and at < len(data):
+        return data[:at] + bytes([data[at] ^ (1 << rng.randrange(8))]) + data[at + 1:]
+    if kind == 1:
+        return data[:at]
+    if kind == 2:
+        return data[:at] + rng.randbytes(rng.randint(1, 8)) + data[at:]
+    if kind == 4:
+        return data[:at] + NESTED_TOO_DEEP + data[at:]
+    return data[:at] + data[at + rng.randint(1, 8):]
 
 
 def perfbench_module(name: str) -> types.ModuleType:

@@ -39,3 +39,34 @@ def test_encode_record_is_traced_through_one_parse_and_one_dfg():
     assert calls["pipeline.encode_record"] == 1
     assert calls["solparse.parse"] == 1
     assert calls["dfg.extract_dfg"] == 1
+
+
+def test_pretrain_epoch_is_traced_per_sampler_and_pair_loss_call():
+    # the traced run's sampler and pair-loss metrics are read at these sites,
+    # which pretrain_epoch must look up when it runs
+    from ponziscan import pretrain
+    from ponziscan.datasynth import generate_corpus
+    from ponziscan.encoding import build_vocab
+    from ponziscan.model.adam import AdamState
+    from ponziscan.model.config import ModelConfig
+    from ponziscan.model.params import init_params
+    from ponziscan.pipeline import encode_records
+
+    records = generate_corpus(3, 1, 0)
+    vocab = build_vocab(records, 64)
+    config = ModelConfig(n_layers=1, d_h=8, n_heads=2, d_ff=16, code_len=24,
+                         flow_len=6)
+    inputs = encode_records(records, vocab, config)
+    assert all(inp.n_nodes for inp in inputs)
+    params = init_params(config, len(vocab))
+    tracer = perfbench_module("tracer").Tracer()
+    try:
+        tracer.install()
+        pretrain.pretrain_epoch(inputs, vocab, params, AdamState.for_params(params),
+                                config, seed=0, epoch=0)
+    finally:
+        tracer.uninstall()
+    calls = tracer.calls()
+    assert calls["pretrain.sample_edge_mask"] == len(inputs)
+    assert calls["pretrain.sample_align_mask"] == len(inputs)
+    assert calls["model.losses.pair_bce"] == 2 * len(inputs)

@@ -22,6 +22,8 @@ from ponziscan.model.checkpoint import (
 from ponziscan.model.config import ModelConfig
 from ponziscan.model.params import init_params
 
+from helpers import edit_bytes
+
 
 @pytest.fixture()
 def payload():
@@ -221,19 +223,6 @@ def test_config_value_that_is_no_json_integer_is_corrupt(tmp_path, payload, key,
     assert key in str(err.value)
 
 
-def _edit(data: bytes, rng: random.Random) -> bytes:
-    """One random flip, truncation, insertion or deletion of bytes."""
-    at = rng.randrange(len(data) + 1)
-    kind = rng.randrange(4)
-    if kind == 0 and at < len(data):
-        return data[:at] + bytes([data[at] ^ (1 << rng.randrange(8))]) + data[at + 1:]
-    if kind == 1:
-        return data[:at]
-    if kind == 2:
-        return data[:at] + rng.randbytes(rng.randint(1, 8)) + data[at:]
-    return data[:at] + data[at + rng.randint(1, 8):]
-
-
 def test_edited_archive_loads_or_is_corrupt(tmp_path, payload):
     """One random edit to one entry, written back as a valid zip so the
     CRCs pass: the archive loads, or loading raises CorruptCheckpoint, with
@@ -248,7 +237,7 @@ def test_edited_archive_loads_or_is_corrupt(tmp_path, payload):
     for _ in range(400):
         entries = dict(intact)
         name = rng.choice(sorted(entries))
-        entries[name] = _edit(entries[name], rng)
+        entries[name] = edit_bytes(entries[name], rng, deep=False)
         with zipfile.ZipFile(path, "w") as zf:
             for entry, data in entries.items():
                 zf.writestr(entry, data)

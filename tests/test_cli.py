@@ -896,6 +896,43 @@ def test_fetch_seconds_must_be_finite_and_positive(flag, value, via_config, caps
     assert f"{flag[2:]} must be a finite number of seconds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["pretrain", "train"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_learning_rate_must_be_finite_and_positive(tmp_path, capsys, command,
+                                                   value, via_config):
+    """A usage error before any data is read: a nan learning rate used to
+    write a checkpoint of nan tensors, an infinite one a numpy warning."""
+    out = tmp_path / "m.ckpt"
+    argv = [command, "--dataset", str(tmp_path / "unused.jsonl"), "--out", str(out)]
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        # json.dumps writes NaN and Infinity, which json.loads reads back
+        cfg.write_text(json.dumps({"lr": float(value)}), encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--lr", value]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --lr: lr must be a finite number > 0, got " in captured.err
+    assert not out.exists()
+
+
+def test_abbreviated_or_repeated_config_is_read(tmp_path, capsys):
+    """The file read is the one argparse parses: it takes --conf for
+    --config, and the last of two."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 10, "ponzi": 3}), encoding="utf-8")
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"n": 5, "ponzi": 1}), encoding="utf-8")
+    for given, records in ((["--conf", str(cfg)], 10), ([f"--conf={cfg}"], 10),
+                           (["--config", str(other), "--config", str(cfg)], 10),
+                           (["--config", str(cfg), "--co", str(other)], 5)):
+        assert run(["synth", "--out", str(tmp_path / "a.jsonl"), *given]) == 0
+        assert json.loads(capsys.readouterr().out)["records"] == records
+
+
 def _subprocess_env(**overrides: str) -> dict[str, str]:
     """This environment, with the package's sources first on PYTHONPATH."""
     src = Path(__file__).resolve().parent.parent / "src"
