@@ -16,43 +16,4 @@ import os
 os.environ.update(dict.fromkeys(
     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
-from ponziscan.dfg import DataFlowGraph, DfEdge, VarNode, extract_dfg
-from ponziscan.encoding import ModelInput, Vocabulary, build_mask, build_vocab, encode_input
-from ponziscan.model.config import ModelConfig
-from ponziscan.pipeline import (
-    ContractRecord,
-    EvalReport,
-    evaluate,
-    finetune,
-    load_dataset,
-    predict_one,
-    split_chronological,
-    split_random,
-)
-from ponziscan.solparse import lex, parse
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ContractRecord",
-    "DataFlowGraph",
-    "DfEdge",
-    "EvalReport",
-    "ModelConfig",
-    "ModelInput",
-    "VarNode",
-    "Vocabulary",
-    "build_mask",
-    "build_vocab",
-    "encode_input",
-    "evaluate",
-    "extract_dfg",
-    "finetune",
-    "lex",
-    "load_dataset",
-    "parse",
-    "predict_one",
-    "split_chronological",
-    "split_random",
-    "__version__",
-]

@@ -43,7 +43,9 @@ from ponziscan.pipeline import (
     write_dataset,
 )
 from ponziscan.pretrain import PretrainFlags, pretrain_epoch
-from ponziscan.solparse import lex, parse, to_jsonable as ast_to_jsonable
+from ponziscan.solparse.astnodes import to_jsonable as ast_to_jsonable
+from ponziscan.solparse.lexer import lex
+from ponziscan.solparse.parser import parse
 
 DEFAULT_VOCAB_CAP = 2048
 DEFAULT_THRESHOLD = 0.5
@@ -268,6 +270,17 @@ def _finite(name: str, unit: str = "", minimum: float | None = None):
     return number
 
 
+def _count(name: str):
+    """The argparse type of option `name`: an integer >= 0."""
+
+    def count(text: str) -> int:
+        value = int(text)  # a ValueError is argparse's "invalid count value"
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer >= 0, got {text!r}")
+        return value
+    return count
+
+
 def _probability(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:  # also refuses nan
@@ -287,7 +300,7 @@ def _add_model_overrides(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_count("seed"), default=0)
     sub.add_argument("--pretty", action="store_true",
                      help="plain-text table instead of JSON")
     sub.add_argument("--config", help="JSON file of argument defaults")
@@ -366,7 +379,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = subs.add_parser("pretrain", help="run the self-supervised objectives")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=1)
+    p.add_argument("--epochs", type=_count("epochs"), default=1)
     p.add_argument("--lr", type=_finite("lr"), default=DEFAULT_LR)
     p.add_argument("--vocab-cap", type=int, default=DEFAULT_VOCAB_CAP,
                    dest="vocab_cap")
@@ -383,7 +396,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--init", dest="checkpoint",
                    help="warm-start checkpoint (its vocab and shape win)")
     p.add_argument("--split", choices=SPLITS, default="fixed")
-    p.add_argument("--epochs", type=int, default=3)
+    p.add_argument("--epochs", type=_count("epochs"), default=3)
     p.add_argument("--lr", type=_finite("lr"), default=DEFAULT_LR)
     p.add_argument("--threshold", type=_probability, default=DEFAULT_THRESHOLD)
     p.add_argument("--vocab-cap", type=int, default=DEFAULT_VOCAB_CAP,

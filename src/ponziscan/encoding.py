@@ -28,9 +28,6 @@ from ponziscan.dfg import DataFlowGraph
 from ponziscan.errors import CapTooSmall, EmptyCorpus, IdOutOfRange
 from ponziscan.solparse.lexer import Token, token_texts
 
-DEFAULT_CODE_LEN = 256
-DEFAULT_FLOW_LEN = 64
-
 SEG_CLS = 0
 SEG_CODE = 1
 SEG_SEP = 2
@@ -67,9 +64,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self._token_to_id)
-
-    def __contains__(self, text: str) -> bool:
-        return text in self._token_to_id
 
     def id_of(self, text: str) -> int:
         return self._token_to_id.get(text, self.UNK_ID)
@@ -142,8 +136,7 @@ class ModelInput:
 
 
 def encode_input(tokens: list[Token], dfg: DataFlowGraph, vocab: Vocabulary,
-                 code_len: int = DEFAULT_CODE_LEN,
-                 flow_len: int = DEFAULT_FLOW_LEN) -> ModelInput:
+                 code_len: int, flow_len: int) -> ModelInput:
     """Assemble the input sequence.
 
     Code keeps its first code_len tokens and the graph its first flow_len

@@ -1,49 +1,2 @@
 """Encoder model: configuration, parameters, forward/backward, losses,
 optimizer, and checkpointing."""
-
-from ponziscan.model.adam import AdamState, adam_step, DEFAULT_LR
-from ponziscan.model.checkpoint import load_checkpoint, save_checkpoint
-from ponziscan.model.config import ModelConfig
-from ponziscan.model.encoder import (
-    Prediction,
-    embed,
-    forward,
-    forward_hidden,
-    layer_forward,
-    mask_additive,
-)
-from ponziscan.model.losses import (
-    add_grads,
-    classification_loss_and_grads,
-    mlm_loss_and_grads,
-    pair_bce_loss_and_grads,
-)
-from ponziscan.model.params import (
-    Params,
-    init_params,
-    param_shapes,
-    zeros_like_params,
-)
-
-__all__ = [
-    "AdamState",
-    "DEFAULT_LR",
-    "ModelConfig",
-    "Params",
-    "Prediction",
-    "adam_step",
-    "add_grads",
-    "classification_loss_and_grads",
-    "embed",
-    "forward",
-    "forward_hidden",
-    "init_params",
-    "layer_forward",
-    "load_checkpoint",
-    "mask_additive",
-    "mlm_loss_and_grads",
-    "pair_bce_loss_and_grads",
-    "param_shapes",
-    "save_checkpoint",
-    "zeros_like_params",
-]

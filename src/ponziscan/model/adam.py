@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,8 +16,8 @@ DEFAULT_LR = 2e-5
 
 @dataclass
 class AdamState:
-    m: Params = field(default_factory=dict)
-    v: Params = field(default_factory=dict)
+    m: Params
+    v: Params
     t: int = 0
 
     @classmethod
@@ -30,9 +30,6 @@ def adam_step(params: Params, grads: Params, state: AdamState,
     """One bias-corrected update. Mutates params and state in place and
     returns them."""
     validate_same_shapes(params, grads)
-    if not state.m:
-        state.m = zeros_like_params(params)
-        state.v = zeros_like_params(params)
     validate_same_shapes(params, state.m)
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t

@@ -30,10 +30,6 @@ class ModelConfig:
                 f"d_h={self.d_h} must be divisible by n_heads={self.n_heads}")
 
     @property
-    def d_k(self) -> int:
-        return self.d_h // self.n_heads
-
-    @property
     def n_positions(self) -> int:
         # 0 shared by node slots, 1 for [CLS], 2..code_len+1 code, code_len+2 [SEP]
         return self.code_len + 3

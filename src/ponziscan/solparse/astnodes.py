@@ -72,10 +72,6 @@ class AstNode:
         self.children.extend(nodes)
 
 
-def leaf(kind: str, token: Token) -> AstNode:
-    return AstNode(kind, token=token)
-
-
 def iter_leaves(node: AstNode) -> Iterator[AstNode]:
     if node.is_leaf:
         yield node

@@ -74,15 +74,6 @@ def test_moment_accumulators_follow_definitions():
         assert np.allclose(state.v[name], want_v, atol=1e-15)
 
 
-def test_lazy_state_initialization():
-    params = small_params()
-    grads = {"w": np.array([0.3, -0.7, 0.0]), "b": np.array([[1.5, -0.01]])}
-    state = AdamState()
-    adam_step(params, grads, state, lr=0.05)
-    assert state.t == 1
-    assert set(state.m) == set(params)
-
-
 def test_shape_mismatch_rejected():
     params = small_params()
     bad = {"w": np.zeros(4), "b": np.zeros((1, 2))}

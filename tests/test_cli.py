@@ -27,10 +27,9 @@ from ponziscan.pipeline import (
     split_chronological,
     write_dataset,
 )
-from ponziscan.solparse import lex
-from ponziscan.solparse import parse as parse_tokens
-from ponziscan.solparse import to_jsonable as ast_to_jsonable
-from ponziscan.solparse.parser import MAX_NESTING
+from ponziscan.solparse.astnodes import to_jsonable as ast_to_jsonable
+from ponziscan.solparse.lexer import lex
+from ponziscan.solparse.parser import MAX_NESTING, parse as parse_tokens
 
 TINY = ["--layers", "1", "--d-h", "8", "--heads", "2", "--d-ff", "16",
         "--code-len", "48", "--flow-len", "12"]
@@ -917,6 +916,45 @@ def test_learning_rate_must_be_finite_and_positive(tmp_path, capsys, command,
     assert captured.out == ""
     assert "argument --lr: lr must be a finite number > 0, got " in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option, value, message", [
+    (["synth"], "seed", -1, "seed must be an integer >= 0, got '-1'"),
+    (["pretrain"], "seed", -1, "seed must be an integer >= 0, got '-1'"),
+    (["train", "--split", "random"], "seed", -3, "seed must be an integer >= 0, got '-3'"),
+    (["pretrain"], "epochs", -2, "epochs must be an integer >= 0, got '-2'"),
+    (["train", "--split", "all"], "epochs", -1, "epochs must be an integer >= 0, got '-1'"),
+    (["train", "--split", "all"], "epochs", 1.5, "invalid count value: '1.5'"),
+])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_seed_and_epochs_must_be_integers_at_least_zero(workspace, tmp_path, capsys,
+                                                        command, option, value, message,
+                                                        via_config):
+    """A usage error that names the option: a negative seed used to end in
+    numpy's traceback, and a negative epoch count trained nothing and
+    exited 0."""
+    out = tmp_path / "out"
+    argv = [*command, "--out", str(out)]
+    if command[0] != "synth":
+        argv += ["--dataset", str(workspace["data"])]
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option: value}), encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += [f"--{option}", str(value)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --{option}: {message}" in captured.err
+    assert not out.exists()
+
+
+def test_zero_epochs_is_accepted(workspace, tmp_path, capsys):
+    out = tmp_path / "pre.ckpt"
+    assert run(["pretrain", "--dataset", str(workspace["data"]), "--out", str(out),
+                "--epochs", "0", "--seed", "0", *TINY]) == 0
+    assert json.loads(capsys.readouterr().out)["loss_trace"] == []
 
 
 def test_abbreviated_or_repeated_config_is_read(tmp_path, capsys):

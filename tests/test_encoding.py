@@ -169,7 +169,7 @@ def test_vocab_raises_what_lex_raises():
 
 def test_vocab_ignores_comments():
     v = build_vocab(["a; // noise tokens here\n"], cap=64)
-    assert "noise" not in v
+    assert v.id_of("noise") == Vocabulary.UNK_ID
 
 
 # --- input assembly ---------------------------------------------------------

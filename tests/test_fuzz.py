@@ -15,8 +15,9 @@ from ponziscan.encoding import encode_input
 from ponziscan.errors import DomainError, NestingTooDeep
 from ponziscan.model.encoder import forward
 from ponziscan.model.params import init_params
-from ponziscan.solparse import iter_leaves, lex, parse, to_jsonable
-from ponziscan.solparse.parser import MAX_NESTING, var_occurrences
+from ponziscan.solparse.astnodes import iter_leaves, to_jsonable
+from ponziscan.solparse.lexer import lex
+from ponziscan.solparse.parser import MAX_NESTING, parse, var_occurrences
 
 from helpers import ALPHABET, deep_sources, mutate, time_limit
 

@@ -37,7 +37,9 @@ from ponziscan.encoding import build_vocab, encode_input
 from ponziscan.errors import DomainError
 from ponziscan.model.config import ModelConfig
 from ponziscan.pipeline import ContractRecord, write_dataset
-from ponziscan.solparse import lex, parse, to_jsonable as ast_to_jsonable
+from ponziscan.solparse.astnodes import to_jsonable as ast_to_jsonable
+from ponziscan.solparse.lexer import lex
+from ponziscan.solparse.parser import parse
 
 from helpers import mutated_sources, perfbench_module
 

@@ -17,6 +17,7 @@ from ponziscan.errors import (
     UnterminatedComment,
     UnterminatedString,
 )
+from ponziscan.model.config import ModelConfig
 from ponziscan.solparse.lexer import (
     KIND_IDENTIFIER,
     KIND_KEYWORD,
@@ -299,6 +300,7 @@ def test_comments_change_nothing_downstream(seed):
     rng = random.Random(seed)
     pairs = [_with_comments(r.source, rng) for r in generate_corpus(4, 2, seed)]
     vocab = build_vocab([c for c, _ in pairs], cap=256)
+    config = ModelConfig()
     assert vocab.to_lines() == build_vocab([b for _, b in pairs], cap=256).to_lines()
     for commented, blanked in pairs:
         assert commented != blanked
@@ -307,7 +309,8 @@ def test_comments_change_nothing_downstream(seed):
             tokens = lex(source)
             ast = parse(tokens)
             graph = extract_dfg(ast)
-            inp = encode_input(tokens, graph, vocab)
+            inp = encode_input(tokens, graph, vocab, code_len=config.code_len,
+                               flow_len=config.flow_len)
             outputs.append((tokens, ast_to_jsonable(ast), dfg_to_jsonable(graph),
                             inp.token_ids.tolist(), inp.position_ids.tolist(),
                             inp.segments.tolist(), inp.node_alignment, inp.dfg_edges,

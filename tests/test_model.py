@@ -698,6 +698,5 @@ def test_config_validation():
     with pytest.raises(ShapeMismatch):
         ModelConfig(n_layers=0)
     cfg = ModelConfig(d_h=12, n_heads=3, code_len=8, flow_len=2)
-    assert cfg.d_k == 4
     assert cfg.n_positions == 11
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg

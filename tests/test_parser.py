@@ -208,8 +208,8 @@ def test_to_jsonable_spans_skip_children_without_leaves():
 
     empty = A.AstNode(A.BLOCK)
     inner = A.AstNode(A.EXPR_STMT, [A.AstNode(A.BLOCK, [A.AstNode(A.TUPLE)]),
-                                    A.leaf(A.LEAF_VAR, tok("ab", 3))])
-    root = A.AstNode(A.SOURCE_UNIT, [empty, inner, A.leaf(A.LEAF_VAR, tok("c", 7)),
+                                    A.AstNode(A.LEAF_VAR, token=tok("ab", 3))])
+    root = A.AstNode(A.SOURCE_UNIT, [empty, inner, A.AstNode(A.LEAF_VAR, token=tok("c", 7)),
                                      A.AstNode(A.BLOCK)])
     data = A.to_jsonable(root)
     assert data == leaf_walk_jsonable(root)

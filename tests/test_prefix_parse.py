@@ -21,7 +21,8 @@ from ponziscan.encoding import ModelInput, build_vocab, encode_input
 from ponziscan.errors import DomainError
 from ponziscan.model.config import ModelConfig
 from ponziscan.pipeline import encode_record
-from ponziscan.solparse import lex, parse
+from ponziscan.solparse.lexer import lex
+from ponziscan.solparse.parser import parse
 
 from helpers import mutated_sources, perfbench_module
 
