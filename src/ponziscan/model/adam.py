@@ -27,22 +27,25 @@ class AdamState:
 
 def adam_step(params: Params, grads: Params, state: AdamState,
               lr: float = DEFAULT_LR) -> tuple[Params, AdamState]:
-    """One bias-corrected update. Mutates params and state in place and
-    returns them."""
+    """One bias-corrected update. Mutates params and state in place, each
+    tensor's step formed in one scratch array, and returns them."""
     validate_same_shapes(params, grads)
     validate_same_shapes(params, state.m)
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
     for name in sorted(params):
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
+        g, m, v = grads[name], state.m[name], state.v[name]
+        tmp = np.multiply(g, 1.0 - BETA1)
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += tmp
+        np.multiply(g, 1.0 - BETA2, out=tmp)
+        tmp *= g
         v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        params[name] -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+        v += tmp
+        np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
+        tmp += EPS
+        np.divide(m, tmp, out=tmp)
+        tmp *= lr / bc1
+        params[name] -= tmp
     return params, state

@@ -23,14 +23,15 @@ scores each kind in its own buffer:
 - listed rows (every other row, such as the nodes) score their allowed
   keys, gathered and padded to the longest list (a node attends itself,
   its edge sources and its aligned token): (heads, r, max degree).
-Padding scores are -inf, each row is normalised by one softmax across its
-parts (`softmax_rows(..., out=)` in place), and no forbidden entry is
-scored or exp'ed. The only (n, n) array is the boolean mask the plans
-are grouped from, built once per pass; no (n, n) score array is built.
-`layer_backward` mirrors this and sums the key and value gradients of the
-gathered columns into their key rows. Dropping the exact zeros of the
-forbidden entries changes summation order only, so results move in the
-last digits.
+Padding scores are -inf, no forbidden entry is scored or exp'ed, and the
+only (n, n) array is the boolean mask, built once per pass. Rows are
+normalised late, as in FlashAttention-2 (Dao, 2023): `softmax_rows` turns
+a part's scores into E = exp(S - rowmax S) in place, with row sums s, and
+only the small context (E V) / s is divided. `layer_backward` forms the
+scores' gradient E (g V' - g . ctx), g = dctx / s, over blocks of query
+rows of the cached E (the few gathered columns at once, their key and
+value gradients summed into their key rows). Skipping the forbidden
+entries' zeros changes summation order only, in the last digits.
 
 GELU is x Phi(x), with Phi(x) = 0.5 (1 + erf(x / sqrt 2)) the normal CDF.
 `erf` is evaluated here in numpy, with the rational approximations of the
@@ -42,14 +43,14 @@ GELU once: the forward pass caches Phi in place of the GELU output, and
 `layer_backward` forms G = x Phi and the derivative Phi + x exp(-x^2 / 2)
 / sqrt(2 pi) from it.
 
-Few large temporaries: `forward` keeps no layer caches, and in
-prediction a layer's attention weights are dropped as soon as its A V is
-formed (training caches them for `layer_backward`); the FFN adds its
-biases in place, GELU forms Phi and G in one fresh (n, d_ff) array (erf's
-two temporaries are 128 KB blocks), and the softmax backward works in
-place. A prediction's peak heap then stays under glibc's trim threshold,
-so the memory one pass frees is not returned to the kernel only to be
-page-faulted back in by the next.
+Few large temporaries: `forward` keeps no layer caches and drops the
+parts' E once a layer's context is formed (training caches E, s and the
+context); the FFN adds its biases in place, GELU forms Phi and G in one
+fresh (n, d_ff) array (erf's two temporaries are 128 KB blocks), layer
+norm centres x once and scales in place, and the attention backward
+reuses one block-sized buffer. A prediction's peak heap then stays under
+glibc's trim threshold, so the memory one pass frees is not returned to
+the kernel only to be page-faulted back in by the next.
 
 One rule for the final layer: it computes only the query rows its caller
 reads. `forward` reads the [CLS] row (`rows=slice(0, 1)`), and each loss
@@ -112,6 +113,7 @@ _ERF_SATURATES = 6.0
 # Xeon (4 MiB L2), GELU over a (322, 256) array took 0.85 ms this way
 # against 1.30 ms in one whole-array pass
 _ERF_BLOCK = 16384
+_ATTN_BLOCK = 32768  # elements of E per attention-backward block: dS, 256 KB, stays in L2
 
 
 def _horner(coef: tuple, x: np.ndarray, out: np.ndarray | None = None,
@@ -201,30 +203,34 @@ def gelu_grad(x: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax over the last axis, written into `out` (which may be x) or a
-    new array; x itself is left alone unless it is `out`."""
+def softmax_rows(x: np.ndarray, out: np.ndarray | None = None):
+    """The softmax over the last axis as (E, s), the softmax being E / s:
+    E = exp(x - rowmax(x)) in `out` (which may be x) or a new array, and
+    its row sums s >= 1 (keepdims). x is left alone unless it is `out`."""
     out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-    return out
+    return out, out.sum(axis=-1, keepdims=True)
 
 
-def softmax_rows_backward(dA: np.ndarray, A: np.ndarray,
+def softmax_rows_backward(dA: np.ndarray, A: np.ndarray, delta: np.ndarray,
                           out: np.ndarray | None = None) -> np.ndarray:
-    """A * (dA - rowsum(dA * A)), written into `out` (which may be dA) or a
-    new array; the product is the same either way."""
-    out = np.subtract(dA, (dA * A).sum(axis=-1, keepdims=True), out=out)
+    """The scores' gradient A * (dA - delta), into `out` (which may be dA)
+    or a new array: delta = rowsum(dA * A) for weights A, or (dO / s) . O
+    for A = E of softmax_rows and O = (E / s) V, with dA = dO V' / s."""
+    out = np.subtract(dA, delta, out=out)
     out *= A
     return out
 
 
 def layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
-    return g * xhat + b, (xhat, inv)
+    """g xhat + b over the last axis, x centred once, and (xhat, inv)."""
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", xhat, xhat)[..., None] / x.shape[-1]
+                        + LN_EPS)
+    xhat *= inv
+    y = xhat * g
+    y += b
+    return y, (xhat, inv)
 
 
 def layer_norm_backward(dy: np.ndarray, g: np.ndarray, cache):
@@ -280,10 +286,11 @@ def _scatter_keys(contrib: np.ndarray, keys: np.ndarray, n: int) -> np.ndarray:
                        minlength=heads * n * d_k).reshape(heads, n, d_k)
 
 
-def _attend(Qp: np.ndarray, Kh: np.ndarray, part: AttentionPart) -> np.ndarray:
-    """The attention weights (heads, r, block + m) of one part's scaled
-    query rows Qp: the scores of its key block, then of its gathered keys
-    (-inf on padding), softmaxed in one buffer."""
+def _attend(Qp: np.ndarray, Kh: np.ndarray, Vh: np.ndarray, part: AttentionPart):
+    """One part's attention for its scaled query rows Qp, as (E, s, ctx):
+    softmax_rows (E, s) of the scores of its key block, then of its
+    gathered keys (-inf on padding), in one (heads, r, block + m) buffer,
+    and the context ctx = (E V) / s, (heads, r, d_k)."""
     Kb = Kh[:, part.block]
     nb = Kb.shape[1]
     S = np.empty(Qp.shape[:2] + (nb + part.keys.shape[1],))
@@ -292,41 +299,45 @@ def _attend(Qp: np.ndarray, Kh: np.ndarray, part: AttentionPart) -> np.ndarray:
         gathered = S[..., nb:]
         gathered[...] = (Kh[:, part.keys] * Qp[:, :, None, :]).sum(axis=-1)
         gathered[:, part.pad] = -np.inf
-    return softmax_rows(S, out=S)
-
-
-def _context(A: np.ndarray, Vh: np.ndarray, part: AttentionPart) -> np.ndarray:
-    """A V for one part's weights A: (heads, r, d_k)."""
-    nb = A.shape[-1] - part.keys.shape[1]
-    ctx = A[..., :nb] @ Vh[:, part.block]
+    E, s = softmax_rows(S, out=S)
+    ctx = E[..., :nb] @ Vh[:, part.block]
     if part.keys.size:
-        ctx += (A[..., nb:, None] * Vh[:, part.keys]).sum(axis=-2)
-    return ctx
+        ctx += (E[..., nb:, None] * Vh[:, part.keys]).sum(axis=-2)
+    ctx /= s
+    return E, s, ctx
 
 
-def _attend_backward(dctx: np.ndarray, Qp: np.ndarray, Kh: np.ndarray,
-                     Vh: np.ndarray, A: np.ndarray, part: AttentionPart,
-                     scale: float, dKh: np.ndarray, dVh: np.ndarray) -> np.ndarray:
-    """Gradients of one part's _attend and _context given dctx: adds the
-    key and value terms into dKh and dVh, returns the term of the unscaled
-    query rows (`scale` is the factor _attend's Qp carries)."""
-    n = Kh.shape[1]
-    nb = A.shape[-1] - part.keys.shape[1]
+def _attend_backward(dctx: np.ndarray, Qp: np.ndarray, Kh: np.ndarray, Vh: np.ndarray,
+                     E: np.ndarray, s: np.ndarray, ctx: np.ndarray, part: AttentionPart,
+                     dKh: np.ndarray, dVh: np.ndarray) -> np.ndarray:
+    """Gradients of one part's _attend, which returned (E, s, ctx), given
+    dctx: adds the key and value terms into dKh and dVh and returns Qp's.
+    The key block's score gradient is formed in blocks of query rows of
+    about _ATTN_BLOCK elements of E, in one reused buffer."""
+    heads, r, cols = E.shape
+    n, nb = Kh.shape[1], cols - part.keys.shape[1]
     Kb, Vb = Kh[:, part.block], Vh[:, part.block]
-    dA = np.empty_like(A)
-    np.matmul(dctx, Vb.transpose(0, 2, 1), out=dA[..., :nb])
-    dVh[:, part.block] += A[..., :nb].transpose(0, 2, 1) @ dctx
-    if part.keys.size:
-        Kg, Vg = Kh[:, part.keys], Vh[:, part.keys]
-        dA[..., nb:] = (Vg * dctx[:, :, None, :]).sum(axis=-1)
-        dVh += _scatter_keys(A[..., nb:, None] * dctx[:, :, None, :], part.keys, n)
-    dS = softmax_rows_backward(dA, A, out=dA)
-    dQp = dS[..., :nb] @ Kb
-    dKh[:, part.block] += dS[..., :nb].transpose(0, 2, 1) @ Qp
-    if part.keys.size:
-        dQp += (dS[..., nb:, None] * Kg).sum(axis=-2)
-        dKh += _scatter_keys(dS[..., nb:, None] * Qp[:, :, None, :], part.keys, n)
-    return dQp * scale
+    g = dctx / s
+    delta = (g * ctx).sum(axis=-1, keepdims=True)
+    dQp = np.zeros(Qp.shape)
+    if part.keys.size:  # the gathered columns, (heads, r, m), in one go
+        Eg = E[..., nb:]
+        dVh += _scatter_keys(Eg[..., None] * g[:, :, None, :], part.keys, n)
+        dS = (Vh[:, part.keys] * g[:, :, None, :]).sum(axis=-1)
+        softmax_rows_backward(dS, Eg, delta, out=dS)
+        dQp += (dS[..., None] * Kh[:, part.keys]).sum(axis=-2)
+        dKh += _scatter_keys(dS[..., None] * Qp[:, :, None, :], part.keys, n)
+    step = max(1, _ATTN_BLOCK // max(heads * nb, 1))
+    buf = np.empty((heads, min(step, r), nb))
+    for i in range(0, r if nb else 0, step):
+        b = slice(i, i + step)
+        Eb, gb, dS = E[:, b, :nb], g[:, b], buf[:, :min(step, r - i)]
+        np.matmul(gb, Vb.transpose(0, 2, 1), out=dS)
+        dVh[:, part.block] += Eb.transpose(0, 2, 1) @ gb
+        softmax_rows_backward(dS, Eb, delta[:, b], out=dS)
+        dQp[:, b] += dS @ Kb
+        dKh[:, part.block] += dS.transpose(0, 2, 1) @ Qp[:, b]
+    return dQp
 
 
 def layer_forward(W: np.ndarray, parts: tuple[AttentionPart, ...], params: Params,
@@ -338,8 +349,7 @@ def layer_forward(W: np.ndarray, parts: tuple[AttentionPart, ...], params: Param
     W, and each query row attends the keys that `parts`, the attention plan
     of the mask rows `rows`, allows it. Returns the (len(rows), d_h)
     output. Appends what layer_backward needs to `caches`; with `caches`
-    None (prediction) the attention weights are dropped as soon as A V is
-    formed."""
+    None (prediction) the parts' E are dropped once the context is formed."""
     wq, wk, wv, wo = (params[prefix + k] for k in ("wq", "wk", "wv", "wo"))
     d_k = wq.shape[1] // n_heads
     Q = W[rows] @ wq
@@ -348,15 +358,14 @@ def layer_forward(W: np.ndarray, parts: tuple[AttentionPart, ...], params: Param
     Kh = _split_heads(W @ wk, n_heads)
     Vh = _split_heads(W @ wv, n_heads)
     ctxh = np.empty(Qh.shape)
-    weights = []
-    for part in parts:
-        weights.append(_attend(Qh[:, part.out], Kh, part))
-        ctxh[:, part.out] = _context(weights[-1], Vh, part)
+    attended = [_attend(Qh[:, part.out], Kh, Vh, part) for part in parts]
+    for part, (_, _, part_ctx) in zip(parts, attended):
+        ctxh[:, part.out] = part_ctx
     if caches is None:
-        del weights
+        del attended
     ctx = _merge_heads(ctxh)
-    attn = ctx @ wo
-    res1 = attn + W[rows]
+    res1 = ctx @ wo
+    res1 += W[rows]
     U, ln1_cache = layer_norm(res1, params[prefix + "ln1_g"], params[prefix + "ln1_b"])
     Z1 = U @ params[prefix + "ffn_w1"]
     Z1 += params[prefix + "ffn_b1"]
@@ -370,8 +379,8 @@ def layer_forward(W: np.ndarray, parts: tuple[AttentionPart, ...], params: Param
     W_out, ln2_cache = layer_norm(res2, params[prefix + "ln2_g"], params[prefix + "ln2_b"])
     if caches is not None:
         caches.append({"W": W, "rows": rows, "parts": parts, "Qh": Qh, "Kh": Kh,
-                       "Vh": Vh, "A": weights, "ctx": ctx, "U": U, "Z1": Z1, "Phi": Phi,
-                       "ln1": ln1_cache, "ln2": ln2_cache, "d_k": d_k})
+                       "Vh": Vh, "attended": attended, "ctx": ctx, "U": U, "Z1": Z1,
+                       "Phi": Phi, "ln1": ln1_cache, "ln2": ln2_cache})
     return W_out
 
 
@@ -406,13 +415,13 @@ def layer_backward(dW_out: np.ndarray, cache: dict, params: Params,
     grads[prefix + "wo"] += cache["ctx"].T @ dattn
     dctxh = _split_heads(dattn @ wo.T, n_heads)
     Qh, Kh, Vh = cache["Qh"], cache["Kh"], cache["Vh"]
-    scale = 1.0 / np.sqrt(cache["d_k"])
     dQh = np.empty(Qh.shape)
     dKh = np.zeros(Kh.shape)
     dVh = np.zeros(Vh.shape)
-    for part, A in zip(cache["parts"], cache["A"]):
+    for part, attended in zip(cache["parts"], cache["attended"]):
         dQh[:, part.out] = _attend_backward(dctxh[:, part.out], Qh[:, part.out], Kh, Vh,
-                                            A, part, scale, dKh, dVh)
+                                            *attended, part, dKh, dVh)
+    dQh /= np.sqrt(Qh.shape[-1])  # the factor layer_forward scaled Q by
     dQ, dK, dV = _merge_heads(dQh), _merge_heads(dKh), _merge_heads(dVh)
     wq, wk, wv = (params[prefix + k] for k in ("wq", "wk", "wv"))
     grads[prefix + "wq"] += W[rows].T @ dQ
@@ -480,8 +489,7 @@ def forward(inp: ModelInput, params: Params, config: ModelConfig,
     probabilities can differ from softmax(forward_hidden(...)[0][0] @ cls_w)
     in the last digits."""
     H = _run_layers(inp, params, config, caches=None, rows=slice(0, 1))
-    logits = H[0] @ params["cls_w"]
-    probs = softmax_rows(logits[None, :])[0]
+    probs = np.divide(*softmax_rows(H[0] @ params["cls_w"]))  # E / s
     return Prediction(probabilities=probs,
                       label=int(probs[1] >= threshold),
                       threshold=threshold)

@@ -17,11 +17,11 @@ strings, and an end key after the last token. Testing the current token is
 one list read, and no key of one kind equals a key of another.
 
 A declaration is attempted only where one can follow: at a type keyword or
-`mapping`, or at an identifier or dotted identifier (`a.b`) followed by an
-identifier, `[` or a declaration keyword (`memory`, `storage`, `calldata`
-in a statement; `public`, `constant`, ... in a contract). Anywhere else the
-attempt would fail before its type name ends, so skipping it changes no
-tree and no error.
+`mapping`, or at an identifier or dotted identifier (`a.b`) and its bracket
+groups (`a[2][]`) followed by an identifier or a declaration keyword
+(`memory`, `storage`, `calldata` in a statement; `public`, `constant`, ...
+in a contract). Anywhere else it would fail, so skipping it changes no tree;
+groups long enough that it could nest too deep first are still tried.
 
 Given `nodes`, parse stops after the first top-level or contract member
 that takes the count of variable occurrences (as var_occurrences counts
@@ -78,8 +78,6 @@ _FUNCTION_ATTR_KWS = _VISIBILITY_KWS | _MUTABILITY_KWS
 # kinds by a tag no token text equals; END follows the last token.
 IDENT, NUMBER, STRING, END = "<identifier>", "<number>", "<string>", "<end>"
 _TAGS = {KIND_IDENTIFIER: IDENT, KIND_NUMBER: NUMBER, KIND_STRING: STRING}
-# keys after a dotted identifier that can go on declaring
-_TYPE_NAME_NEXT = frozenset({IDENT, "["})
 # leaf kind by token kind alone; identifiers are plain names
 _LEAF_KINDS = {KIND_KEYWORD: a.LEAF_KW, KIND_NUMBER: a.LEAF_NUMBER,
                KIND_STRING: a.LEAF_STRING, KIND_PUNCT: a.LEAF_PUNCT}
@@ -131,15 +129,21 @@ class _Parser:
     def _at_decl(self, keywords: frozenset[str]) -> bool:
         """Whether `type keyword* name` can start here: at a type keyword or
         `mapping`, or at a dotted identifier (`a.b.c`, as parse_type_name
-        reads it) followed by an identifier, `[` or one of `keywords`.
-        Anywhere else an attempt fails before its type name ends."""
+        reads it) and its bracket groups followed by an identifier or one of
+        `keywords` (`x[i] += 1;` is none), or where the groups are long."""
         keys, p = self.keys, self.pos
         if keys[p] != IDENT:
             return keys[p] == "mapping" or is_type_keyword(keys[p])
         p += 1
         while keys[p] == "." and keys[p + 1] == IDENT:
             p += 2
-        return keys[p] in _TYPE_NAME_NEXT or keys[p] in keywords
+        end, open_ = p, 0
+        while keys[end] != END and (open_ or keys[end] == "["):  # array dimensions
+            open_ += (keys[end] == "[") - (keys[end] == "]")
+            end += 1
+        # an index of t tokens nests at most 3 t + 2 levels below the type name
+        deep = self.depth + 3 * (end - p) + 4 >= MAX_NESTING
+        return deep or keys[end] == IDENT or keys[end] in keywords
 
     # -- leaf constructors ----------------------------------------------
 

@@ -202,7 +202,8 @@ def dense_layer_forward(W: np.ndarray, mask_add: np.ndarray, params, prefix: str
     Kh = _split_heads(W @ wk, n_heads)
     Vh = _split_heads(W @ wv, n_heads)
     scores = Qh @ Kh.transpose(0, 2, 1) / np.sqrt(d_k) + mask_add
-    A = softmax_rows(scores)
+    E, s = softmax_rows(scores)
+    A = E / s
     ctx = _merge_heads(A @ Vh)
     U, ln1_cache = layer_norm(ctx @ wo + W, params[prefix + "ln1_g"], params[prefix + "ln1_b"])
     Z1 = U @ params[prefix + "ffn_w1"] + params[prefix + "ffn_b1"]
@@ -237,7 +238,7 @@ def dense_layer_backward(dW_out: np.ndarray, cache: dict, params, prefix: str,
     A = cache["A"]
     dA = dctxh @ cache["Vh"].transpose(0, 2, 1)
     dVh = A.transpose(0, 2, 1) @ dctxh
-    dS = softmax_rows_backward(dA, A)
+    dS = softmax_rows_backward(dA, A, (dA * A).sum(axis=-1, keepdims=True))
     scale = 1.0 / np.sqrt(cache["d_k"])
     dQ = _merge_heads(dS @ cache["Kh"] * scale)
     dK = _merge_heads(dS.transpose(0, 2, 1) @ cache["Qh"] * scale)

@@ -70,3 +70,35 @@ def test_pretrain_epoch_is_traced_per_sampler_and_pair_loss_call():
     assert calls["pretrain.sample_edge_mask"] == len(inputs)
     assert calls["pretrain.sample_align_mask"] == len(inputs)
     assert calls["model.losses.pair_bce"] == 2 * len(inputs)
+
+
+def test_attention_is_timed_in_every_layer_of_a_training_pass():
+    # softmax_rows and softmax_rows_backward hold the attention's exp-and-sum
+    # and score-gradient steps, so the traced run times attention there
+    from ponziscan.datasynth import generate_corpus
+    from ponziscan.encoding import build_vocab
+    from ponziscan.model import losses
+    from ponziscan.model.config import ModelConfig
+    from ponziscan.model.params import init_params
+    from ponziscan.pipeline import encode_records
+
+    records = generate_corpus(1, 1, 0)
+    vocab = build_vocab(records, 64)
+    config = ModelConfig(n_layers=2, d_h=8, n_heads=2, d_ff=16, code_len=24, flow_len=6)
+    inp = encode_records(records, vocab, config)[0]
+    assert inp.n_nodes
+    params = init_params(config, len(vocab))
+    tracer = perfbench_module("tracer").Tracer()
+    try:
+        tracer.install()
+        losses.classification_loss_and_grads(inp, 1, params, config)
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[span[0]] for span in tracer.spans]
+    for layer, step in (("layer_forward", "softmax_rows"),
+                        ("layer_backward", "softmax_rows_backward")):
+        layers = [i for i, name in enumerate(names) if name == f"model.encoder.{layer}"]
+        assert len(layers) == config.n_layers
+        for i in layers:
+            assert any(names[j] == f"model.encoder.{step}" and tracer.spans[j][3] == i
+                       for j in range(len(names))), (layer, i)

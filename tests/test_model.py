@@ -14,6 +14,7 @@ import pytest
 from ponziscan import datasynth
 from ponziscan.encoding import SEG_CODE, SEG_NODE, attention_plan, build_mask, build_vocab
 from ponziscan.errors import IdOutOfRange, NonFiniteActivation, ShapeMismatch
+from ponziscan.model import encoder
 from ponziscan.model.config import ModelConfig
 from ponziscan.model.encoder import (
     backward_hidden,
@@ -144,12 +145,19 @@ def test_gelu_keeping_phi_is_bitwise_the_plain_gelu():
     assert np.array_equal(gelu_grad(x, phi=phi), gelu_grad(x))
 
 
+def _softmax(x):
+    E, s = softmax_rows(x)
+    return E / s
+
+
 def test_softmax_rows_normalized_and_shift_invariant():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(5, 7))
-    p = softmax_rows(x)
+    E, s = softmax_rows(x)
+    assert np.array_equal(E.max(axis=-1), np.ones(5)) and (s >= 1.0).all()
+    p = E / s
     assert np.allclose(p.sum(axis=-1), 1.0)
-    assert np.allclose(softmax_rows(x + 123.0), p)
+    assert np.allclose(_softmax(x + 123.0), p)
 
 
 def test_softmax_rows_default_leaves_input_alone():
@@ -161,10 +169,10 @@ def test_softmax_rows_default_leaves_input_alone():
 
 def test_softmax_rows_in_place_is_bitwise_the_pure_call():
     x = np.random.default_rng(3).normal(size=(2, 5, 7))
-    A = softmax_rows(x)
-    got = softmax_rows(x, out=x)
+    E, s = softmax_rows(x)
+    got, got_s = softmax_rows(x, out=x)
     assert got is x
-    assert np.array_equal(got, A)
+    assert np.array_equal(got, E) and np.array_equal(got_s, s)
 
 
 def test_layer_norm_standardizes_rows():
@@ -467,7 +475,7 @@ def test_forward_probabilities_are_softmax_of_forward_hidden_cls(tiny_config):
         inp = random_model_input(rng, code_len=tiny_config.code_len,
                                  flow_len=tiny_config.flow_len)
         H, _ = forward_hidden(inp, params, tiny_config)
-        expected = softmax_rows(H[0] @ params["cls_w"])
+        expected = _softmax(H[0] @ params["cls_w"])
         assert np.array_equal(forward(inp, params, tiny_config).probabilities, expected)
 
 
@@ -521,7 +529,7 @@ def test_forward_cls_row_matches_forward_hidden_at_default_shape(long_input):
     spread = []
     for params in param_sets:
         H, _ = forward_hidden(inp, params, config)
-        expected = softmax_rows(H[0] @ params["cls_w"])
+        expected = _softmax(H[0] @ params["cls_w"])
         got = forward(inp, params, config).probabilities
         assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
         spread.append(abs(expected[1] - 0.5))
@@ -636,6 +644,43 @@ def test_backward_from_rows_matches_a_directional_difference(long_input):
             fd = (probe(eps) - probe(-eps)) / (2 * eps)
             an = sum(float((grads[k] * D[k]).sum()) for k in params)
             assert abs(an - fd) <= 1e-5 * abs(fd)
+
+
+def test_backward_peak_memory_is_under_two_cached_attention_buffers(long_input):
+    """backward_hidden forms the scores' gradient a block of query rows at
+    a time and takes the softmax term from the context, so above its entry
+    it holds less than twice layer 0's cached exponentials (the dense
+    gradient and its product with the weights, kept whole, took over 3)."""
+    config, inp, (params, _) = long_input
+    H, caches = forward_hidden(inp, params, config)
+    cached = sum(E.nbytes for E, _, _ in caches[0]["attended"])
+    dH = np.random.default_rng(4).normal(size=H.shape)
+    grads = zeros_like_params(params)
+    tracemalloc.start()
+    try:
+        backward_hidden(dH, inp, caches, params, config, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * cached
+
+
+def test_backward_in_one_row_blocks_equals_one_block(long_input, monkeypatch):
+    """The attention backward's query blocks change summation order only."""
+    config, inp, param_sets = long_input
+    dH = np.random.default_rng(5).normal(size=(len(inp), config.d_h))
+
+    def grads_in_blocks_of(elements, params):
+        monkeypatch.setattr(encoder, "_ATTN_BLOCK", elements)
+        _, caches = forward_hidden(inp, params, config)
+        grads = zeros_like_params(params)
+        backward_hidden(dH, inp, caches, params, config, grads)
+        return grads
+
+    for params in param_sets:
+        rows, whole = grads_in_blocks_of(1, params), grads_in_blocks_of(10 ** 9, params)
+        for name in whole:
+            assert np.allclose(rows[name], whole[name], rtol=0.0, atol=1e-12), name
 
 
 def test_forward_finiteness_guard_sees_the_cls_row_of_the_last_layer():

@@ -5,12 +5,13 @@ from __future__ import annotations
 import pytest
 
 from ponziscan.datasynth import generate_corpus
-from ponziscan.errors import ParseError, UnbalancedBrackets
+from ponziscan.errors import DomainError, ParseError, UnbalancedBrackets
 from ponziscan.solparse import astnodes as A
-from ponziscan.solparse.lexer import KIND_IDENTIFIER, Token, lex
+from ponziscan.solparse import parser
+from ponziscan.solparse.lexer import KIND_IDENTIFIER, Token, is_type_keyword, lex
 from ponziscan.solparse.parser import parse as parse_tokens, var_occurrences
 
-from helpers import time_limit
+from helpers import perfbench_module, time_limit
 
 
 def parse(source: str):
@@ -334,3 +335,74 @@ def test_callee_demotion_is_not_counted():
                            " contract B { uint b; }"), 1)
     assert [name for _, name in var_occurrences(ast)] == ["x", "y"]
     assert len(ast.children) == 1
+
+
+# --- where a declaration is attempted -----------------------------------------
+
+def _failed_attempts(sources, nodes):
+    """try_parse calls that fail while parsing sources, and all calls."""
+    counts = [0, 0]
+    attempt = parser._Parser.try_parse
+
+    def counted(self, fn):
+        result = attempt(self, fn)
+        counts[0] += result is None
+        counts[1] += 1
+        return result
+
+    parser._Parser.try_parse = counted
+    try:
+        for source in sources:
+            parser.parse(lex(source), nodes)
+    finally:
+        parser._Parser.try_parse = attempt
+    return tuple(counts)
+
+
+def test_indexed_statements_make_no_failing_declaration_attempt():
+    # `balanceOf[to] += value;` is no declaration, seen at its `+=`; every
+    # statement of these sources parses on its first attempt
+    flattened = perfbench_module("workloads").flattened_records(0)
+    failed, calls = _failed_attempts([r.source for r in flattened], 64)
+    assert calls > 5000 and failed == 0
+
+
+def _attempt_at_every_bracket(self, keywords):
+    """The rule without the look past bracket groups: `name [` may declare."""
+    keys, p = self.keys, self.pos
+    if keys[p] != parser.IDENT:
+        return keys[p] == "mapping" or is_type_keyword(keys[p])
+    p += 1
+    while keys[p] == "." and keys[p + 1] == parser.IDENT:
+        p += 2
+    return keys[p] in (parser.IDENT, "[") or keys[p] in keywords
+
+
+def _outcome(tokens):
+    try:
+        return A.to_jsonable(parser.parse(tokens))
+    except DomainError as err:
+        return type(err).__name__, err.offset
+
+
+@pytest.mark.parametrize("index", ["-" * 60 + "1", "(" * 30 + "1" + ")" * 30,
+                                   " + ".join(["1"] * 40), "a[" * 20 + "1" + "]" * 20],
+                         ids=["prefix", "parens", "chain", "indices"])
+@pytest.mark.parametrize("name, tail", [("x", " += 1;"), ("x.y", "++;"), ("m", " memory z;"),
+                                        ("x", "[2] y;"), ("x", ".f();")],
+                         ids=["assign", "postfix", "decl", "decl2d", "call"])
+def test_looking_past_brackets_keeps_every_tree_and_nesting_error(index, name, tail,
+                                                                 monkeypatch):
+    # near the nesting limit an attempt can fail by nesting too deep inside
+    # the index, which the expression parse nests one level deeper still
+    sources = []
+    for depth in range(60, parser.MAX_NESTING, 3):
+        statement = f"{name}[{index}]{tail}"
+        sources.append("contract C { function f() public { " + "{" * depth + statement
+                       + "}" * depth + " } }")
+    sources.append(f"contract C {{ {name}[{index}]{tail} }}")
+    with monkeypatch.context() as patched:
+        patched.setattr(parser._Parser, "_at_decl", _attempt_at_every_bracket)
+        want = [_outcome(lex(source)) for source in sources]
+    assert [_outcome(lex(source)) for source in sources] == want
+    assert any(isinstance(w, tuple) and w[0] == "NestingTooDeep" for w in want)
