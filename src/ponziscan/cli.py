@@ -24,32 +24,27 @@ from pathlib import Path
 from ponziscan import datasynth
 from ponziscan.dfg import extract_dfg, to_dot, to_jsonable as dfg_to_jsonable
 from ponziscan.encoding import build_vocab
-from ponziscan.errors import DomainError, NoTargets, UnlabeledRecord
+from ponziscan.errors import DomainError, NoTargets
 from ponziscan.ingest import DEFAULT_BASE_URL, MIN_DELAY, ApiConfig, fetch_verified_source
 from ponziscan.model.adam import DEFAULT_LR, AdamState
 from ponziscan.model.checkpoint import load_checkpoint, save_checkpoint
 from ponziscan.model.config import ModelConfig
 from ponziscan.model.params import init_params
 from ponziscan.pipeline import (
-    ContractRecord,
+    SPLITS,
     encode_records,
     evaluate,
     finetune,
     load_dataset,
     predict_one,
     record_line,
-    split_chronological,
-    split_random,
+    select_split,
     write_dataset,
 )
 from ponziscan.pretrain import PretrainFlags, pretrain_epoch
 from ponziscan.solparse.astnodes import to_jsonable as ast_to_jsonable
 from ponziscan.solparse.lexer import lex
 from ponziscan.solparse.parser import parse
-
-DEFAULT_VOCAB_CAP = 2048
-DEFAULT_THRESHOLD = 0.5
-SPLITS = ("fixed", "P2", "P3", "P4", "random", "all")
 
 # model-shape flag dest -> ModelConfig field
 _SHAPE_FIELDS = {"layers": "n_layers", "d_h": "d_h", "heads": "n_heads",
@@ -108,17 +103,24 @@ def _read_source(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _save_trained(ns: argparse.Namespace, params, vocab, config: ModelConfig,
+                  report: dict) -> None:
+    """Save the checkpoint (its stage is the subcommand) and print the report."""
+    save_checkpoint(ns.out, params, vocab, config,
+                    extra={"stage": ns.command, "epochs": ns.epochs,
+                           "seed": ns.seed, **report})
+    _emit({"checkpoint": ns.out, "epochs": ns.epochs, **report}, ns.pretty)
+
+
 # -- subcommand handlers -----------------------------------------------------
 
 
 def _cmd_parse(ns: argparse.Namespace) -> None:
-    tokens = lex(_read_source(ns.source))
-    _emit(ast_to_jsonable(parse(tokens)), ns.pretty)
+    _emit(ast_to_jsonable(parse(lex(_read_source(ns.source)))), ns.pretty)
 
 
 def _cmd_dfg(ns: argparse.Namespace) -> None:
-    tokens = lex(_read_source(ns.source))
-    graph = extract_dfg(parse(tokens))
+    graph = extract_dfg(parse(lex(_read_source(ns.source))))
     if ns.format == "dot":
         sys.stdout.write(to_dot(graph))
     else:
@@ -156,34 +158,12 @@ def _cmd_pretrain(ns: argparse.Namespace) -> None:
             raise NoTargets("no record has a code token or graph node for the"
                             " enabled pre-training objectives")
         trace.append(sum(totals) / len(totals))
-    save_checkpoint(ns.out, params, vocab, config,
-                    extra={"stage": "pretrain", "epochs": ns.epochs,
-                           "seed": ns.seed, "loss_trace": trace})
-    _emit({"checkpoint": ns.out, "epochs": ns.epochs, "loss_trace": trace},
-          ns.pretty)
-
-
-def _select_split(records: list[ContractRecord], split: str, seed: int):
-    """(sizes, train, val, test) records under one of SPLITS; val is None
-    unless the split has a validation subset. Every record needs a label.
-    fixed is the chronological pair P0..P4 -> P5."""
-    for r in records:
-        if r.label is None:
-            raise UnlabeledRecord(f"record idx {r.idx} has no label")
-    if split == "all":
-        return {"all": len(records)}, records, None, records
-    if split == "random":
-        subsets = split_random(records, seed)
-    else:
-        k = 5 if split == "fixed" else int(split[1:])
-        subsets = split_chronological(records, k)
-    sizes = {name: len(part) for name, part in subsets.items()}
-    return sizes, subsets["train"], subsets.get("val"), subsets["test"]
+    _save_trained(ns, params, vocab, config, {"loss_trace": trace})
 
 
 def _cmd_train(ns: argparse.Namespace) -> None:
     records = load_dataset(ns.dataset)
-    _, train, val, _ = _select_split(records, ns.split, ns.seed)
+    _, train, val, _ = select_split(records, ns.split, ns.seed)
     if ns.checkpoint:
         # warm start: the checkpoint's vocabulary and shape win
         params, vocab, config = _load_model(ns)
@@ -194,19 +174,15 @@ def _cmd_train(ns: argparse.Namespace) -> None:
     result = finetune(train, vocab, config, epochs=ns.epochs, lr=ns.lr,
                       seed=ns.seed, params=params, val_records=val,
                       threshold=ns.threshold)
-    save_checkpoint(ns.out, result.params, vocab, config,
-                    extra={"stage": "train", "epochs": ns.epochs,
-                           "seed": ns.seed, "best_epoch": result.best_epoch,
-                           "epoch_losses": result.epoch_losses})
-    _emit({"checkpoint": ns.out, "epochs": ns.epochs,
-           "best_epoch": result.best_epoch,
-           "epoch_losses": result.epoch_losses}, ns.pretty)
+    _save_trained(ns, result.params, vocab, config,
+                  {"best_epoch": result.best_epoch,
+                   "epoch_losses": result.epoch_losses})
 
 
 def _cmd_eval(ns: argparse.Namespace) -> None:
     records = load_dataset(ns.dataset)
     params, vocab, config = _load_model(ns)
-    sizes, _, _, test = _select_split(records, ns.split, ns.seed)
+    sizes, _, _, test = select_split(records, ns.split, ns.seed)
     report = evaluate(test, vocab, params, config, threshold=ns.threshold,
                       split_name=ns.split)
     payload = {"split": ns.split, "sizes": sizes, "report": report.to_dict()}
@@ -230,26 +206,14 @@ def _cmd_fetch(ns: argparse.Namespace) -> None:
                     timeout=ns.timeout, delay=ns.delay,
                     cache_dir=ns.cache_dir)
     record = fetch_verified_source(ns.address, api)
+    payload = {"address": ns.address, "idx": record.idx}
     if ns.out:
         with open(ns.out, "a", encoding="utf-8") as fh:
             fh.write(record_line(record))
-        _emit({"address": ns.address, "idx": record.idx, "path": ns.out,
-               "chars": len(record.source)}, ns.pretty)
+        payload.update(path=ns.out, chars=len(record.source))
     else:
-        _emit({"address": ns.address, "idx": record.idx,
-               "source": record.source}, ns.pretty)
-
-
-_HANDLERS = {
-    "parse": _cmd_parse,
-    "dfg": _cmd_dfg,
-    "synth": _cmd_synth,
-    "pretrain": _cmd_pretrain,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "predict": _cmd_predict,
-    "fetch": _cmd_fetch,
-}
+        payload["source"] = record.source
+    _emit(payload, ns.pretty)
 
 
 # -- argument plumbing -------------------------------------------------------
@@ -288,22 +252,41 @@ def _probability(text: str) -> float:
     return value
 
 
-def _add_model_overrides(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--layers", type=int, help="encoder layer count")
-    sub.add_argument("--d-h", type=int, dest="d_h", help="hidden width")
-    sub.add_argument("--heads", type=int, help="attention head count")
-    sub.add_argument("--d-ff", type=int, dest="d_ff", help="feed-forward width")
-    sub.add_argument("--code-len", type=int, dest="code_len",
-                     help="code token budget")
-    sub.add_argument("--flow-len", type=int, dest="flow_len",
-                     help="graph node budget")
+# The options that more than one subcommand takes, each stated once, by
+# flag; every subcommand also takes _COMMON.
+_OPTIONS = {
+    "--source": {"required": True},
+    "--dataset": {"required": True},
+    "--out": {"required": True},
+    "--checkpoint": {"required": True},
+    "--split": {"choices": SPLITS, "default": "fixed"},
+    "--threshold": {"type": _probability, "default": 0.5},
+    "--lr": {"type": _finite("lr"), "default": DEFAULT_LR},
+    "--vocab-cap": {"type": int, "default": 2048},
+    "--no-dataflow": {"action": "store_false", "dest": "use_dataflow"},
+    "--layers": {"type": int, "help": "encoder layer count"},
+    "--d-h": {"type": int, "help": "hidden width"},
+    "--heads": {"type": int, "help": "attention head count"},
+    "--d-ff": {"type": int, "help": "feed-forward width"},
+    "--code-len": {"type": int, "help": "code token budget"},
+    "--flow-len": {"type": int, "help": "graph node budget"},
+    "--seed": {"type": _count("seed"), "default": 0},
+    "--pretty": {"action": "store_true", "help": "plain-text table instead of JSON"},
+    "--config": {"help": "JSON file of argument defaults"},
+}
+_SHAPE = ("--layers", "--d-h", "--heads", "--d-ff", "--code-len", "--flow-len")
+_COMMON = ("--seed", "--pretty", "--config")
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=_count("seed"), default=0)
-    sub.add_argument("--pretty", action="store_true",
-                     help="plain-text table instead of JSON")
-    sub.add_argument("--config", help="JSON file of argument defaults")
+def _subcommand(subs, name: str, handler, help: str, *flags: str,
+                **kwargs) -> argparse.ArgumentParser:
+    """Subcommand `name`, run by `handler`, with the shared options `flags`
+    and _COMMON; kwargs go to add_parser."""
+    sub = subs.add_parser(name, help=help, **kwargs)
+    for flag in (*flags, *_COMMON):
+        sub.add_argument(flag, **_OPTIONS[flag])
+    sub.set_defaults(handler=handler)
+    return sub
 
 
 @dataclass(frozen=True)
@@ -358,73 +341,44 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True,
                                  parser_class=_SubcommandParser)
 
-    p = subs.add_parser("parse", help="tokenize and parse one source file")
-    p.add_argument("--source", required=True)
-    _add_common(p)
+    _subcommand(subs, "parse", _cmd_parse, "tokenize and parse one source file", "--source")
 
-    p = subs.add_parser("dfg", help="extract the data-flow graph of one file")
-    p.add_argument("--source", required=True)
+    p = _subcommand(subs, "dfg", _cmd_dfg, "extract the data-flow graph of one file",
+                    "--source")
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    _add_common(p)
 
-    p = subs.add_parser("synth", help="generate a synthetic labeled corpus")
-    p.add_argument("--out", required=True)
+    p = _subcommand(subs, "synth", _cmd_synth, "generate a synthetic labeled corpus", "--out")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--ponzi", type=int, default=16)
     p.add_argument("--published-shape", action="store_true",
                    dest="published_shape",
                    help="6,498 records shaped like the published corpus")
-    _add_common(p)
 
-    p = subs.add_parser("pretrain", help="run the self-supervised objectives")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True)
+    p = _subcommand(subs, "pretrain", _cmd_pretrain, "run the self-supervised objectives",
+                    "--dataset", "--out", "--lr", "--vocab-cap", "--no-dataflow", *_SHAPE)
     p.add_argument("--epochs", type=_count("epochs"), default=1)
-    p.add_argument("--lr", type=_finite("lr"), default=DEFAULT_LR)
-    p.add_argument("--vocab-cap", type=int, default=DEFAULT_VOCAB_CAP,
-                   dest="vocab_cap")
     p.add_argument("--no-mlm", action="store_false", dest="use_mlm")
     p.add_argument("--no-edgepred", action="store_false", dest="use_edgepred")
     p.add_argument("--no-nodealign", action="store_false", dest="use_nodealign")
-    p.add_argument("--no-dataflow", action="store_false", dest="use_dataflow")
-    _add_model_overrides(p)
-    _add_common(p)
 
-    p = subs.add_parser("train", help="fine-tune a classifier")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True)
+    p = _subcommand(subs, "train", _cmd_train, "fine-tune a classifier", "--dataset",
+                    "--out", "--split", "--lr", "--threshold", "--vocab-cap",
+                    "--no-dataflow", *_SHAPE)
     p.add_argument("--init", dest="checkpoint",
                    help="warm-start checkpoint (its vocab and shape win)")
-    p.add_argument("--split", choices=SPLITS, default="fixed")
     p.add_argument("--epochs", type=_count("epochs"), default=3)
-    p.add_argument("--lr", type=_finite("lr"), default=DEFAULT_LR)
-    p.add_argument("--threshold", type=_probability, default=DEFAULT_THRESHOLD)
-    p.add_argument("--vocab-cap", type=int, default=DEFAULT_VOCAB_CAP,
-                   dest="vocab_cap")
-    p.add_argument("--no-dataflow", action="store_false", dest="use_dataflow")
-    _add_model_overrides(p)
-    _add_common(p)
 
-    p = subs.add_parser("eval", help="score a checkpoint on a dataset split")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", choices=SPLITS, default="fixed")
-    p.add_argument("--threshold", type=_probability, default=DEFAULT_THRESHOLD)
+    p = _subcommand(subs, "eval", _cmd_eval, "score a checkpoint on a dataset split",
+                    "--dataset", "--checkpoint", "--split", "--threshold", "--no-dataflow")
     p.add_argument("--out", help="also write the JSON report here")
-    p.add_argument("--no-dataflow", action="store_false", dest="use_dataflow")
-    _add_common(p)
 
-    p = subs.add_parser("predict", help="classify one source file")
-    p.add_argument("--source", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--threshold", type=_probability, default=DEFAULT_THRESHOLD)
-    p.add_argument("--no-dataflow", action="store_false", dest="use_dataflow")
-    _add_common(p)
+    _subcommand(subs, "predict", _cmd_predict, "classify one source file",
+                "--source", "--checkpoint", "--threshold", "--no-dataflow")
 
-    p = subs.add_parser("fetch", help="download verified source by address",
-                        description="A fetched record's idx is int(address, 16)"
-                        " % 10**9, not its creation order, so the fixed and P<k>"
-                        " splits do not apply to fetched records.")
+    p = _subcommand(subs, "fetch", _cmd_fetch, "download verified source by address",
+                    description="A fetched record's idx is int(address, 16)"
+                    " % 10**9, not its creation order, so the fixed and P<k>"
+                    " splits do not apply to fetched records.")
     p.add_argument("--address", required=True)
     p.add_argument("--out", help="append the record to this JSONL file")
     p.add_argument("--api-key", dest="api_key",
@@ -434,7 +388,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--delay", type=_finite("delay", " of seconds", MIN_DELAY),
                    default=MIN_DELAY)
     p.add_argument("--cache-dir", dest="cache_dir")
-    _add_common(p)
 
     # subparsers parse into a fresh namespace, so pre-seeding the outer one
     # cannot carry config-file values; per-subparser defaults can. Each
@@ -487,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _HANDLERS[ns.command](ns)
+        ns.handler(ns)
     except (DomainError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,8 @@ Two split protocols:
     record train, the remainder tests.
   - random: seeded shuffle into 7:1:2 train/validation/test, remainder to
     train; validation picks the best epoch.
+select_split picks one by its command-line name, one of SPLITS; "all"
+trains and tests on every record.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from ponziscan.errors import (
     EmptyDataset,
     MalformedRecord,
     TooFewPositives,
+    UnlabeledRecord,
 )
 from ponziscan.model.adam import DEFAULT_LR, AdamState, adam_step
 from ponziscan.model.config import ModelConfig
@@ -37,6 +40,7 @@ from ponziscan.solparse.parser import parse
 
 PARTITION_PONZI_STEP = 50
 TRAIN_PONZI_COUNT = 5 * PARTITION_PONZI_STEP  # the fixed protocol's, P0..P4
+SPLITS = ("fixed", "P2", "P3", "P4", "random", "all")
 
 
 @dataclass(frozen=True)
@@ -152,6 +156,24 @@ def split_random(records: list[ContractRecord],
     # positions into the idx-ordered list: sorted, they keep idx order
     return {name: [ordered[i] for i in sorted(part)]
             for name, part in parts.items()}
+
+
+def select_split(records: list[ContractRecord], split: str, seed: int):
+    """(sizes, train, val, test) records under one of SPLITS; val is None
+    unless the split has a validation subset. Every record needs a label.
+    fixed is the chronological pair P0..P4 -> P5."""
+    for r in records:
+        if r.label is None:
+            raise UnlabeledRecord(f"record idx {r.idx} has no label")
+    if split == "all":
+        return {"all": len(records)}, records, None, records
+    if split == "random":
+        subsets = split_random(records, seed)
+    else:
+        k = 5 if split == "fixed" else int(split[1:])
+        subsets = split_chronological(records, k)
+    sizes = {name: len(part) for name, part in subsets.items()}
+    return sizes, subsets["train"], subsets.get("val"), subsets["test"]
 
 
 # -- encoding ---------------------------------------------------------------

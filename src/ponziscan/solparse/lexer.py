@@ -22,18 +22,20 @@ KIND_NUMBER = "number"
 KIND_STRING = "string"
 KIND_PUNCT = "punctuation"
 
+# Elementary type names without a size; the sized ones are _SIZED_TYPE_RE's.
+TYPE_KEYWORDS = frozenset({"address", "bool", "string", "bytes", "byte", "var"})
+# Ether and time units, written after a number literal.
+UNIT_KEYWORDS = frozenset({"wei", "szabo", "finney", "ether", "gwei",
+                           "seconds", "minutes", "hours", "days", "weeks", "years"})
 KEYWORDS = frozenset({
     "pragma", "import", "using", "contract", "interface", "library", "is",
     "function", "constructor", "modifier", "event", "struct", "enum",
     "mapping", "public", "private", "internal", "external", "pure", "view",
     "payable", "constant", "immutable", "anonymous", "indexed", "virtual",
     "override", "returns", "return", "if", "else", "for", "while", "do",
-    "break", "continue", "throw", "emit", "new", "delete", "var", "memory",
+    "break", "continue", "throw", "emit", "new", "delete", "memory",
     "storage", "calldata", "assembly", "unchecked", "true", "false", "this",
-    "address", "bool", "string", "bytes", "byte",
-    "wei", "szabo", "finney", "ether", "gwei",
-    "seconds", "minutes", "hours", "days", "weeks", "years",
-})
+}) | TYPE_KEYWORDS | UNIT_KEYWORDS
 
 # Sized elementary types (uint8..uint256, bytes1..bytes32, fixed/ufixed).
 _SIZED_TYPE_RE = re.compile(
@@ -91,9 +93,7 @@ class Token:
 
 def is_type_keyword(text: str) -> bool:
     """True for elementary type names (uint, uint8, bytes32, address, ...)."""
-    return text in {"address", "bool", "string", "bytes", "byte", "var"} or bool(
-        _SIZED_TYPE_RE.match(text)
-    )
+    return text in TYPE_KEYWORDS or bool(_SIZED_TYPE_RE.match(text))
 
 
 def _classify_word(text: str) -> str:

@@ -46,13 +46,12 @@ from ponziscan.solparse.lexer import (
     KIND_NUMBER,
     KIND_PUNCT,
     KIND_STRING,
+    UNIT_KEYWORDS,
     Token,
     is_type_keyword,
 )
 
 BUILTIN_ROOTS = frozenset({"msg", "block", "tx"})
-UNIT_KEYWORDS = frozenset({"wei", "szabo", "finney", "ether", "gwei",
-                           "seconds", "minutes", "hours", "days", "weeks", "years"})
 
 ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>="})
 _BINARY_BP = {

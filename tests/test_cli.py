@@ -1010,3 +1010,11 @@ def test_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     assert "ponziscan" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["parse", "dfg", "synth", "pretrain",
+                                     "train", "eval", "predict", "fetch"])
+def test_subcommand_help_exits_0(command, capsys):
+    """argparse formats an option's help only when it prints it."""
+    assert run([command, "--help"]) == 0
+    assert f"usage: ponziscan {command}" in capsys.readouterr().out

@@ -13,14 +13,19 @@ golden run: structure, strings and integers exactly, floats within 1e-9
 (BLAS rounding differs between machines). The float-free parse and dfg
 outputs are compared by digest.
 
+(c) The option surface: every action of every subcommand's parser, its
+option strings, dest, default, type, choices, required-ness, nargs, help
+and action class. Their order is not pinned; it shows only in --help.
+
 A golden file may only change with a named, intended behaviour change.
-Rewrite both after one with:
+Rewrite them after one with:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -31,7 +36,7 @@ import sys
 from pathlib import Path
 
 from ponziscan import datasynth
-from ponziscan.cli import main
+from ponziscan.cli import build_parser, main
 from ponziscan.dfg import extract_dfg, to_jsonable as dfg_to_jsonable
 from ponziscan.encoding import build_vocab, encode_input
 from ponziscan.errors import DomainError
@@ -46,6 +51,7 @@ from helpers import mutated_sources, perfbench_module
 GOLDEN = Path(__file__).with_name("golden")
 FRONTEND_GOLDEN = GOLDEN / "frontend.json"
 CLI_GOLDEN = GOLDEN / "cli_chain.json"
+OPTIONS_GOLDEN = GOLDEN / "cli_options.json"
 FLOAT_TOL = 1e-9
 
 
@@ -197,16 +203,62 @@ def test_cli_chain(tmp_path):
     assert_close(run_chain(tmp_path), want, "chain")
 
 
+# -- (c) option surface ------------------------------------------------------
+
+
+def _type_check(kind) -> str:
+    """What an option's type makes of "-1": the value, or why it refuses."""
+    try:
+        return repr(kind("-1"))
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def option_surface() -> dict:
+    """Per subcommand: its help, its description and, keyed by option
+    strings, what each of its actions takes and gives. Read with
+    ETHERSCAN_API_KEY unset: --api-key takes its default from it."""
+    parser = build_parser()
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in subs._choices_actions}
+    out = {}
+    for name, sub in subs.choices.items():
+        options = {}
+        for action in sub._actions:
+            typed = action.type is not None
+            options[", ".join(action.option_strings)] = {
+                "dest": action.dest, "default": action.default,
+                "type": action.type.__qualname__ if typed else None,
+                "type_of_minus_1": _type_check(action.type) if typed else None,
+                "choices": None if action.choices is None else list(action.choices),
+                "required": action.required, "nargs": action.nargs,
+                "help": action.help, "action": type(action).__name__}
+        out[name] = {"help": helps[name], "description": sub.description,
+                     "options": options}
+    return out
+
+
+def test_option_surface(monkeypatch):
+    monkeypatch.delenv("ETHERSCAN_API_KEY", raising=False)
+    want = json.loads(OPTIONS_GOLDEN.read_text(encoding="utf-8"))
+    assert json.loads(json.dumps(option_surface())) == want
+
+
 def _write_golden(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n",
                     encoding="utf-8")
 
 
 if __name__ == "__main__":
+    import os
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
     _write_golden(FRONTEND_GOLDEN, frontend_digests())
     with tempfile.TemporaryDirectory() as tmp:
         _write_golden(CLI_GOLDEN, run_chain(Path(tmp)))
-    print(f"wrote {FRONTEND_GOLDEN} and {CLI_GOLDEN}", file=sys.stderr)
+    os.environ.pop("ETHERSCAN_API_KEY", None)
+    _write_golden(OPTIONS_GOLDEN, option_surface())
+    print(f"wrote {FRONTEND_GOLDEN}, {CLI_GOLDEN} and {OPTIONS_GOLDEN}",
+          file=sys.stderr)
