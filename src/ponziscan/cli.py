@@ -275,7 +275,7 @@ _OPTIONS = {
     "--config": {"help": "JSON file of argument defaults"},
 }
 _SHAPE = ("--layers", "--d-h", "--heads", "--d-ff", "--code-len", "--flow-len")
-_COMMON = ("--seed", "--pretty", "--config")
+_COMMON = ("--pretty", "--config")
 
 
 def _subcommand(subs, name: str, handler, help: str, *flags: str,
@@ -347,7 +347,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
                     "--source")
     p.add_argument("--format", choices=("json", "dot"), default="json")
 
-    p = _subcommand(subs, "synth", _cmd_synth, "generate a synthetic labeled corpus", "--out")
+    p = _subcommand(subs, "synth", _cmd_synth, "generate a synthetic labeled corpus", "--out",
+                    "--seed")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--ponzi", type=int, default=16)
     p.add_argument("--published-shape", action="store_true",
@@ -355,21 +356,23 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
                    help="6,498 records shaped like the published corpus")
 
     p = _subcommand(subs, "pretrain", _cmd_pretrain, "run the self-supervised objectives",
-                    "--dataset", "--out", "--lr", "--vocab-cap", "--no-dataflow", *_SHAPE)
+                    "--dataset", "--out", "--seed", "--lr", "--vocab-cap", "--no-dataflow",
+                    *_SHAPE)
     p.add_argument("--epochs", type=_count("epochs"), default=1)
     p.add_argument("--no-mlm", action="store_false", dest="use_mlm")
     p.add_argument("--no-edgepred", action="store_false", dest="use_edgepred")
     p.add_argument("--no-nodealign", action="store_false", dest="use_nodealign")
 
     p = _subcommand(subs, "train", _cmd_train, "fine-tune a classifier", "--dataset",
-                    "--out", "--split", "--lr", "--threshold", "--vocab-cap",
+                    "--out", "--split", "--seed", "--lr", "--threshold", "--vocab-cap",
                     "--no-dataflow", *_SHAPE)
     p.add_argument("--init", dest="checkpoint",
                    help="warm-start checkpoint (its vocab and shape win)")
     p.add_argument("--epochs", type=_count("epochs"), default=3)
 
     p = _subcommand(subs, "eval", _cmd_eval, "score a checkpoint on a dataset split",
-                    "--dataset", "--checkpoint", "--split", "--threshold", "--no-dataflow")
+                    "--dataset", "--checkpoint", "--split", "--seed", "--threshold",
+                    "--no-dataflow")
     p.add_argument("--out", help="also write the JSON report here")
 
     _subcommand(subs, "predict", _cmd_predict, "classify one source file",

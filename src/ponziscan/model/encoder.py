@@ -27,11 +27,14 @@ Padding scores are -inf, no forbidden entry is scored or exp'ed, and the
 only (n, n) array is the boolean mask, built once per pass. Rows are
 normalised late, as in FlashAttention-2 (Dao, 2023): `softmax_rows` turns
 a part's scores into E = exp(S - rowmax S) in place, with row sums s, and
-only the small context (E V) / s is divided. `layer_backward` forms the
+only the small context (E V) / s is divided. Prediction scores each part a
+block of query rows at a time, in one reused buffer; training scores all
+its rows as one block, into the E it caches. `layer_backward` forms the
 scores' gradient E (g V' - g . ctx), g = dctx / s, over blocks of query
 rows of the cached E (the few gathered columns at once, their key and
 value gradients summed into their key rows). Skipping the forbidden
-entries' zeros changes summation order only, in the last digits.
+entries' zeros changes summation order only, in the last digits, and so
+do prediction's blocks, whose products have other shapes.
 
 GELU is x Phi(x), with Phi(x) = 0.5 (1 + erf(x / sqrt 2)) the normal CDF.
 `erf` is evaluated here in numpy, with the rational approximations of the
@@ -43,14 +46,19 @@ GELU once: the forward pass caches Phi in place of the GELU output, and
 `layer_backward` forms G = x Phi and the derivative Phi + x exp(-x^2 / 2)
 / sqrt(2 pi) from it.
 
-Few large temporaries: `forward` keeps no layer caches and drops the
-parts' E once a layer's context is formed (training caches E, s and the
-context); the FFN adds its biases in place, GELU forms Phi and G in one
-fresh (n, d_ff) array (erf's two temporaries are 128 KB blocks), layer
-norm centres x once and scales in place, and the attention backward
-reuses one block-sized buffer. A prediction's peak heap then stays under
-glibc's trim threshold, so the memory one pass frees is not returned to
-the kernel only to be page-faulted back in by the next.
+Few large temporaries: `forward` keeps no layer caches and holds no
+(heads, n, n) array: a part's scores take one buffer of about
+_ATTN_BLOCK elements (256 KB), freed before the next part's (training
+caches each part's whole E, s and context). Each layer runs as an attention sub-layer and an FFN sub-layer,
+so prediction frees Q, K, V, the context, the first residual and layer
+norm's xhat before the FFN runs. The FFN adds its biases and its residual
+in place, and prediction forms GELU in place over Z1 a block of rows at a
+time (Phi's and erf's temporaries are 128 KB blocks; training keeps Phi
+in one fresh (n, d_ff) array). Layer norm centres x once and scales in
+place, and the attention backward reuses one block-sized buffer. A
+prediction's peak heap then stays under glibc's trim threshold, so the
+memory one pass frees is not returned to the kernel only to be
+page-faulted back in by the next.
 
 One rule for the final layer: it computes only the query rows its caller
 reads. `forward` reads the [CLS] row (`rows=slice(0, 1)`), and each loss
@@ -113,7 +121,15 @@ _ERF_SATURATES = 6.0
 # Xeon (4 MiB L2), GELU over a (322, 256) array took 0.85 ms this way
 # against 1.30 ms in one whole-array pass
 _ERF_BLOCK = 16384
-_ATTN_BLOCK = 32768  # elements of E per attention-backward block: dS, 256 KB, stays in L2
+# elements of scores per block of query rows in attention and its backward:
+# a 256 KB block stays in L2
+_ATTN_BLOCK = 32768
+
+
+def _row_step(row_size: int, elements: int) -> int:
+    """Rows per block of about `elements` elements, for rows of `row_size`
+    elements; at least one."""
+    return max(1, elements // max(row_size, 1))
 
 
 def _horner(coef: tuple, x: np.ndarray, out: np.ndarray | None = None,
@@ -144,7 +160,7 @@ def erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     two temporaries stay small and in cache."""
     if out is None:
         out = np.empty(x.shape)
-    step = max(1, _ERF_BLOCK * len(x) // max(x.size, 1))
+    step = _row_step(x.size // max(len(x), 1), _ERF_BLOCK)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, len(x), step):
             _erf_block(x[i:i + step], out[i:i + step])
@@ -176,16 +192,22 @@ def _normal_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def gelu(x: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
-    """x Phi(x), Phi the standard normal CDF, in one new array. Training
-    passes `phi` (shaped like x) to keep Phi(x) there for gelu_grad;
-    without it, Phi is formed and scaled by x in the result's buffer.
-    Scaling by 0.5 is exact, so this rounds as 0.5 x (1 + erf(x / sqrt 2))
-    does."""
+def gelu(x: np.ndarray, phi: np.ndarray | None = None,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """x Phi(x), Phi the standard normal CDF, into `out` (which may be x)
+    or a new array. Training passes `phi` (shaped like x) to keep Phi(x)
+    there for gelu_grad; without it, Phi is formed a block of rows of about
+    _ERF_BLOCK elements at a time and each block scaled by x at once, so
+    prediction forms GELU in place. Scaling by 0.5 is exact, so this rounds
+    as 0.5 x (1 + erf(x / sqrt 2)) does."""
     if phi is not None:
-        return x * _normal_cdf(x, out=phi)
-    out = _normal_cdf(x)
-    out *= x
+        return np.multiply(x, _normal_cdf(x, out=phi), out=out)
+    if out is None:
+        out = np.empty(x.shape)
+    step = _row_step(x.size // max(len(x), 1), _ERF_BLOCK)
+    for i in range(0, len(x), step):
+        b = slice(i, i + step)
+        np.multiply(x[b], _normal_cdf(x[b]), out=out[b])
     return out
 
 
@@ -286,25 +308,39 @@ def _scatter_keys(contrib: np.ndarray, keys: np.ndarray, n: int) -> np.ndarray:
                        minlength=heads * n * d_k).reshape(heads, n, d_k)
 
 
-def _attend(Qp: np.ndarray, Kh: np.ndarray, Vh: np.ndarray, part: AttentionPart):
-    """One part's attention for its scaled query rows Qp, as (E, s, ctx):
-    softmax_rows (E, s) of the scores of its key block, then of its
-    gathered keys (-inf on padding), in one (heads, r, block + m) buffer,
-    and the context ctx = (E V) / s, (heads, r, d_k)."""
-    Kb = Kh[:, part.block]
-    nb = Kb.shape[1]
-    S = np.empty(Qp.shape[:2] + (nb + part.keys.shape[1],))
-    np.matmul(Qp, Kb.transpose(0, 2, 1), out=S[..., :nb])
-    if part.keys.size:
-        gathered = S[..., nb:]
-        gathered[...] = (Kh[:, part.keys] * Qp[:, :, None, :]).sum(axis=-1)
-        gathered[:, part.pad] = -np.inf
-    E, s = softmax_rows(S, out=S)
-    ctx = E[..., :nb] @ Vh[:, part.block]
-    if part.keys.size:
-        ctx += (E[..., nb:, None] * Vh[:, part.keys]).sum(axis=-2)
+def _attend(Qp: np.ndarray, Kh: np.ndarray, Vh: np.ndarray, part: AttentionPart,
+            keep: bool):
+    """One part's attention for its scaled query rows Qp, as (E, s, ctx),
+    a block of query rows at a time: softmax_rows (E, s) of the block's
+    scores of its key block, then of its gathered keys (-inf on padding),
+    and the context ctx = (E V) / s, (heads, r, d_k). Prediction scores
+    blocks of about _ATTN_BLOCK scores in one reused buffer and returns E
+    None. With `keep` (training) the one block is every row, written into
+    the (heads, r, block + m) E that _attend_backward reads: that E is
+    kept whole anyway, and one block rounds as the all-rows products
+    always have."""
+    heads, r, _ = Qp.shape
+    Kb, Vb = Kh[:, part.block], Vh[:, part.block]
+    nb, m = Kb.shape[1], part.keys.shape[1]
+    step = max(r, 1) if keep else _row_step(heads * (nb + m), _ATTN_BLOCK)
+    buf = np.empty((heads, min(step, r), nb + m))
+    s = np.empty((heads, r, 1))
+    ctx = np.empty(Qp.shape)
+    for i in range(0, r, step):
+        b = slice(i, i + step)
+        Qb, keys = Qp[:, b], part.keys[b]
+        S = buf[:, :min(step, r - i)]
+        np.matmul(Qb, Kb.transpose(0, 2, 1), out=S[..., :nb])
+        if m:
+            gathered = S[..., nb:]
+            gathered[...] = (Kh[:, keys] * Qb[:, :, None, :]).sum(axis=-1)
+            gathered[:, part.pad[b]] = -np.inf
+        _, s[:, b] = softmax_rows(S, out=S)
+        np.matmul(S[..., :nb], Vb, out=ctx[:, b])
+        if m:
+            ctx[:, b] += (S[..., nb:, None] * Vh[:, keys]).sum(axis=-2)
     ctx /= s
-    return E, s, ctx
+    return (buf if keep else None), s, ctx
 
 
 def _attend_backward(dctx: np.ndarray, Qp: np.ndarray, Kh: np.ndarray, Vh: np.ndarray,
@@ -327,7 +363,7 @@ def _attend_backward(dctx: np.ndarray, Qp: np.ndarray, Kh: np.ndarray, Vh: np.nd
         softmax_rows_backward(dS, Eg, delta, out=dS)
         dQp += (dS[..., None] * Kh[:, part.keys]).sum(axis=-2)
         dKh += _scatter_keys(dS[..., None] * Qp[:, :, None, :], part.keys, n)
-    step = max(1, _ATTN_BLOCK // max(heads * nb, 1))
+    step = _row_step(heads * nb, _ATTN_BLOCK)
     buf = np.empty((heads, min(step, r), nb))
     for i in range(0, r if nb else 0, step):
         b = slice(i, i + step)
@@ -348,8 +384,26 @@ def layer_forward(W: np.ndarray, parts: tuple[AttentionPart, ...], params: Param
     that must be sorted and unique); keys and values come from every row of
     W, and each query row attends the keys that `parts`, the attention plan
     of the mask rows `rows`, allows it. Returns the (len(rows), d_h)
-    output. Appends what layer_backward needs to `caches`; with `caches`
-    None (prediction) the parts' E are dropped once the context is formed."""
+    output. Appends what layer_backward needs to `caches`.
+
+    The layer runs as two sub-layers, each of which writes its part of
+    the cache. With `caches` None (prediction) nothing of the attention
+    sub-layer (Q, K, V, the context, its residual, layer norm's xhat)
+    outlives it, so none of it is held while the FFN runs."""
+    cache = None if caches is None else {"W": W, "rows": rows, "parts": parts}
+    U = _attention_sublayer(W, parts, params, prefix, n_heads, rows, cache)
+    W_out = _ffn_sublayer(U, params, prefix, cache)
+    if caches is not None:
+        caches.append(cache)
+    return W_out
+
+
+def _attention_sublayer(W: np.ndarray, parts: tuple[AttentionPart, ...], params: Params,
+                        prefix: str, n_heads: int, rows: slice | np.ndarray,
+                        cache: dict | None) -> np.ndarray:
+    """U = LayerNorm(MultiHeadAttention(W)[rows] + W[rows]). Training's
+    `cache` takes Q, K, V, each part's (E, s, ctx), the merged context and
+    layer norm's; prediction (`cache` None) keeps no part's E."""
     wq, wk, wv, wo = (params[prefix + k] for k in ("wq", "wk", "wv", "wo"))
     d_k = wq.shape[1] // n_heads
     Q = W[rows] @ wq
@@ -358,29 +412,36 @@ def layer_forward(W: np.ndarray, parts: tuple[AttentionPart, ...], params: Param
     Kh = _split_heads(W @ wk, n_heads)
     Vh = _split_heads(W @ wv, n_heads)
     ctxh = np.empty(Qh.shape)
-    attended = [_attend(Qh[:, part.out], Kh, Vh, part) for part in parts]
-    for part, (_, _, part_ctx) in zip(parts, attended):
+    attended = []
+    for part in parts:
+        E, s, part_ctx = _attend(Qh[:, part.out], Kh, Vh, part, keep=cache is not None)
         ctxh[:, part.out] = part_ctx
-    if caches is None:
-        del attended
+        if cache is not None:
+            attended.append((E, s, part_ctx))
     ctx = _merge_heads(ctxh)
     res1 = ctx @ wo
     res1 += W[rows]
     U, ln1_cache = layer_norm(res1, params[prefix + "ln1_g"], params[prefix + "ln1_b"])
+    if cache is not None:
+        cache.update(Qh=Qh, Kh=Kh, Vh=Vh, attended=attended, ctx=ctx, ln1=ln1_cache)
+    return U
+
+
+def _ffn_sublayer(U: np.ndarray, params: Params, prefix: str,
+                  cache: dict | None) -> np.ndarray:
+    """LayerNorm(FFN(U) + U). Training's `cache` takes U, Z1 and Phi(Z1)
+    for gelu_grad (layer_backward forms G = Z1 Phi again) and layer norm's;
+    prediction (`cache` None) forms GELU in place over Z1."""
     Z1 = U @ params[prefix + "ffn_w1"]
     Z1 += params[prefix + "ffn_b1"]
-    # training keeps Phi(Z1) for gelu_grad (layer_backward forms G = Z1 Phi
-    # again); prediction forms Phi and G in one buffer
-    Phi = None if caches is None else np.empty_like(Z1)
-    G = gelu(Z1, phi=Phi)
+    Phi = None if cache is None else np.empty_like(Z1)
+    G = gelu(Z1, phi=Phi, out=Z1 if cache is None else None)
     F = G @ params[prefix + "ffn_w2"]
     F += params[prefix + "ffn_b2"]
-    res2 = F + U
-    W_out, ln2_cache = layer_norm(res2, params[prefix + "ln2_g"], params[prefix + "ln2_b"])
-    if caches is not None:
-        caches.append({"W": W, "rows": rows, "parts": parts, "Qh": Qh, "Kh": Kh,
-                       "Vh": Vh, "attended": attended, "ctx": ctx, "U": U, "Z1": Z1,
-                       "Phi": Phi, "ln1": ln1_cache, "ln2": ln2_cache})
+    F += U
+    W_out, ln2_cache = layer_norm(F, params[prefix + "ln2_g"], params[prefix + "ln2_b"])
+    if cache is not None:
+        cache.update(U=U, Z1=Z1, Phi=Phi, ln2=ln2_cache)
     return W_out
 
 

@@ -8,6 +8,8 @@ file and executed here without writing anything next to it.
 
 from __future__ import annotations
 
+import importlib
+
 from helpers import perfbench_module
 
 
@@ -18,6 +20,22 @@ def test_every_traced_span_has_a_call_site():
         assert tracer.absent() == []
     finally:
         tracer.uninstall()
+
+
+# sites the program has dropped; the tracer keeps them until the benchmark
+# itself next changes, and their spans are timed at their other sites
+KNOWN_ABSENT_SITES = {("ponziscan.encoding", "lex"), ("ponziscan.pretrain", "build_mask")}
+
+
+def test_every_traced_site_resolves():
+    """A span that loses one of several sites still has a site, so
+    test_every_traced_span_has_a_call_site passes while the calls made
+    through the lost one go untimed; each site is checked here."""
+    tracer = perfbench_module("tracer")
+    missing = {(module_name, attr)
+               for sites in tracer.SITES.values() for module_name, attr in sites
+               if not callable(getattr(importlib.import_module(module_name), attr, None))}
+    assert missing == KNOWN_ABSENT_SITES
 
 
 def test_encode_record_is_traced_through_one_parse_and_one_dfg():

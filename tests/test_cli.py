@@ -561,6 +561,32 @@ def test_config_keys_of_other_subcommands_are_accepted(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["records"] == 10
 
 
+@pytest.mark.parametrize("argv", [
+    ["parse", "--source", "unused.sol"],
+    ["dfg", "--source", "unused.sol"],
+    ["predict", "--source", "unused.sol", "--checkpoint", "unused.ckpt"],
+    ["fetch", "--address", "0x" + "0" * 40],
+])
+def test_seed_flag_is_a_usage_error_where_nothing_is_drawn(argv, capsys):
+    """Only synth, pretrain, train and eval draw random numbers, so only
+    they take --seed."""
+    assert run([*argv, "--seed", "7"]) == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
+def test_config_seed_is_left_alone_by_predict(workspace, tmp_path, capsys):
+    """predict takes no --seed, so a config file's seed is another
+    subcommand's key to it: accepted and left alone, the output unchanged."""
+    argv = ["predict", "--source", str(workspace["source"]),
+            "--checkpoint", str(workspace["model"])]
+    assert run(argv) == 0
+    plain = capsys.readouterr().out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 7}), encoding="utf-8")
+    assert run([*argv, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == plain
+
+
 # -- fetch (offline via cache) ------------------------------------------------
 
 

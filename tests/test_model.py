@@ -145,6 +145,16 @@ def test_gelu_keeping_phi_is_bitwise_the_plain_gelu():
     assert np.array_equal(gelu_grad(x, phi=phi), gelu_grad(x))
 
 
+def test_gelu_in_place_is_bitwise_the_plain_gelu():
+    """Prediction's gelu(x, out=x) scales each block of Phi by x before the
+    next block overwrites x; over several blocks, the last one short, it
+    rounds as x Phi(x) does."""
+    x = np.random.default_rng(6).normal(0.0, 2.0, size=(300, 131))
+    want = x * (0.5 * (1.0 + erf(x / np.sqrt(2.0))))
+    assert np.array_equal(gelu(x), want)
+    assert gelu(x, out=x) is x and np.array_equal(x, want)
+
+
 def _softmax(x):
     E, s = softmax_rows(x)
     return E / s
@@ -479,12 +489,12 @@ def test_forward_probabilities_are_softmax_of_forward_hidden_cls(tiny_config):
         assert np.array_equal(forward(inp, params, tiny_config).probabilities, expected)
 
 
-def test_forward_peak_memory_is_about_one_attention_buffer():
-    """forward holds at most one layer's attention weights at a time, and
-    only until that layer's A V is formed: its traced peak stays within 1.5
-    (heads, n, n) buffers however many layers there are (keeping every
-    layer's attention plus softmax temporaries took over 6, and dense
-    attention scores with their weights held through the FFN 2.5)."""
+def test_forward_peak_memory_is_under_six_tenths_of_an_attention_buffer():
+    """forward scores a block of query rows at a time in one reused buffer,
+    forms GELU in place and holds none of a layer's attention arrays while
+    its FFN runs: its traced peak stays within 0.6 (heads, n, n) buffers
+    however many layers there are (scoring each part whole took 1.08,
+    keeping every layer's attention plus softmax temporaries over 6)."""
     config = ModelConfig()
     rng = np.random.default_rng(0)
     source = "\n\n".join(datasynth.make_source(label, rng) for label in (1, 0, 0, 1, 0, 0))
@@ -501,7 +511,7 @@ def test_forward_peak_memory_is_about_one_attention_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * config.n_heads * n * n * 8
+    assert peak <= 0.6 * config.n_heads * n * n * 8
 
 
 # --- [CLS]-row final layer at the default shape --------------------------------
@@ -681,6 +691,21 @@ def test_backward_in_one_row_blocks_equals_one_block(long_input, monkeypatch):
         rows, whole = grads_in_blocks_of(1, params), grads_in_blocks_of(10 ** 9, params)
         for name in whole:
             assert np.allclose(rows[name], whole[name], rtol=0.0, atol=1e-12), name
+
+
+def test_forward_in_one_row_blocks_equals_one_block(long_input, monkeypatch):
+    """Prediction's attention query blocks change the BLAS products'
+    shapes only, so the probabilities agree in the last digits."""
+    config, inp, param_sets = long_input
+
+    def probabilities_in_blocks_of(elements, params):
+        monkeypatch.setattr(encoder, "_ATTN_BLOCK", elements)
+        return forward(inp, params, config).probabilities
+
+    for params in param_sets:
+        rows = probabilities_in_blocks_of(1, params)
+        whole = probabilities_in_blocks_of(10 ** 9, params)
+        assert np.allclose(rows, whole, rtol=0.0, atol=1e-12)
 
 
 def test_forward_finiteness_guard_sees_the_cls_row_of_the_last_layer():
