@@ -21,7 +21,10 @@ A declaration is attempted only where one can follow: at a type keyword or
 groups (`a[2][]`) followed by an identifier or a declaration keyword
 (`memory`, `storage`, `calldata` in a statement; `public`, `constant`, ...
 in a contract). Anywhere else it would fail, so skipping it changes no tree;
-groups long enough that it could nest too deep first are still tried.
+groups long enough that it could nest too deep first are still tried. One
+rule serves a statement and a for-loop header alike: a declaration where
+one is attempted and parses, else an expression statement, which may begin
+with a type cast (`uint(x);`, `address(a).transfer(v);`).
 
 Given `nodes`, parse stops after the first top-level or contract member
 that takes the count of variable occurrences (as var_occurrences counts
@@ -93,7 +96,6 @@ class _Parser:
     def __init__(self, tokens: list[Token], nodes: int | None = None):
         self.toks = tokens
         self.keys = [_TAGS.get(t.kind, t.text) for t in tokens] + [END]
-        self.n = len(tokens)
         self.pos = 0
         self.depth = 0
         self.vars = 0  # variable occurrences so far, as var_occurrences counts
@@ -102,10 +104,10 @@ class _Parser:
     # -- token navigation ---------------------------------------------
 
     def at_end(self) -> bool:
-        return self.pos >= self.n
+        return self.keys[self.pos] == END
 
     def _offset(self) -> int:
-        if self.pos < self.n:
+        if self.keys[self.pos] != END:
             return self.toks[self.pos].start
         return self.toks[-1].end if self.toks else 0
 
@@ -115,15 +117,6 @@ class _Parser:
     def at(self, *texts: str) -> bool:
         """At a punctuation or keyword token with one of these texts."""
         return self.keys[self.pos] in texts
-
-    def at_ident(self) -> bool:
-        return self.keys[self.pos] == IDENT
-
-    def _at_builtin_ref(self) -> bool:
-        """At `msg.x`, `block.x` or `tx.x`."""
-        p, keys = self.pos, self.keys
-        return (keys[p] == IDENT and keys[p + 1] == "." and keys[p + 2] == IDENT
-                and self.toks[p].text in BUILTIN_ROOTS)
 
     def _at_decl(self, keywords: frozenset[str]) -> bool:
         """Whether `type keyword* name` can start here: at a type keyword or
@@ -151,10 +144,6 @@ class _Parser:
         self.pos += 1
         return AstNode(kind, [], tok)  # positional: a keyword call costs more
 
-    def take_var(self) -> AstNode:
-        self.vars += 1
-        return self.take(a.LEAF_VAR)
-
     def take_auto(self) -> AstNode:
         """Consume one token as a leaf with a role-free classification."""
         return self.take(_LEAF_KINDS.get(self.toks[self.pos].kind, a.LEAF_NAME))
@@ -170,16 +159,34 @@ class _Parser:
         return self.take(a.LEAF_NAME)
 
     def expect_var(self) -> AstNode:
+        """A declared name, tagged by _name_or_var. Not take_ident:
+        `uint msg.x;` declares nothing."""
         if self.keys[self.pos] != IDENT:
             raise self.error("expected identifier", frozenset({"identifier"}))
-        # Bare "_" is the modifier body placeholder, never a value.
-        if self.toks[self.pos].text == "_":
+        return self._name_or_var()
+
+    def take_ident(self) -> AstNode:
+        """The identifier rule: a msg/block/tx reference (one dotted variable,
+        its root the leaf), else a name or a variable as _name_or_var says."""
+        p, keys = self.pos, self.keys
+        if keys[p + 1] == "." and keys[p + 2] == IDENT and self.toks[p].text in BUILTIN_ROOTS:
+            self.vars += 1
+            return AstNode(a.BUILTIN_REF, [self.take(a.LEAF_VAR), self.take(a.LEAF_PUNCT),
+                                           self.take(a.LEAF_NAME)])
+        return self._name_or_var()
+
+    def _name_or_var(self) -> AstNode:
+        """A name if the identifier is `_` (the modifier body placeholder) or
+        a callee (followed by `(`), else a variable occurrence."""
+        if self.toks[self.pos].text == "_" or self.keys[self.pos + 1] == "(":
             return self.take(a.LEAF_NAME)
-        return self.take_var()
+        self.vars += 1
+        return self.take(a.LEAF_VAR)
 
     def nest(self) -> None:
         """One level deeper, until the enclosing try_parse, parse_expression
-        or parse_type_name call ends."""
+        or parse_type_name call ends (try_parse restores the depth on any
+        exit, the other two when they return)."""
         if self.depth >= MAX_NESTING:
             raise NestingTooDeep(f"nested deeper than {MAX_NESTING} levels",
                                  self._offset())
@@ -268,24 +275,28 @@ class _Parser:
 
     def parse_function(self) -> AstNode:
         node = AstNode(a.FUNCTION, [self.take(a.LEAF_KW)])
-        if self.at_ident():
+        if self.at(IDENT):
             node.add(self.take(a.LEAF_NAME))
-        self._parse_params(node)
+        self._parenthesized(node, self._param)
         self._parse_function_attrs(node)
         node.add(self.take(a.LEAF_PUNCT) if self.at(";") else self.parse_block())
         return node
 
-    def _parse_params(self, node: AstNode) -> None:
-        """`(type keyword* name?, ...)`"""
+    def _param(self) -> AstNode:
+        """`type keyword* name?`"""
+        param = AstNode(a.PARAM, [self.parse_type_name()])
+        while self.keys[self.pos] in _PARAM_KWS:
+            param.add(self.take(a.LEAF_KW))
+        if self.at(IDENT):
+            param.add(self.expect_var())
+        return param
+
+    def _parenthesized(self, node: AstNode, item: Callable[[], AstNode]) -> None:
+        """`(item, ...)`: parameters and positional call arguments."""
         node.add(self.expect_punct("("))
         while self.keys[self.pos] not in (")", END):
-            param = AstNode(a.PARAM, [self.parse_type_name()])
-            while self.keys[self.pos] in _PARAM_KWS:
-                param.add(self.take(a.LEAF_KW))
-            if self.at_ident():
-                param.add(self.expect_var())
-            node.add(param)
-            if not self.at(","):
+            node.add(item())
+            if self.keys[self.pos] != ",":
                 break
             node.add(self.take(a.LEAF_PUNCT))
         node.add(self.expect_punct(")"))
@@ -304,7 +315,7 @@ class _Parser:
                     node.add(self.expect_punct(")"))
             elif k == "returns":
                 node.add(self.take(a.LEAF_KW))
-                self._parse_params(node)
+                self._parenthesized(node, self._param)
             elif k == IDENT:
                 # custom modifier invocation; its arguments are real uses
                 node.add(self.take(a.LEAF_NAME))
@@ -316,32 +327,30 @@ class _Parser:
     def parse_modifier(self) -> AstNode:
         node = self._declared(a.MODIFIER_DECL)
         if self.at("("):
-            self._parse_params(node)
+            self._parenthesized(node, self._param)
         node.add(self.take(a.LEAF_PUNCT) if self.at(";") else self.parse_block())
         return node
 
     def parse_event(self) -> AstNode:
         node = self._declared(a.EVENT_DECL)
-        self._parse_params(node)
+        self._parenthesized(node, self._param)
         if self.at("anonymous"):
             node.add(self.take(a.LEAF_KW))
         node.add(self.expect_punct(";"))
         return node
 
     def parse_struct(self) -> AstNode:
-        node = self._declared(a.STRUCT_DECL)
-        node.add(self.expect_punct("{"))
-        while self.keys[self.pos] not in ("}", END):
-            node.add(AstNode(a.VAR_DECL_STMT, [self.parse_type_name(), self.expect_var(),
-                                               self.expect_punct(";")]))
-        node.add(self.expect_punct("}"))
-        return node
+        return self._braced(self._declared(a.STRUCT_DECL), lambda: AstNode(
+            a.VAR_DECL_STMT, [self.parse_type_name(), self.expect_var(), self.expect_punct(";")]))
 
     def parse_enum(self) -> AstNode:
-        node = self._declared(a.ENUM_DECL)
+        return self._braced(self._declared(a.ENUM_DECL), self.take_auto)
+
+    def _braced(self, node: AstNode, item: Callable[[], AstNode]) -> AstNode:
+        """`{ item* }`: blocks, struct members and enum values."""
         node.add(self.expect_punct("{"))
         while self.keys[self.pos] not in ("}", END):
-            node.add(self.take_auto())
+            node.add(item())
         node.add(self.expect_punct("}"))
         return node
 
@@ -350,41 +359,31 @@ class _Parser:
     def parse_type_name(self) -> AstNode:
         depth = self.depth
         self.nest()
-        try:
-            node = AstNode(a.TYPE_NAME)
-            keys = self.keys
-            k = keys[self.pos]
-            if k == "mapping":
-                node.add(self.take(a.LEAF_KW), self.expect_punct("("), self.parse_type_name(),
-                         self.expect_punct("=>"), self.parse_type_name(),
-                         self.expect_punct(")"))
-            elif k == IDENT:
-                node.add(self.take(a.LEAF_NAME))
-                while keys[self.pos] == "." and keys[self.pos + 1] == IDENT:
-                    node.add(self.take(a.LEAF_PUNCT), self.take(a.LEAF_NAME))
-            elif is_type_keyword(k):
+        node = AstNode(a.TYPE_NAME)
+        keys = self.keys
+        k = keys[self.pos]
+        if k == "mapping":
+            node.add(self.take(a.LEAF_KW), self.expect_punct("("), self.parse_type_name(),
+                     self.expect_punct("=>"), self.parse_type_name(), self.expect_punct(")"))
+        elif k == IDENT:
+            node.add(self.take(a.LEAF_NAME))
+            while keys[self.pos] == "." and keys[self.pos + 1] == IDENT:
+                node.add(self.take(a.LEAF_PUNCT), self.take(a.LEAF_NAME))
+        elif is_type_keyword(k):
+            node.add(self.take(a.LEAF_KW))
+            if k == "address" and keys[self.pos] == "payable":
                 node.add(self.take(a.LEAF_KW))
-                if k == "address" and keys[self.pos] == "payable":
-                    node.add(self.take(a.LEAF_KW))
-            else:
-                raise self.error("expected type name", frozenset({"type"}))
-            while keys[self.pos] == "[":
-                node.add(self.take(a.LEAF_PUNCT))
-                if keys[self.pos] != "]":
-                    node.add(self.parse_expression())
-                node.add(self.expect_punct("]"))
-            return node
-        finally:
-            self.depth = depth
+        else:
+            raise self.error("expected type name", frozenset({"type"}))
+        while keys[self.pos] == "[":
+            self._bracketed(node)
+        self.depth = depth
+        return node
 
     # -- statements -------------------------------------------------------
 
     def parse_block(self) -> AstNode:
-        node = AstNode(a.BLOCK, [self.expect_punct("{")])
-        while self.keys[self.pos] not in ("}", END):
-            node.add(self.parse_statement_or_opaque())
-        node.add(self.expect_punct("}"))
-        return node
+        return self._braced(AstNode(a.BLOCK), self.parse_statement_or_opaque)
 
     def parse_statement_or_opaque(self) -> AstNode:
         return self.try_parse(self.parse_statement) or self.parse_opaque_statement()
@@ -399,7 +398,7 @@ class _Parser:
         if k == "for":
             return self.parse_for()
         if k == "while":
-            return self.parse_while()
+            return self._guarded(a.WHILE_STMT)
         if k == "return":
             node = AstNode(a.RETURN_STMT, [self.take(a.LEAF_KW)])
             if not self.at(";"):
@@ -413,13 +412,16 @@ class _Parser:
             return AstNode(a.EXPR_STMT, [self.take(a.LEAF_KW), self.expect_punct(";")])
         if k == "unchecked":
             return AstNode(a.BLOCK, [self.take(a.LEAF_KW), self.parse_block()])
-        if k == "mapping" or is_type_keyword(k):
-            return self.parse_var_decl_stmt()
+        return self._simple_statement()
+
+    def _simple_statement(self) -> AstNode:
+        """The declaration rule, for a statement and a for-loop header alike:
+        a declaration where one can start and parses, else an expression
+        statement (which may begin with a type cast, `uint(x);`)."""
+        decl = None
         if self._at_decl(_STORAGE_KWS):
             decl = self.try_parse(self.parse_var_decl_stmt)
-            if decl is not None:
-                return decl
-        return self.parse_expr_stmt()
+        return decl or AstNode(a.EXPR_STMT, [self.parse_expression(), self.expect_punct(";")])
 
     def parse_var_decl_stmt(self) -> AstNode:
         return self._var_decl(a.VAR_DECL_STMT, _STORAGE_KWS)
@@ -435,9 +437,6 @@ class _Parser:
         node.add(self.expect_punct(";"))
         return node
 
-    def parse_expr_stmt(self) -> AstNode:
-        return AstNode(a.EXPR_STMT, [self.parse_expression(), self.expect_punct(";")])
-
     def _guarded(self, kind: str) -> AstNode:
         """`keyword ( expression ) statement`: an if without its else, or a while."""
         return AstNode(kind, [self.take(a.LEAF_KW), self.expect_punct("("),
@@ -450,18 +449,12 @@ class _Parser:
             node.add(self.take(a.LEAF_KW), self.parse_statement_or_opaque())
         return node
 
-    def parse_while(self) -> AstNode:
-        return self._guarded(a.WHILE_STMT)
-
     def parse_for(self) -> AstNode:
         node = AstNode(a.FOR_STMT, [self.take(a.LEAF_KW), self.expect_punct("(")])
         if self.at(";"):
             node.add(self.take(a.LEAF_PUNCT))
         else:
-            init = None
-            if self._at_decl(_STORAGE_KWS):
-                init = self.try_parse(self.parse_var_decl_stmt)
-            node.add(init or self.parse_expr_stmt())
+            node.add(self._simple_statement())
         if not self.at(";"):
             node.add(self.parse_expression())
         node.add(self.expect_punct(";"))
@@ -477,10 +470,10 @@ class _Parser:
 
         Stops after a ';' at depth 0 or after a balanced '{...}' closes
         (except do-while, which continues to the trailing ';'). Identifier
-        leaves are still harvested: callee-looking ones (followed by '(')
-        become plain names, the rest variable occurrences. Unless at the end
-        of input it consumes at least one token, so a stray closer becomes
-        a one-leaf statement and every loop over statements makes progress.
+        leaves are still harvested by the identifier rule (take_ident), the
+        other tokens by their kind alone. Unless at the end of input it
+        consumes at least one token, so a stray closer becomes a one-leaf
+        statement and every loop over statements makes progress.
         """
         node = AstNode(a.OPAQUE)
         start_offset = self._offset()
@@ -494,7 +487,7 @@ class _Parser:
                 break
             if depth == 0 and k in (")", "]", "}"):
                 break
-            self._consume_opaque_unit(node)
+            node.add(self.take_ident() if k == IDENT else self.take_auto())
             if k in ("(", "[", "{"):
                 depth += 1
             elif k in (")", "]", "}"):
@@ -507,54 +500,37 @@ class _Parser:
             node.add(self.take_auto())  # a stray ')', ']' or '}'
         return node
 
-    def _consume_opaque_unit(self, node: AstNode) -> None:
-        if self._at_builtin_ref():
-            node.add(self._builtin_ref())
-        elif self.keys[self.pos] != IDENT:
-            node.add(self.take_auto())
-        elif self.toks[self.pos].text == "_" or self.keys[self.pos + 1] == "(":
-            node.add(self.take(a.LEAF_NAME))  # modifier placeholder or callee
-        else:
-            node.add(self.take_var())
-
-    def _builtin_ref(self) -> AstNode:
-        """One dotted variable rooted at msg/block/tx: the root is its leaf."""
-        return AstNode(a.BUILTIN_REF, [self.take_var(), self.take(a.LEAF_PUNCT),
-                                       self.take(a.LEAF_NAME)])
-
     # -- expressions --------------------------------------------------------
 
     def parse_expression(self, min_bp: int = 0) -> AstNode:
         depth = self.depth
         self.nest()
-        try:
-            lhs = self.parse_unary()
-            keys = self.keys
-            while True:
-                k = keys[self.pos]
-                if k in ASSIGN_OPS:
-                    if _ASSIGN_BP < min_bp:
-                        break
-                    lhs = AstNode(a.ASSIGN, [lhs, self.take(a.LEAF_PUNCT),
-                                             self.parse_expression(_ASSIGN_BP)])
-                elif k == "?":
-                    if _TERNARY_BP < min_bp:
-                        break
-                    lhs = AstNode(a.TERNARY, [lhs, self.take(a.LEAF_PUNCT),
-                                              self.parse_expression(), self.expect_punct(":"),
-                                              self.parse_expression(_TERNARY_BP)])
-                elif k in _BINARY_BP:
-                    bp = _BINARY_BP[k]
-                    if (bp < min_bp) or (bp == min_bp and k not in _RIGHT_ASSOC):
-                        break
-                    lhs = AstNode(a.BINARY, [lhs, self.take(a.LEAF_PUNCT), self.parse_expression(
-                        bp if k in _RIGHT_ASSOC else bp + 1)])
-                else:
+        lhs = self.parse_unary()
+        keys = self.keys
+        while True:
+            k = keys[self.pos]
+            if k in ASSIGN_OPS:
+                if _ASSIGN_BP < min_bp:
                     break
-                self.nest()  # every wrap is one level deeper
-            return lhs
-        finally:
-            self.depth = depth
+                lhs = AstNode(a.ASSIGN, [lhs, self.take(a.LEAF_PUNCT),
+                                         self.parse_expression(_ASSIGN_BP)])
+            elif k == "?":
+                if _TERNARY_BP < min_bp:
+                    break
+                lhs = AstNode(a.TERNARY, [lhs, self.take(a.LEAF_PUNCT),
+                                          self.parse_expression(), self.expect_punct(":"),
+                                          self.parse_expression(_TERNARY_BP)])
+            elif k in _BINARY_BP:
+                bp = _BINARY_BP[k]
+                if (bp < min_bp) or (bp == min_bp and k not in _RIGHT_ASSOC):
+                    break
+                lhs = AstNode(a.BINARY, [lhs, self.take(a.LEAF_PUNCT), self.parse_expression(
+                    bp if k in _RIGHT_ASSOC else bp + 1)])
+            else:
+                break
+            self.nest()  # every wrap is one level deeper
+        self.depth = depth
+        return lhs
 
     def parse_unary(self) -> AstNode:
         self.nest()  # only parse_expression and parse_unary call this
@@ -572,16 +548,10 @@ class _Parser:
         while True:
             k = keys[self.pos]
             if k == "(":
-                if node.kind == a.LEAF_VAR:
-                    node.kind = a.LEAF_NAME  # bare identifier in callee position
-                    self.vars -= 1
                 node = AstNode(a.CALL, [node])
                 self._parse_call_args(node)
             elif k == "[":
-                node = AstNode(a.INDEX, [node, self.take(a.LEAF_PUNCT)])
-                if keys[self.pos] != "]":
-                    node.add(self.parse_expression())
-                node.add(self.expect_punct("]"))
+                node = self._bracketed(AstNode(a.INDEX, [node]))
             elif (k == "." and keys[self.pos + 1] != END
                     and self.toks[self.pos + 1].kind in (KIND_IDENTIFIER, KIND_KEYWORD)):
                 node = AstNode(a.MEMBER, [node, self.take(a.LEAF_PUNCT), self.take(
@@ -592,29 +562,30 @@ class _Parser:
                 return node
             self.nest()  # every wrap is one level deeper
 
+    def _bracketed(self, node: AstNode) -> AstNode:
+        """`[ expression? ]`: an index or an array dimension, added to node."""
+        node.add(self.take(a.LEAF_PUNCT))
+        if self.keys[self.pos] != "]":
+            node.add(self.parse_expression())
+        node.add(self.expect_punct("]"))
+        return node
+
     def _parse_call_args(self, node: AstNode) -> None:
         """`(expression, ...)` or `({name: expression, ...})`"""
         keys = self.keys
-        node.add(self.take(a.LEAF_PUNCT))
-        if keys[self.pos] == "{":
-            node.add(self.take(a.LEAF_PUNCT))
-            while keys[self.pos] not in ("}", END):
-                node.add(self.expect_name(), self.expect_punct(":"), self.parse_expression())
-                if keys[self.pos] == ",":
-                    node.add(self.take(a.LEAF_PUNCT))
-            node.add(self.expect_punct("}"))
-        else:
-            while keys[self.pos] not in (")", END):
-                node.add(self.parse_expression())
-                if keys[self.pos] != ",":
-                    break
+        if keys[self.pos + 1] != "{":
+            return self._parenthesized(node, self.parse_expression)
+        node.add(self.take(a.LEAF_PUNCT), self.take(a.LEAF_PUNCT))
+        while keys[self.pos] not in ("}", END):
+            node.add(self.expect_name(), self.expect_punct(":"), self.parse_expression())
+            if keys[self.pos] == ",":
                 node.add(self.take(a.LEAF_PUNCT))
-        node.add(self.expect_punct(")"))
+        node.add(self.expect_punct("}"), self.expect_punct(")"))
 
     def parse_primary(self) -> AstNode:
         k = self.keys[self.pos]
         if k == IDENT:
-            return self._builtin_ref() if self._at_builtin_ref() else self.expect_var()
+            return self.take_ident()
         if k == NUMBER:
             num = self.take(a.LEAF_NUMBER)
             if self.keys[self.pos] in UNIT_KEYWORDS:

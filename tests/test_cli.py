@@ -146,6 +146,14 @@ def test_synth_reports_counts_and_writes_file(tmp_path, capsys):
     assert sum(r.label == 1 for r in records) == 4
 
 
+def test_synth_published_shape_writes_the_published_counts(tmp_path, capsys):
+    out_path = tmp_path / "published.jsonl"
+    assert run(["synth", "--published-shape", "--out", str(out_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"path": str(out_path), "records": 6498, "positives": 318}
+    assert len(load_dataset(str(out_path))) == 6498
+
+
 # -- model stages -------------------------------------------------------------
 
 
@@ -463,6 +471,14 @@ def test_unreadable_config_is_usage_error(tmp_path, capsys):
     assert run(["synth", "--out", str(tmp_path / "x.jsonl"),
                 "--config", str(tmp_path / "missing.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+def test_config_that_is_no_json_object_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1]", encoding="utf-8")
+    assert run(["synth", "--out", str(tmp_path / "x.jsonl"), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: cannot read config file: expected a JSON object\n"
+    assert not (tmp_path / "x.jsonl").exists()
 
 
 @pytest.mark.parametrize("key", ["epoch", "no-mlm", "init"])
@@ -895,6 +911,15 @@ def test_bad_format_choice_exits_2(workspace, capsys):
     assert run(["dfg", "--source", str(workspace["source"]),
                 "--format", "xml"]) == 2
     capsys.readouterr()
+
+
+def test_finite_options_take_a_finite_value():
+    ns = build_parser().parse_args(["fetch", "--address", ADDRESS, "--delay", "0.5",
+                                    "--timeout", "2"])
+    assert (ns.delay, ns.timeout) == (0.5, 2.0)
+    ns = build_parser().parse_args(["train", "--dataset", "d.jsonl", "--out", "m.ckpt",
+                                    "--lr", "0.001"])
+    assert ns.lr == 0.001
 
 
 def test_too_small_fetch_delay_exits_2(capsys):

@@ -18,9 +18,10 @@ option strings, dest, default, type, choices, required-ness, nargs, help
 and action class. Their order is not pinned; it shows only in --help.
 
 A golden file may only change with a named, intended behaviour change.
-Rewrite them after one with:
+Rewrite the ones it changes after one, by name (all three when none is
+named):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [frontend] [cli_chain] [cli_options]
 """
 
 from __future__ import annotations
@@ -254,11 +255,22 @@ if __name__ == "__main__":
     import os
     import tempfile
 
+    def chain() -> dict:
+        with tempfile.TemporaryDirectory() as tmp:
+            return run_chain(Path(tmp))
+
+    def options() -> dict:
+        os.environ.pop("ETHERSCAN_API_KEY", None)
+        return option_surface()
+
+    goldens = {"frontend": (FRONTEND_GOLDEN, frontend_digests),
+               "cli_chain": (CLI_GOLDEN, chain), "cli_options": (OPTIONS_GOLDEN, options)}
+    names = sys.argv[1:] or list(goldens)
+    unknown = [name for name in names if name not in goldens]
+    if unknown:
+        sys.exit(f"unknown golden {', '.join(unknown)}; choose from {', '.join(goldens)}")
     GOLDEN.mkdir(exist_ok=True)
-    _write_golden(FRONTEND_GOLDEN, frontend_digests())
-    with tempfile.TemporaryDirectory() as tmp:
-        _write_golden(CLI_GOLDEN, run_chain(Path(tmp)))
-    os.environ.pop("ETHERSCAN_API_KEY", None)
-    _write_golden(OPTIONS_GOLDEN, option_surface())
-    print(f"wrote {FRONTEND_GOLDEN}, {CLI_GOLDEN} and {OPTIONS_GOLDEN}",
-          file=sys.stderr)
+    for name in names:
+        path, build = goldens[name]
+        _write_golden(path, build())
+        print(f"wrote {path}", file=sys.stderr)

@@ -13,7 +13,12 @@ import pytest
 
 from ponziscan import datasynth
 from ponziscan.encoding import SEG_CODE, SEG_NODE, attention_plan, build_mask, build_vocab
-from ponziscan.errors import IdOutOfRange, NonFiniteActivation, ShapeMismatch
+from ponziscan.errors import (
+    IdOutOfRange,
+    NonFiniteActivation,
+    NonFiniteGradient,
+    ShapeMismatch,
+)
 from ponziscan.model import encoder
 from ponziscan.model.config import ModelConfig
 from ponziscan.model.encoder import (
@@ -30,6 +35,7 @@ from ponziscan.model.encoder import (
     softmax_rows,
 )
 from ponziscan.model.params import (
+    check_finite,
     init_params,
     param_shapes,
     validate_same_shapes,
@@ -458,6 +464,24 @@ def test_embed_rejects_out_of_range_ids(tiny_config):
         embed(inp, params)
 
 
+@pytest.mark.parametrize("position", [-1, 11])  # tiny_config has 11 positions
+def test_embed_rejects_out_of_range_positions(tiny_config, position):
+    params = init_params(tiny_config, vocab_size=24)
+    inp = random_model_input(np.random.default_rng(8), code_len=tiny_config.code_len,
+                             flow_len=tiny_config.flow_len)
+    inp.position_ids[0] = position
+    with pytest.raises(IdOutOfRange, match="^position id outside table of 11$"):
+        embed(inp, params)
+
+
+def test_check_finite_raises_the_error_it_is_given(tiny_config):
+    grads = zeros_like_params(init_params(tiny_config, vocab_size=24))
+    check_finite(grads, NonFiniteGradient)
+    grads["cls_w"][0, 0] = np.nan
+    with pytest.raises(NonFiniteGradient, match="^non-finite values in cls_w$"):
+        check_finite(grads, NonFiniteGradient)
+
+
 def test_nonfinite_hidden_states_raise(tiny_config):
     params = init_params(tiny_config, vocab_size=24)
     params["layer0.ffn_w2"][:] = np.inf
@@ -767,6 +791,8 @@ def test_config_validation():
         ModelConfig(d_h=10, n_heads=4)
     with pytest.raises(ShapeMismatch):
         ModelConfig(n_layers=0)
+    with pytest.raises(ShapeMismatch, match="^flow_len must not be negative$"):
+        ModelConfig(flow_len=-1)
     cfg = ModelConfig(d_h=12, n_heads=3, code_len=8, flow_len=2)
     assert cfg.n_positions == 11
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg

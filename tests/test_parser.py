@@ -171,6 +171,13 @@ def test_parse_error_has_offset():
     assert err.value.offset >= 0
 
 
+def test_expression_cut_at_the_end_of_input_is_a_parse_error():
+    source = "contract C is B(x ="  # inheritance arguments have no fallback
+    with pytest.raises(ParseError, match="^expected expression at byte 19 ") as err:
+        parse(source)
+    assert err.value.offset == len(source)
+
+
 def test_to_jsonable_shape():
     ast = parse("uint a;")
     data = A.to_jsonable(ast)
@@ -271,12 +278,31 @@ def test_builtin_ref_named_alike_in_expression_and_opaque_code():
      ["b", "x", "y"]),  # tuple holes
     ("function f() public { (uint a, uint b) = g(); }", ["a", "b"]),
     ("function f() public { uint8[3] memory xs = [a, 2, b]; }", ["xs", "a", "b"]),
+    # a statement that starts with a type name and declares nothing
+    ("function f(uint amount) public { address(owner).transfer(amount); }",
+     ["amount", "owner", "amount"]),
+    ("function f() public { uint(x); }", ["x"]),
+    ("function f() public { bytes32(h); }", ["h"]),
 ])
 def test_handled_construct_parses_without_opaque_statements(source, node_names):
     ast = parse(source)
     assert [n for n in walk(ast) if n.kind == A.OPAQUE] == []
     assert [name for _, name in var_occurrences(ast)] == node_names
     assert_leaf_totality(source)
+
+
+@pytest.mark.parametrize("statement", ["uint a = b;", "mapping(uint => uint) m;"])
+def test_declaration_at_a_type_name_keeps_its_parse(statement):
+    body = next(c for c in parse("function f() public { " + statement + " }").children[0]
+                .children if c.kind == A.BLOCK)
+    assert [c.kind for c in body.children[1:-1]] == [A.VAR_DECL_STMT]
+
+
+def test_for_header_declaration_keeps_its_parse():
+    ast = parse("function f() public { for (uint i = 0; i < n; i++) { } }")
+    loop = next(n for n in walk(ast) if n.kind == A.FOR_STMT)
+    assert loop.children[2].kind == A.VAR_DECL_STMT
+    assert " ".join(leaf.token.text for leaf in leaves(loop.children[2])) == "uint i = 0 ;"
 
 
 def test_file_level_constant_is_a_state_variable():
@@ -330,7 +356,7 @@ def test_parse_error_past_the_cut_is_not_raised():
 
 
 def test_callee_demotion_is_not_counted():
-    # f is demoted from variable to callee, so only x and y count
+    # f is a callee, no variable, so only x and y count
     ast = parse_tokens(lex("contract A { function g() public { f(x); y = 1; } }"
                            " contract B { uint b; }"), 1)
     assert [name for _, name in var_occurrences(ast)] == ["x", "y"]

@@ -147,6 +147,12 @@ def test_split_fixed_needs_more_positives():
         split_chronological(records, 3)
 
 
+@pytest.mark.parametrize("k", [1, 6])
+def test_split_chronological_takes_k_from_two_to_five(k):
+    with pytest.raises(ValueError, match=f"^k must be 2..5, got {k}$"):
+        split_chronological(make_records([1] * 300), k)
+
+
 def test_split_partitions_structure():
     # idx 10, 20, ..., 6000 given newest first; every even position is a
     # Ponzi scheme, so the (50k)th one sits at idx 1000k
